@@ -2,15 +2,16 @@
 
 Three coupling regimes for b = scale(h) * b0: fixed (scale 1, boundary
 density l2(d, b0)), small (scale h^s -> 0, Neumann density l1(d-1)/4),
-and large (scale h^(-gamma) -> infinity, density dominated by the
-negative part pi c_d b_-^(d+1)).
+and large (scale h^(-gamma) -> infinity). A large regime with a negative
+b0 on some facet uses the exact density l2(d, b) at the realized b for
+every |b|, which is dominated by the negative part pi c_d b_-^(d+1); with
+every b0 >= 0 it uses the limits -l1(d-1)/4 (b0 > 0) and +l1(d-1)/4
+(b0 = 0). Whether a regime has a negative part is read off its b0.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,14 +21,6 @@ from . import coeffs, riesz
 REGIME_FIXED = "fixed"
 REGIME_SMALL = "small"
 REGIME_LARGE = "large"
-SIGN_HAS_NEGATIVE = "has_negative_part"
-SIGN_NONNEGATIVE = "nonnegative"
-
-# Above this realized |b| the exact l2 quadrature is replaced by its
-# large-coupling limit (pi c_d b_-^(d+1), resp. -l1(d-1)/4).
-LARGE_DENSITY_SWITCH = 50.0
-
-THREADS_ENV = "ROBIN_SEMICLASSICS_THREADS"
 
 
 @dataclass(frozen=True)
@@ -42,7 +35,6 @@ class RegimeSpec:
     kind: str
     b0_facets: tuple
     exponent: float = 0.0
-    sign_class: str | None = None
 
     def __post_init__(self):
         facets = tuple((float(lo), float(hi)) for lo, hi in self.b0_facets)
@@ -51,19 +43,16 @@ class RegimeSpec:
             raise ValueError(f"unknown regime kind {self.kind!r}")
         if self.kind == REGIME_SMALL and not self.exponent > 0.0:
             raise ValueError(f"small regime needs exponent s > 0, got {self.exponent}")
-        if self.kind == REGIME_LARGE:
-            if not 0.0 < self.exponent < 1.0:
-                raise ValueError(
-                    f"large regime needs 0 < gamma < 1 (the growth must stay o(1/h); "
-                    f"beyond gamma = 1 no two-term expansion is available), got {self.exponent}"
-                )
-            has_negative = any(b < 0.0 for pair in facets for b in pair)
-            if self.sign_class not in (SIGN_HAS_NEGATIVE, SIGN_NONNEGATIVE):
-                raise ValueError("large regime needs an explicit sign_class")
-            if self.sign_class == SIGN_NONNEGATIVE and has_negative:
-                raise ValueError("nonnegative sign class but some facet b0 < 0")
-            if self.sign_class == SIGN_HAS_NEGATIVE and not has_negative:
-                raise ValueError("has_negative_part sign class but every facet b0 >= 0")
+        if self.kind == REGIME_LARGE and not 0.0 < self.exponent < 1.0:
+            raise ValueError(
+                f"large regime needs 0 < gamma < 1 (the growth must stay o(1/h); "
+                f"beyond gamma = 1 no two-term expansion is available), got {self.exponent}"
+            )
+
+    @property
+    def has_negative_part(self):
+        """True when some facet has b0 < 0."""
+        return any(b < 0.0 for pair in self.b0_facets for b in pair)
 
     def scale(self, h):
         if self.kind == REGIME_FIXED:
@@ -90,25 +79,13 @@ class CrossoverRecord:
     ratio: float
 
 
-def _large_negative_density(d, b):
-    if abs(b) <= LARGE_DENSITY_SWITCH:
-        return coeffs.l2(d, b).value
-    if b < 0.0:
-        return coeffs.l2_large_negative_leading(d, b).value
-    return -0.25 * coeffs.l1(d - 1).value
-
-
 def _facet_densities(d, regime, h):
     quarter = 0.25 * coeffs.l1(d - 1).value
-    if regime.kind == REGIME_FIXED:
-        return [(coeffs.l2(d, lo).value, coeffs.l2(d, hi).value)
-                for lo, hi in regime.b0_facets]
     if regime.kind == REGIME_SMALL:
         return [(quarter, quarter) for _ in regime.b0_facets]
-    if regime.sign_class == SIGN_HAS_NEGATIVE:
-        theta = regime.scale(h)
-        return [(_large_negative_density(d, theta * lo), _large_negative_density(d, theta * hi))
-                for lo, hi in regime.b0_facets]
+    if regime.kind == REGIME_FIXED or regime.has_negative_part:
+        return [(coeffs.l2(d, lo).value, coeffs.l2(d, hi).value)
+                for lo, hi in regime.realized_facets(h)]
     return [(-quarter if lo > 0.0 else quarter, -quarter if hi > 0.0 else quarter)
             for lo, hi in regime.b0_facets]
 
@@ -123,55 +100,29 @@ def predict(box, regime, h):
     return TwoTermPrediction(weyl=riesz.weyl_term(box, h), boundary=boundary * h ** (1 - d))
 
 
-def remainder(box, regime, h):
-    """trace - weyl - boundary at the regime's realized coefficients."""
+def _sweep_point(box, regime, h):
     realized = replace(box, facet_b=regime.realized_facets(h))
     rep = riesz.riesz_mean(realized, h)
     pred = predict(box, regime, h)
-    return rep.trace - pred.weyl - pred.boundary
-
-
-def _worker_count(n_items):
-    cap = os.environ.get(THREADS_ENV)
-    workers = min(n_items, os.cpu_count() or 1, 4)
-    if cap is not None:
-        try:
-            workers = max(1, min(workers, int(cap)))
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {cap!r}") from None
-    return workers
+    return replace(rep, boundary_term=pred.boundary,
+                   remainder=rep.trace - rep.weyl_term - pred.boundary)
 
 
 def run_sweep(box, regime, h_list):
-    """RieszReports over decreasing h with regime-filled boundary terms.
-
-    Reports are returned sorted by descending h regardless of worker
-    scheduling, so repeated runs agree bit for bit.
-    """
+    """RieszReports over distinct h, sorted by descending h, with
+    regime-filled boundary terms and remainders trace - weyl - boundary."""
     items = [float(h) for h in h_list]
     hs = sorted(set(items), reverse=True)
     if len(hs) != len(items):
         raise ValueError("sweep h values must be distinct")
-
-    def one(h):
-        realized = replace(box, facet_b=regime.realized_facets(h))
-        rep = riesz.riesz_mean(realized, h)
-        pred = predict(box, regime, h)
-        return replace(rep, boundary_term=pred.boundary,
-                       remainder=rep.trace - rep.weyl_term - pred.boundary)
-
-    workers = _worker_count(len(hs))
-    if workers <= 1:
-        return [one(h) for h in hs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, hs))
+    return [_sweep_point(box, regime, h) for h in hs]
 
 
 def normalized_remainder(regime, report, d):
     """|R_h| h^(d-1), additionally scaled by Theta(h)^-(d+1) in the
     large/negative regime, whose remainder scale is o(Theta^(d+1) h^(-d+1))."""
     y = abs(report.remainder) * report.h ** (d - 1)
-    if regime.kind == REGIME_LARGE and regime.sign_class == SIGN_HAS_NEGATIVE:
+    if regime.kind == REGIME_LARGE and regime.has_negative_part:
         y *= regime.scale(report.h) ** (-(d + 1))
     return y
 
@@ -219,9 +170,9 @@ def fit_sweep(box, regime, reports):
 def crossover_demo(box, gamma, h):
     """Boundary/Weyl ratio in the large regime; the ratio scales as
     h^(1 - gamma (d+1)), so gamma = 1/(d+1) is the crossover."""
-    if not any(b < 0.0 for pair in box.facet_b for b in pair):
+    regime = RegimeSpec(REGIME_LARGE, box.facet_b, gamma)
+    if not regime.has_negative_part:
         raise ValueError("crossover_demo needs a facet with negative b0")
-    regime = RegimeSpec(REGIME_LARGE, box.facet_b, gamma, SIGN_HAS_NEGATIVE)
     pred = predict(box, regime, h)
     return CrossoverRecord(weyl=pred.weyl, boundary=pred.boundary,
                            ratio=pred.boundary / pred.weyl)

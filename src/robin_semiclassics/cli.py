@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -152,17 +151,6 @@ def _cmd_model(args):
     return columns, rows, None
 
 
-def _spectrum_bracket(iv, lam):
-    if lam < 0.0:
-        kappa_hi = spectra1d._kappa_upper_bound(iv)
-        return -kappa_hi * kappa_hi, 0.0
-    if lam == 0.0:
-        return 0.0, 0.0
-    node = math.pi / iv.length
-    n = int(math.floor(math.sqrt(lam) / node))
-    return (n * node) ** 2, ((n + 1) * node) ** 2
-
-
 def _cmd_spectrum(args):
     if _resolve(args, "L") is None or _resolve(args, "Lambda") is None:
         raise _UsageError("spectrum requires --L and --Lambda")
@@ -175,7 +163,7 @@ def _cmd_spectrum(args):
     columns = ("n", "lambda", "bracket_lo", "bracket_hi")
     rows = []
     for n, lam in enumerate(spectrum.eigenvalues):
-        lo, hi = _spectrum_bracket(iv, lam)
+        lo, hi = spectra1d.eigenvalue_bracket(iv, lam)
         rows.append((n, lam, lo, hi))
     return columns, rows, None
 
@@ -195,8 +183,6 @@ def _cmd_sweep(args):
     kind = _resolve(args, "regime")
     if kind is None:
         raise _UsageError("sweep requires --regime {fixed,small,large}")
-    if kind not in (asympt.REGIME_FIXED, asympt.REGIME_SMALL, asympt.REGIME_LARGE):
-        raise _UsageError(f"unknown regime {kind!r}")
     if _resolve(args, "b0") is None:
         raise _UsageError("sweep requires --b0")
     facets = _parse_facets(_resolve(args, "b0"), d, "--b0")
@@ -207,23 +193,21 @@ def _cmd_sweep(args):
         if _resolve(args, "gamma") is None:
             raise _UsageError("large regime requires --gamma")
         exponent = float(_resolve(args, "gamma"))
-    sign_class = None
-    if kind == asympt.REGIME_LARGE:
-        has_neg = any(b < 0.0 for pair in facets for b in pair)
-        sign_class = asympt.SIGN_HAS_NEGATIVE if has_neg else asympt.SIGN_NONNEGATIVE
     try:
-        regime = asympt.RegimeSpec(kind, facets, exponent, sign_class)
+        regime = asympt.RegimeSpec(kind, facets, exponent)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     box = riesz.BoxDomain(sides, facets)
     h_list = _parse_floats(_resolve(args, "h", "0.04,0.02,0.01,0.005"), "--h")
+    if len(set(h_list)) != len(h_list):
+        raise _UsageError("--h values must be distinct")
     if len(h_list) < 4:
         raise _UsageError("sweep needs at least 4 h values for the remainder fit")
     timings = _as_bool(_resolve(args, "timings", False), "--timings")
 
     reports = []
     seconds = []
-    for h in sorted(set(h_list), reverse=True):
+    for h in sorted(h_list, reverse=True):
         start = time.perf_counter()
         batch = asympt.run_sweep(box, regime, [h])
         seconds.append(time.perf_counter() - start)
@@ -250,7 +234,6 @@ def _cmd_sweep(args):
         "fit_residual": fit.fit_residual,
         "sign_flips": fit.sign_flips,
         "decay_verified": fit.decay_verified,
-        "large_density_switch": asympt.LARGE_DENSITY_SWITCH if kind == asympt.REGIME_LARGE else None,
     }
     return tuple(columns), rows, fit_doc
 

@@ -84,20 +84,27 @@ def c_d(d):
 
 
 def _l2_integral(d, b, abs_tol):
-    """Adaptive quadrature of int_0^1 (1-p^2)^((d+1)/2) * b / (b^2 + p^2) dp.
+    """int_0^1 (1-p^2)^k * b / (b^2 + p^2) dp with k = (d+1)/2, for b != 0.
 
-    The integrand has a peak of width |b| at p = |b|; the interval is
-    split there when 0 < |b| < 1.
+    The peak b / (b^2 + p^2) integrates in closed form to arctan(1/b); only
+    the rest ((1-p^2)^k - 1) * b / (b^2 + p^2), bounded by k |b|, goes to
+    adaptive quadrature. That rest turns from ~ -k p^2 / b to ~ -k b across
+    p ~ |b|, a turn one panel [|b|, 1] misses by up to ~k b^2 unseen by its
+    error estimate, so the interval is split at every |b| * 16^j below 1.
     """
-    power = 0.5 * (d + 1)
+    k = 0.5 * (d + 1)
     b2 = b * b
 
-    def integrand(p):
-        return (1.0 - p * p) ** power * (b / (b2 + p * p))
+    def rest(p):
+        return np.expm1(k * np.log1p(-p * p)) * (b / (b2 + p * p))
 
-    breaks = (abs(b),) if 0.0 < abs(b) < 1.0 else ()
-    res = adaptive_quadrature(integrand, 0.0, 1.0, abs_tol=abs_tol, breakpoints=breaks)
-    return res.value, res.error_estimate
+    breaks = []
+    p = abs(b)
+    while p < 1.0:
+        breaks.append(p)
+        p *= 16.0
+    res = adaptive_quadrature(rest, 0.0, 1.0, abs_tol=abs_tol, breakpoints=breaks)
+    return math.atan(1.0 / b) + res.value, res.error_estimate
 
 
 def l2(d, b, abs_tol=1e-13):

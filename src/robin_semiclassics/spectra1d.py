@@ -85,6 +85,23 @@ def _kappa_upper_bound(iv):
     return max(2.0 * max(gl, gr) + 1.0, math.sqrt(g / iv.length + g * g) + 1.0)
 
 
+def eigenvalue_bracket(iv, lam):
+    """Interval (lo, hi) holding the eigenvalue ``lam`` of ``iv``.
+
+    A negative eigenvalue lies in [-kappa_max^2, 0] with kappa_max the
+    variational bound on the hyperbolic branch; a positive one lies
+    between the squared Dirichlet nodes n pi / L enclosing sqrt(lam).
+    """
+    if lam < 0.0:
+        kappa_hi = _kappa_upper_bound(iv)
+        return -kappa_hi * kappa_hi, 0.0
+    if lam == 0.0:
+        return 0.0, 0.0
+    node = math.pi / iv.length
+    n = int(math.floor(math.sqrt(lam) / node))
+    return (n * node) ** 2, ((n + 1) * node) ** 2
+
+
 def _dedupe_sorted(values, rtol=1e-9):
     out = []
     for v in sorted(values):

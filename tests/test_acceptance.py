@@ -47,24 +47,30 @@ def box():
     return BoxDomain.uniform((1.0, SQ2), 1.0)
 
 
+def timed_sweep(box, regime, hs):
+    """(reports, seconds): the sweep's own time counts toward each criterion's limit."""
+    start = time.perf_counter()
+    reports = run_sweep(box, regime, hs)
+    return reports, time.perf_counter() - start
+
+
 @pytest.fixture(scope="module")
 def sweep_fixed(box):
     regime = RegimeSpec("fixed", box.facet_b)
-    return regime, run_sweep(box, regime, H_SWEEP)
+    return (regime, *timed_sweep(box, regime, H_SWEEP))
 
 
 @pytest.fixture(scope="module")
 def sweep_small(box):
     regime = RegimeSpec("small", box.facet_b, exponent=0.5)
-    return regime, run_sweep(box, regime, H_SWEEP_SMALL)
+    return (regime, *timed_sweep(box, regime, H_SWEEP_SMALL))
 
 
 @pytest.fixture(scope="module")
 def sweep_large():
     box_neg = BoxDomain.uniform((1.0, SQ2), -1.0)
-    regime = RegimeSpec("large", box_neg.facet_b, exponent=0.25,
-                        sign_class=asympt.SIGN_HAS_NEGATIVE)
-    return box_neg, regime, run_sweep(box_neg, regime, H_SWEEP)
+    regime = RegimeSpec("large", box_neg.facet_b, exponent=0.25)
+    return (box_neg, regime, *timed_sweep(box_neg, regime, H_SWEEP))
 
 
 def test_criterion_01_coefficient_identities():
@@ -155,12 +161,12 @@ def test_criterion_04_spectral_oracle_equivalence():
 
 def test_criterion_05_fixed_regime_two_term(box, sweep_fixed):
     start = time.perf_counter()
-    _, reports = sweep_fixed
+    _, reports, sweep_seconds = sweep_fixed
     target = coeffs.l2(2, 1.0).value
     errs = [abs(boundary_estimate(rep, box) - target) for rep in reports]
     tol = 2e-3 * QUARTER_L1
     decreasing = all(b < a for a, b in zip(errs[:-1], errs[1:]))
-    elapsed = time.perf_counter() - start
+    elapsed = sweep_seconds + time.perf_counter() - start
     ok = decreasing and errs[-1] <= tol and elapsed < 300.0
     assert report(5, ok, f"errors {['%.2e' % e for e in errs]} decreasing={decreasing}, "
                          f"final tol={tol:.2e}, {elapsed:.1f}s")
@@ -175,7 +181,7 @@ def test_criterion_06_small_regime_as_stated(box, sweep_small):
     # The slope -1/(2 pi) is certified by
     # test_coeffs.py::test_derivative_continuous_across_zero.
     start = time.perf_counter()
-    regime, reports = sweep_small
+    regime, reports, sweep_seconds = sweep_small
     rep_final = next(rep for rep in reports if rep.h == 2e-5)
     est_final = boundary_estimate(rep_final, box)
     rel_err = abs(est_final - QUARTER_L1) / QUARTER_L1
@@ -184,7 +190,7 @@ def test_criterion_06_small_regime_as_stated(box, sweep_small):
     est_mid = boundary_estimate(rep_mid, box)
     mid_gap = abs(est_mid - density_mid) / density_mid
     fit = fit_sweep(box, regime, reports)
-    elapsed = time.perf_counter() - start
+    elapsed = sweep_seconds + time.perf_counter() - start
     ok = (rel_err <= 0.02 and mid_gap <= 0.02 and fit.fitted_exponent > 0.3
           and elapsed < 300.0)
     report(6, ok, f"est(h=2e-5)={est_final:.5f} vs 1/(6pi)={QUARTER_L1:.5f} "
@@ -203,7 +209,7 @@ def test_criterion_06_small_regime_as_stated(box, sweep_small):
 
 def test_criterion_07_large_regime(sweep_large):
     start = time.perf_counter()
-    box_neg, regime, reports = sweep_large
+    box_neg, regime, reports, sweep_seconds = sweep_large
     gamma = regime.exponent
     norms = [asympt.normalized_remainder(regime, rep, 2) for rep in reports]
     decreasing = all(b < a for a, b in zip(norms[:-1], norms[1:]))
@@ -211,7 +217,7 @@ def test_criterion_07_large_regime(sweep_large):
     target = 2.0 ** -(1.0 - 3.0 * gamma)
     halving_dev = max(abs((ratios[i + 1] / ratios[i]) / target - 1.0)
                       for i in range(len(ratios) - 1))
-    elapsed = time.perf_counter() - start
+    elapsed = sweep_seconds + time.perf_counter() - start
     ok = decreasing and halving_dev <= 0.10 and elapsed < 600.0
     assert report(7, ok, f"|R|h Theta^-3 = {['%.4f' % n for n in norms]} "
                          f"decreasing={decreasing}, ratio halving dev={halving_dev:.1%}, "
@@ -219,7 +225,10 @@ def test_criterion_07_large_regime(sweep_large):
 
 
 def test_criterion_08_kroger_everywhere(sweep_fixed, sweep_small, sweep_large):
-    all_reports = list(sweep_fixed[1]) + list(sweep_small[1]) + list(sweep_large[2])
+    _, fixed_reports, _ = sweep_fixed
+    _, small_reports, _ = sweep_small
+    _, _, large_reports, _ = sweep_large
+    all_reports = list(fixed_reports) + list(small_reports) + list(large_reports)
     violations = [rep.h for rep in all_reports if not rep.kroger_ok]
     ok = not violations
     assert report(8, ok, f"{len(all_reports)} reports, violations={violations}")

@@ -11,22 +11,18 @@ SQ2 = math.sqrt(2.0)
 HS = [0.04, 0.02, 0.01, 0.005]
 
 
-def uniform_regime(kind, b0, d=2, exponent=0.0, sign_class=None):
+def uniform_regime(kind, b0, d=2, exponent=0.0):
     facets = tuple((b0, b0) for _ in range(d))
-    return RegimeSpec(kind, facets, exponent, sign_class)
+    return RegimeSpec(kind, facets, exponent)
 
 
 def test_regime_validation():
     with pytest.raises(ValueError):
-        uniform_regime("large", -1.0, exponent=1.0, sign_class=asympt.SIGN_HAS_NEGATIVE)
+        uniform_regime("large", -1.0, exponent=1.0)
     with pytest.raises(ValueError):
-        uniform_regime("large", -1.0, exponent=0.0, sign_class=asympt.SIGN_HAS_NEGATIVE)
+        uniform_regime("large", -1.0, exponent=0.0)
     with pytest.raises(ValueError):
         uniform_regime("small", 1.0, exponent=0.0)
-    with pytest.raises(ValueError):
-        uniform_regime("large", -1.0, exponent=0.5, sign_class=asympt.SIGN_NONNEGATIVE)
-    with pytest.raises(ValueError):
-        uniform_regime("large", 1.0, exponent=0.5, sign_class=asympt.SIGN_HAS_NEGATIVE)
     with pytest.raises(ValueError):
         uniform_regime("banana", 1.0)
 
@@ -54,8 +50,8 @@ def test_fixed_b0_equals_small_prediction():
 
 def test_predict_large_uses_exact_density_below_switch():
     box = BoxDomain.uniform((1.0, 1.0), -1.0)
-    h = 0.04  # Theta = h^(-1/4) ~ 2.24, far below the switch at |b| = 50
-    regime = uniform_regime("large", -1.0, exponent=0.25, sign_class=asympt.SIGN_HAS_NEGATIVE)
+    h = 0.04  # Theta = h^(-1/4) ~ 2.24
+    regime = uniform_regime("large", -1.0, exponent=0.25)
     pred = predict(box, regime, h)
     exact = 4.0 * coeffs.l2(2, -(h**-0.25)).value / h
     assert abs(pred.boundary - exact) < 1e-10 * exact
@@ -64,18 +60,21 @@ def test_predict_large_uses_exact_density_below_switch():
     assert pred.boundary > leading
 
 
-def test_predict_large_switches_to_leading_form():
+def test_predict_large_exact_density_at_theta_100():
     box = BoxDomain.uniform((1.0, 1.0), -1.0)
-    regime = uniform_regime("large", -1.0, exponent=0.5, sign_class=asympt.SIGN_HAS_NEGATIVE)
-    h = 1e-4  # Theta = 100 > 50
+    regime = uniform_regime("large", -1.0, exponent=0.5)
+    h = 1e-4  # Theta = 100: still the exact l2, not its leading form
     pred = predict(box, regime, h)
-    leading = 4.0 * coeffs.l2_large_negative_leading(2, -(h**-0.5)).value / h
-    assert abs(pred.boundary - leading) < 1e-10 * leading
+    exact = 4.0 * coeffs.l2(2, -100.0).value / h
+    assert abs(pred.boundary - exact) < 1e-10 * exact
+    leading = 4.0 * coeffs.l2_large_negative_leading(2, -100.0).value / h
+    assert pred.boundary > leading
 
 
 def test_predict_large_nonnegative_densities():
     box = BoxDomain((1.0, 1.0), ((1.0, 1.0), (0.0, 0.0)))
-    regime = RegimeSpec("large", ((1.0, 1.0), (0.0, 0.0)), 0.5, asympt.SIGN_NONNEGATIVE)
+    regime = RegimeSpec("large", ((1.0, 1.0), (0.0, 0.0)), 0.5)
+    assert not regime.has_negative_part
     pred = predict(box, regime, 0.01)
     quarter = 0.25 * coeffs.l1(1).value
     # facets with b0 > 0 contribute -quarter, facets with b0 = 0 contribute +quarter
@@ -99,7 +98,7 @@ def test_remainder_definition():
     box = BoxDomain.uniform((1.0, SQ2), 1.0)
     regime = uniform_regime("fixed", 1.0)
     h = 0.05
-    r = asympt.remainder(box, regime, h)
+    r = asympt.run_sweep(box, regime, [h])[0].remainder
     rep = riesz.riesz_mean(box, h)
     pred = predict(box, regime, h)
     assert abs(r - (rep.trace - pred.weyl - pred.boundary)) < 1e-12
@@ -150,7 +149,8 @@ def test_fit_sweep_requires_four_points():
 
 
 def test_normalized_remainder_large_regime():
-    regime = uniform_regime("large", -1.0, exponent=0.25, sign_class=asympt.SIGN_HAS_NEGATIVE)
+    regime = uniform_regime("large", -1.0, exponent=0.25)
+    assert regime.has_negative_part
     rep = RieszReport(h=0.01, trace=0.0, weyl_term=0.0, boundary_term=0.0,
                       remainder=2.0, eig_count=1, kroger_ok=True)
     theta = 0.01**-0.25
@@ -164,16 +164,6 @@ def test_run_sweep_deterministic_and_ordered():
     second = asympt.run_sweep(box, regime, [0.025, 0.05, 0.1, 0.2])
     assert [r.h for r in first] == [0.2, 0.1, 0.05, 0.025]
     assert first == second
-
-
-def test_worker_cap_env(monkeypatch):
-    box = BoxDomain.uniform((1.0, SQ2), 1.0)
-    regime = uniform_regime("fixed", 1.0)
-    baseline = asympt.run_sweep(box, regime, [0.2, 0.1, 0.05, 0.025])
-    monkeypatch.setenv(asympt.THREADS_ENV, "1")
-    assert asympt.run_sweep(box, regime, [0.2, 0.1, 0.05, 0.025]) == baseline
-    monkeypatch.setenv(asympt.THREADS_ENV, "3")
-    assert asympt.run_sweep(box, regime, [0.2, 0.1, 0.05, 0.025]) == baseline
 
 
 def test_crossover_ratio_scaling():

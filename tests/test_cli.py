@@ -100,6 +100,13 @@ def test_sweep_gamma_rejected(capsys):
     assert "gamma" in err
 
 
+def test_sweep_duplicate_h_rejected(capsys):
+    code, _, err = run_cli(["sweep", "--regime", "fixed", "--b0", "1",
+                            "--h", "0.04,0.04,0.02,0.01"], capsys)
+    assert code == 2
+    assert "distinct" in err
+
+
 def test_sweep_runs_and_reports_fit(tmp_path, capsys):
     out_file = tmp_path / "sweep.csv"
     code, _, _ = run_cli(["sweep", "--regime", "fixed", "--b0", "1",

@@ -80,6 +80,35 @@ def test_l2_d3_closed_form(b):
     assert abs(coeffs.l2(3, b).value - closed_l2_d3(b)) < 1e-11
 
 
+ORACLE_MAGNITUDES = (1e-12, 1e-9, 1e-8, 1e-6, 1e-3, 0.1, 0.5, 1.0, 10.0, 1e3, 1e5)
+
+
+def mpmath_l2(mpmath, d, b):
+    """30-digit l2(d, b) from the unsplit integrand, peak included."""
+    with mpmath.workdps(30):
+        b = mpmath.mpf(b)
+        k = mpmath.mpf(d + 1) / 2
+        points = [0, abs(b), 1] if abs(b) < 1 else [0, 1]
+        value = -mpmath.pi / 4 + mpmath.quad(lambda p: (1 - p * p) ** k * b / (b * b + p * p),
+                                             points)
+        if b < 0:
+            value += mpmath.pi * (b * b + 1) ** k
+        sphere = 2 * mpmath.pi ** (mpmath.mpf(d - 1) / 2) / mpmath.gamma(mpmath.mpf(d - 1) / 2)
+        return float(4 * sphere * (2 * mpmath.pi) ** (-d) / (d * d - 1) * value)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_l2_mpmath_oracle(d):
+    # Covers 0 < |b| <= 1e-8, where the peak of width |b| once made the
+    # quadrature raise although l2 is continuous at 0.
+    mpmath = pytest.importorskip("mpmath")
+    for m in ORACLE_MAGNITUDES:
+        for b in (m, -m):
+            want = mpmath_l2(mpmath, d, b)
+            got = coeffs.l2(d, b).value
+            assert abs(got - want) <= 1e-13 * abs(want), (d, b, got, want)
+
+
 def test_l2_large_positive_limit():
     assert abs(coeffs.l2(2, 1e6).value + 1.0 / (6.0 * math.pi)) < 1e-5
 

@@ -6,6 +6,7 @@ import pytest
 from robin_semiclassics.errors import EnumerationError
 from robin_semiclassics.spectra1d import (
     RobinInterval,
+    eigenvalue_bracket,
     enumerate_eigenvalues,
     fd_oracle,
     negative_eigenvalues,
@@ -181,3 +182,11 @@ def test_negative_cutoff_returns_only_deep_states():
     sp = enumerate_eigenvalues(iv, -5.0)
     assert all(lam <= -5.0 for lam in sp.eigenvalues)
     assert sp.certificate.n_positive == 0
+
+
+@pytest.mark.parametrize("length,cl,cr", [(1.0, 0.0, 0.0), (1.0, -3.0, -3.0), (1.3, -2.0, 0.7)])
+def test_eigenvalues_lie_in_their_brackets(length, cl, cr):
+    iv = RobinInterval(length, cl, cr)
+    for lam in enumerate_eigenvalues(iv, 400.0).eigenvalues:
+        lo, hi = eigenvalue_bracket(iv, lam)
+        assert lo <= lam <= hi, (lam, lo, hi)
