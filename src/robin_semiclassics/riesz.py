@@ -101,15 +101,13 @@ def _pair_trace(sorted_axis, other_axis, h):
     cutoff = h**-2
     h2 = h * h
     prefix = np.concatenate(([0.0], np.cumsum(sorted_axis)))
-    terms = []
-    count = 0
-    for lam in other_axis:
-        k = int(np.searchsorted(sorted_axis, cutoff - lam, side="left"))
-        if k == 0:
-            break  # other_axis ascending, so later entries contribute nothing
-        terms.append(k * (1.0 - h2 * lam) - h2 * prefix[k])
-        count += k
-    return math.fsum(terms), count
+    counts = np.searchsorted(sorted_axis, cutoff - other_axis, side="left")
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        # other_axis ascending, so entries past the first empty row contribute nothing
+        counts, other_axis = counts[:empty[0]], other_axis[:empty[0]]
+    terms = counts * (1.0 - h2 * other_axis) - h2 * prefix[counts]
+    return math.fsum(terms), int(counts.sum())
 
 
 def _reduce_pair(a, b, cutoff):

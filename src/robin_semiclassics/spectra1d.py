@@ -9,6 +9,7 @@ counting function (the boundary form is a rank-two perturbation).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,15 @@ _ZERO_EIG_RTOL = 1e-12
 # spectrum collapses onto the Dirichlet nodes (the secular function becomes
 # (k^2 - c_l c_r) sin(kL)).
 _SUM_COLLAPSE_RTOL = 1e-13
+# Sign-change brackets are solved in blocks of this many, which bounds the
+# solver's temporaries whatever the size of the spectrum.
+_BRACKET_BLOCK = 4096
+# A bracket counts as solved once it is narrower than this times k (four
+# ulps), far inside the 1e-13 relative tolerance of the scalar rescue path.
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
+# Dirichlet brackets have needed at most about 20 steps and the (0, eps)
+# bracket of a tiny ground state about 50; the cap only bounds a failure.
+_ILLINOIS_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -44,6 +54,7 @@ class SpectrumCertificate:
     n_negative: int
     n_positive: int
     bracket_count: int
+    rescues: int  # same-sign brackets sent down the scalar scan
 
 
 @dataclass(frozen=True)
@@ -72,7 +83,13 @@ def secular_negative(iv, kappa):
 def _secular_negative_scaled(iv, kappa):
     # secular_negative / cosh(kappa L): same zeros, no overflow for deep wells.
     kl = kappa * iv.length
-    return (kappa * kappa + iv.c_left * iv.c_right) * math.tanh(kl) + kappa * (iv.c_left + iv.c_right)
+    cl, cr = iv.c_left, iv.c_right
+    if kl <= 1.0:
+        return (kappa * kappa + cl * cr) * math.tanh(kl) + kappa * (cl + cr)
+    # (kappa + c_l)(kappa + c_r) - (kappa^2 + c_l c_r)(1 - tanh(kappa L)): the
+    # two terms of the tanh form cancel for deep, nearly degenerate pairs.
+    decay = math.exp(-2.0 * kl)
+    return (kappa + cl) * (kappa + cr) - (kappa * kappa + cl * cr) * (2.0 * decay / (1.0 + decay))
 
 
 def _kappa_upper_bound(iv):
@@ -102,12 +119,19 @@ def eigenvalue_bracket(iv, lam):
     return (n * node) ** 2, ((n + 1) * node) ** 2
 
 
-def _dedupe_sorted(values, rtol=1e-9):
+def _dedupe_sorted(values):
     out = []
     for v in sorted(values):
-        if not out or abs(v - out[-1]) > rtol * max(1.0, abs(v)):
+        if not out or abs(v - out[-1]) > 1e-9 * max(1.0, abs(v)):
             out.append(v)
     return out
+
+
+def _kappa_root(f, a, b):
+    # Relative tolerance only: brentq's default absolute xtol = 2e-12 would
+    # swamp shallow states (kappa ~ 1e-4 and below). Bisecting down to a
+    # kappa near 1e-300 takes about a thousand steps, hence maxiter.
+    return brentq(f, a, b, xtol=1e-300, rtol=1e-15, maxiter=2000)
 
 
 def negative_eigenvalues(iv):
@@ -122,13 +146,17 @@ def negative_eigenvalues(iv):
         # Symmetric well: even/odd factorization. Both branches are strictly
         # monotone, which keeps deep, nearly-degenerate pairs resolvable.
         gamma = -cl
-        roots.append(brentq(lambda k: k * math.tanh(0.5 * length * k) - gamma,
-                            1e-300, kappa_max, rtol=1e-15))
+        roots.append(_kappa_root(lambda k: k * math.tanh(0.5 * length * k) - gamma,
+                                 1e-300, kappa_max))
         if gamma > 2.0 / length:
-            roots.append(brentq(lambda k: k / math.tanh(0.5 * length * k) - gamma,
-                                1e-12 * kappa_max, kappa_max, rtol=1e-15))
+            roots.append(_kappa_root(lambda k: k / math.tanh(0.5 * length * k) - gamma,
+                                     1e-12 * kappa_max, kappa_max))
     else:
         grid = set(np.linspace(0.0, kappa_max, 401)[1:].tolist())
+        if not _zero_eigenvalue_present(iv):
+            # f(kappa) = kappa (c_l + c_r + c_l c_r L) + O(kappa^3): a shallow
+            # state can lie below every other grid point.
+            grid.add(1e-300)
         for g0 in (max(-cl, 0.0), max(-cr, 0.0)):
             if g0 > 0.0:
                 for e in range(-48, 3):
@@ -141,23 +169,27 @@ def negative_eigenvalues(iv):
         for i in range(len(grid) - 1):
             if vals[i] == 0.0:
                 roots.append(grid[i])
-            elif vals[i] * vals[i + 1] < 0.0:
-                roots.append(brentq(lambda k: _secular_negative_scaled(iv, k),
-                                    grid[i], grid[i + 1], rtol=1e-15))
+            elif vals[i + 1] != 0.0 and (vals[i] < 0.0) != (vals[i + 1] < 0.0):
+                # Compare signs, not the product: near a deep root it underflows.
+                roots.append(_kappa_root(lambda k: _secular_negative_scaled(iv, k),
+                                         grid[i], grid[i + 1]))
         if vals[-1] == 0.0:
             roots.append(grid[-1])
         # A double root pinched below float resolution shows up as an exact
-        # zero of the tanh-plateau quadratic with no sign change around it.
+        # zero of (kappa + c_l)(kappa + c_r), once the tanh correction
+        # underflows, with no sign change around it.
         for g0 in (max(-cl, 0.0), max(-cr, 0.0)):
             if g0 > 0.0 and all(abs(r - g0) > 1e-9 * g0 for r in roots):
                 if _secular_negative_scaled(iv, g0) == 0.0:
                     roots.append(g0)
-        roots = sorted(_dedupe_sorted(roots))
+        roots = _dedupe_sorted(roots)
     if len(roots) > 2:
         raise EnumerationError(
             f"found {len(roots)} negative-branch roots for {iv}; at most 2 are possible"
         )
-    return sorted(-k * k for k in roots)
+    # A root whose square underflows is a zero eigenvalue, which
+    # enumerate_eigenvalues reports from the exact lambda = 0 condition.
+    return sorted(-k * k for k in roots if k * k > 0.0)
 
 
 def _zero_eigenvalue_present(iv):
@@ -172,13 +204,90 @@ def _bisect_refine(f, a, b):
         return None
 
 
+def _illinois(f, lo, hi, flo, fhi, max_iter=_ILLINOIS_MAX_ITER):
+    """Roots of ``f`` in the brackets (lo, hi), all solved together.
+
+    ``flo`` and ``fhi`` are the endpoint values and must differ in sign bit.
+    Vectorized safeguarded regula falsi (Illinois; Dowell & Jarratt 1971):
+    a secant point outside its bracket is replaced by the midpoint, one
+    within a quarter tolerance of an endpoint is moved that far inside, the
+    value at an endpoint kept for a second step running is halved, and a
+    bracket leaves the active set once it is narrower than _ROOT_RTOL * k.
+    Raises EnumerationError if any bracket is still open after ``max_iter``
+    steps.
+    """
+    lo, hi, flo, fhi = (np.array(a, dtype=float) for a in (lo, hi, flo, fhi))
+    roots = np.empty(lo.size)
+    active = np.arange(lo.size)
+    kept = np.zeros(lo.size, dtype=np.int8)  # +1: hi kept last step, -1: lo kept
+    for _ in range(max_iter):
+        if active.size == 0:
+            return roots
+        c = hi - fhi * ((hi - lo) / (fhi - flo))
+        c = np.where((lo <= c) & (c <= hi), c, 0.5 * (lo + hi))
+        # A point that rounds onto an endpoint would never move it.
+        nudge = 0.25 * _ROOT_RTOL * hi
+        c = np.clip(c, lo + nudge, hi - nudge)
+        fc = f(c)
+        up = np.signbit(fc) == np.signbit(flo)  # the root lies in (c, hi)
+        fhi[up & (kept == 1)] *= 0.5
+        flo[~up & (kept == -1)] *= 0.5
+        lo = np.where(up, c, lo)
+        flo = np.where(up, fc, flo)
+        hi = np.where(up, hi, c)
+        fhi = np.where(up, fhi, fc)
+        kept = np.where(up, 1, -1).astype(np.int8)
+        hit = fc == 0.0
+        done = hit | (hi - lo <= _ROOT_RTOL * hi)
+        if done.any():
+            roots[active[done]] = np.where(hit[done], c[done], 0.5 * (lo[done] + hi[done]))
+            live = ~done
+            active, lo, hi, flo, fhi, kept = (a[live] for a in (active, lo, hi, flo, fhi, kept))
+    if active.size:
+        raise EnumerationError(
+            f"{active.size} sign-change brackets did not converge in {max_iter} Illinois steps"
+        )
+    return roots
+
+
+def _scan_same_sign(f, cl, cr, left_k, right_k, sign):
+    """Roots in a bracket whose endpoints share ``sign``: an even number, found
+    by an interior scan. The only mechanism is the envelope phase reversal
+    near k^2 = c_l c_r, so the scan is refined geometrically around it."""
+    scan = set(np.linspace(left_k, right_k, 26)[1:-1].tolist())
+    if cl * cr > 0.0:
+        k_env = math.sqrt(cl * cr)
+        if left_k < k_env < right_k:
+            for e in range(-30, 4):
+                for cand in (k_env - k_env * 2.0**e, k_env + k_env * 2.0**e):
+                    if left_k < cand < right_k:
+                        scan.add(cand)
+    scan = sorted(scan)
+    vals = [f(k) for k in scan]
+    pts = [left_k] + scan + [right_k]
+    sgs = [sign] + [math.copysign(1.0, v) if v != 0.0 else 0.0 for v in vals] + [sign]
+    roots = []
+    for i in range(len(pts) - 1):
+        if sgs[i + 1] == 0.0:
+            roots.append(pts[i + 1])
+        elif sgs[i] * sgs[i + 1] < 0.0:
+            root = _bisect_refine(f, pts[i], pts[i + 1])
+            if root is not None:
+                roots.append(root)
+    return roots
+
+
 def _positive_eigenvalues(iv, lam_max):
     """Roots of the positive secular function up to k = sqrt(lam_max).
 
-    Returns (eigenvalues, bracket_count). Brackets are the Dirichlet
-    intervals ((n-1)pi/L, n pi/L); each carries at most one extra or
-    missing root, recovered by interior subdivision when the endpoint
-    signs agree.
+    Returns (eigenvalues, bracket_count, rescues), the eigenvalues as a
+    sorted array. Brackets are the Dirichlet intervals ((n-1)pi/L, n pi/L),
+    the first starting at a small eps and the last ending at k_max. Node
+    values are known exactly and alternate in sign, so every bracket between
+    two nodes changes sign; all sign-change brackets go to _illinois in
+    blocks of _BRACKET_BLOCK. A same-sign bracket (only the first or the
+    last can be one) may hide a root pair and is rescued by _scan_same_sign.
+    A ground state below eps is found from the sign of f as k -> 0+.
     """
     length, cl, cr = iv.length, iv.c_left, iv.c_right
     k_max = math.sqrt(lam_max)
@@ -187,73 +296,64 @@ def _positive_eigenvalues(iv, lam_max):
     if abs(s) <= _SUM_COLLAPSE_RTOL * max(1.0, abs(cl), abs(cr)):
         # c_r = -c_l: secular function is (k^2 + c_l^2) sin(kL), spectrum at nodes.
         n_hi = int(math.floor(k_max / node_step * (1.0 + 1e-15)))
-        return [(n * node_step) ** 2 for n in range(1, n_hi + 1)], n_hi
+        nodes = np.arange(1, n_hi + 1) * node_step
+        return nodes * nodes, n_hi, 0
 
-    def f(k):
+    def f_array(k):
         kl = k * length
-        return (k * k - cl * cr) * math.sin(kl) - k * s * math.cos(kl)
+        return (k * k - cl * cr) * np.sin(kl) - k * s * np.cos(kl)
 
-    def node_sign(n):
-        # f(n pi / L) = -k s cos(n pi) exactly; evaluate the sign analytically.
-        return -math.copysign(1.0, s) * (1.0 if n % 2 == 0 else -1.0)
-
+    f = functools.partial(secular_positive, iv)
     eps = 1e-4 * node_step
-    roots = []
-    bracket_count = 0
-    n = 1
-    left_k = eps
-    left_sign = math.copysign(1.0, f(eps)) if f(eps) != 0.0 else 1.0
-    while left_k < k_max:
-        at_node = n * node_step <= k_max
-        right_k = n * node_step if at_node else k_max
-        if right_k - left_k <= 1e-15 * right_k:
-            break
-        right_val = None
-        if at_node:
-            right_sign = node_sign(n)
-        else:
-            right_val = f(right_k)
-            if right_val == 0.0:
-                right_sign = 0.0
-            else:
-                right_sign = math.copysign(1.0, right_val)
-        bracket_count += 1
-        if right_sign == 0.0:
-            roots.append(right_k)
-        elif left_sign * right_sign < 0.0:
-            root = _bisect_refine(f, left_k, right_k)
-            if root is None:
-                raise EnumerationError(
-                    f"sign-change bracket ({left_k}, {right_k}) failed to refine for {iv}"
-                )
-            roots.append(root)
-        else:
-            # Same-sign bracket: scan for an interior root pair. The only
-            # mechanism is the envelope phase reversal near k^2 = c_l c_r.
-            scan = set(np.linspace(left_k, right_k, 26)[1:-1].tolist())
-            if cl * cr > 0.0:
-                k_env = math.sqrt(cl * cr)
-                if left_k < k_env < right_k:
-                    for e in range(-30, 4):
-                        for cand in (k_env - k_env * 2.0**e, k_env + k_env * 2.0**e):
-                            if left_k < cand < right_k:
-                                scan.add(cand)
-            scan = sorted(scan)
-            vals = [f(k) for k in scan]
-            pts = [left_k] + scan + [right_k]
-            sgs = [left_sign] + [math.copysign(1.0, v) if v != 0.0 else 0.0 for v in vals] + [right_sign]
-            for i in range(len(pts) - 1):
-                if sgs[i + 1] == 0.0:
-                    roots.append(pts[i + 1])
-                elif sgs[i] * sgs[i + 1] < 0.0:
-                    root = _bisect_refine(f, pts[i], pts[i + 1])
-                    if root is not None:
-                        roots.append(root)
-        left_k = right_k
-        left_sign = right_sign
-        n += 1
-    roots = _dedupe_sorted(roots, rtol=1e-12)
-    return [k * k for k in roots if k * k <= lam_max * (1.0 + 1e-14)], bracket_count
+    if not eps < k_max:
+        return np.empty(0), 0, 0
+    # Edges: eps, the nodes n * node_step <= k_max, then k_max unless it
+    # (nearly) coincides with the last of them.
+    n_nodes = int(k_max / node_step)
+    while (n_nodes + 1) * node_step <= k_max:
+        n_nodes += 1
+    while n_nodes > 0 and n_nodes * node_step > k_max:
+        n_nodes -= 1
+    last_edge = n_nodes * node_step if n_nodes else eps
+    tail = last_edge < k_max and k_max - last_edge > 1e-15 * k_max
+    bracket_count = n_nodes + int(tail)
+    f_eps = f(eps) or 0.0  # a zero start counts as positive
+    f_tail = f(k_max) if tail else None
+
+    parts = []
+    rescues = 0
+    for j0 in range(0, bracket_count, _BRACKET_BLOCK):
+        j1 = min(j0 + _BRACKET_BLOCK, bracket_count)
+        n = np.arange(j0, j1 + 1)
+        edges = n * node_step
+        values = np.where(n % 2 == 0, -s, s) * edges  # f(n pi / L) = -k s cos(n pi)
+        if j0 == 0:
+            edges[0], values[0] = eps, f_eps
+        at_tail = tail and j1 == bracket_count
+        if at_tail:
+            edges[-1], values[-1] = k_max, f_tail
+        solve = np.signbit(values[:-1]) != np.signbit(values[1:])
+        same = ~solve
+        if at_tail and f_tail == 0.0:
+            # A root on the cutoff itself; its bracket is not searched further.
+            solve[-1] = same[-1] = False
+            parts.append(np.array([k_max]))
+        lo, hi, flo, fhi = edges[:-1], edges[1:], values[:-1], values[1:]
+        parts.append(_illinois(f_array, lo[solve], hi[solve], flo[solve], fhi[solve]))
+        for i in np.flatnonzero(same):
+            rescues += 1
+            parts.append(np.array(_scan_same_sign(
+                f, cl, cr, float(lo[i]), float(hi[i]), math.copysign(1.0, flo[i]))))
+    z = cl + cr + cl * cr * length  # f(k) = -k z + O(k^3) as k -> 0+
+    if bracket_count and not _zero_eigenvalue_present(iv) and (f_eps < 0.0) != (z > 0.0):
+        # f changes sign on (0, eps): a ground state below eps.
+        parts.append(_illinois(f_array, [0.0], [eps], [math.copysign(0.0, -z)], [f_eps]))
+    roots = np.concatenate(parts) if parts else np.empty(0)
+    roots.sort()
+    dup = np.flatnonzero(np.diff(roots) <= 1e-12 * np.maximum(roots[1:], 1.0))
+    roots = np.delete(roots, dup + 1)
+    lam = roots * roots
+    return lam[:np.searchsorted(lam, lam_max * (1.0 + 1e-14), side="right")], bracket_count, rescues
 
 
 def neumann_count(length, lam_max):
@@ -275,11 +375,11 @@ def enumerate_eigenvalues(iv, lam_max):
     negatives = [lam for lam in negative_eigenvalues(iv) if lam <= lam_max]
     zeros = [0.0] if (lam_max >= 0.0 and _zero_eigenvalue_present(iv)) else []
     if lam_max > 0.0:
-        positives, bracket_count = _positive_eigenvalues(iv, lam_max)
+        positives, bracket_count, rescues = _positive_eigenvalues(iv, lam_max)
     else:
-        positives, bracket_count = [], 0
-    eigenvalues = sorted(negatives + zeros + positives)
-    cert = SpectrumCertificate(len(negatives), len(positives), bracket_count)
+        positives, bracket_count, rescues = np.empty(0), 0, 0
+    eigenvalues = sorted(negatives + zeros + positives.tolist())
+    cert = SpectrumCertificate(len(negatives), positives.size, bracket_count, rescues)
     drift = abs(len(eigenvalues) - neumann_count(iv.length, lam_max))
     if drift > 2:
         raise EnumerationError(

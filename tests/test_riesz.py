@@ -6,6 +6,9 @@ import pytest
 from robin_semiclassics import coeffs
 from robin_semiclassics.riesz import (
     BoxDomain,
+    _pair_trace,
+    _reduce_pair,
+    axis_spectra,
     kroger_check,
     riesz_mean,
     trace_bruteforce,
@@ -156,3 +159,38 @@ def test_negative_b_extends_partner_cutoff():
     vals = [1.0 - h * h * (a + b) for a in big for b in big]
     oversized = math.fsum(sorted(v for v in vals if v > 0.0))
     assert abs(rep.trace - oversized) <= 1e-10 * oversized
+
+
+def pair_trace_loop(sorted_axis, other_axis, h):
+    """The per-eigenvalue searchsorted loop that _pair_trace vectorizes."""
+    cutoff = h**-2
+    h2 = h * h
+    prefix = np.concatenate(([0.0], np.cumsum(sorted_axis)))
+    terms = []
+    count = 0
+    for lam in other_axis:
+        k = int(np.searchsorted(sorted_axis, cutoff - lam, side="left"))
+        if k == 0:
+            break
+        terms.append(k * (1.0 - h2 * lam) - h2 * prefix[k])
+        count += k
+    return math.fsum(terms), count
+
+
+@pytest.mark.parametrize("box,h,exits_early", [
+    (BoxDomain.uniform((1.0, SQ2), 1.0), 2e-3, False),
+    (BoxDomain.uniform((1.0, SQ2), -1.0), 2e-3, False),
+    (BoxDomain((1.0, 1.3, 0.9), ((-1.0, 0.0), (0.5, 0.5), (-0.5, 2.0))), 0.02, False),
+    (BoxDomain.uniform((1.0, 1.3, 0.9), 0.5), 0.02, True),
+])
+def test_pair_trace_bit_identical_to_loop(box, h, exits_early):
+    # fsum is correctly rounded and the terms are the same floats, so the
+    # vectorized form must reproduce the loop exactly.
+    spectra = axis_spectra(box, h)
+    combined = spectra[0]
+    for axis in range(1, box.d - 1):
+        allowance = sum(min(0.0, float(spec.min())) for spec in spectra[axis + 1:])
+        combined = _reduce_pair(combined, spectra[axis], h**-2 - allowance)
+    # Whether the last partner eigenvalue passes the cutoff, i.e. the loop breaks.
+    assert (combined[0] + spectra[-1][-1] >= h**-2) == exits_early
+    assert _pair_trace(combined, spectra[-1], h) == pair_trace_loop(combined, spectra[-1], h)

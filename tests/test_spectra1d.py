@@ -1,11 +1,17 @@
 import math
+from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from robin_semiclassics.errors import EnumerationError
 from robin_semiclassics.spectra1d import (
     RobinInterval,
+    _illinois,
     eigenvalue_bracket,
     enumerate_eigenvalues,
     fd_oracle,
@@ -190,3 +196,152 @@ def test_eigenvalues_lie_in_their_brackets(length, cl, cr):
     for lam in enumerate_eigenvalues(iv, 400.0).eigenvalues:
         lo, hi = eigenvalue_bracket(iv, lam)
         assert lo <= lam <= hi, (lam, lo, hi)
+
+
+def brentq_positive_reference(iv, lam_max):
+    """Scalar brentq on every sign-change bracket between eps, the Dirichlet
+    nodes and sqrt(lam_max): the per-root loop the batched solver replaced."""
+    k_max = math.sqrt(lam_max)
+    step = math.pi / iv.length
+    edges = [1e-4 * step] + [n * step for n in range(1, int(k_max / step) + 2) if n * step < k_max]
+    edges.append(k_max)
+    roots = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        if secular_positive(iv, a) * secular_positive(iv, b) < 0.0:
+            roots.append(brentq(lambda k: secular_positive(iv, k), a, b, xtol=1e-300, rtol=1e-15))
+    return np.array(roots) ** 2
+
+
+H_SWEEP = 2e-5
+
+
+@pytest.mark.parametrize("length,c,lam_max", [
+    (1.0, 1.0 / H_SWEEP, H_SWEEP**-2),
+    (math.sqrt(2.0), -1.0 / H_SWEEP, 2.0 * H_SWEEP**-2),
+])
+def test_batched_roots_match_scalar_brentq(length, c, lam_max):
+    # Sweep-sized intervals: c = +-1/h at h = 2e-5, 16k and 32k positive roots.
+    iv = RobinInterval(length, c, c)
+    sp = enumerate_eigenvalues(iv, lam_max)
+    got = np.array([lam for lam in sp.eigenvalues if lam > 0.0])
+    want = brentq_positive_reference(iv, lam_max)
+    assert got.size == want.size == sp.certificate.n_positive
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+@pytest.mark.parametrize("length,cl,cr", [(1.0, 1e5, 1e5), (math.sqrt(2.0), 2e4, -7e4)])
+def test_roots_near_1e5_match_mpmath(length, cl, cr):
+    iv = RobinInterval(length, cl, cr)
+    positives = [lam for lam in enumerate_eigenvalues(iv, 1e10).eigenvalues if lam > 0.0]
+    with mpmath.workdps(30):
+        L, a, b = mpmath.mpf(length), mpmath.mpf(cl), mpmath.mpf(cr)
+
+        def f(k):
+            return (k * k - a * b) * mpmath.sin(k * L) - k * (a + b) * mpmath.cos(k * L)
+
+        for lam in positives[-5:]:
+            k = math.sqrt(lam)
+            exact = mpmath.findroot(f, mpmath.mpf(k))
+            assert abs(k - exact) <= 1e-14 * exact, (k, exact)
+
+
+@pytest.mark.parametrize("length,cl,cr,n_bound", [
+    (1.0, -10.0, -10.0, 2),
+    (1.0, -20.0, -20.0, 2),
+    (2.0, -9.0, -9.0, 2),
+    (1.0, -8.0, -8.001, 2),
+    (1.0, -12.0, -12.0001, 2),
+    (1.0, -15.0, -15.000001, 2),
+    (0.5, -30.0, -30.01, 2),
+    (3.0, -5.0, -5.001, 2),
+    (1.0, -1e-8, 0.0, 1),
+])
+def test_deep_double_wells_match_mpmath(length, cl, cr, n_bound):
+    # Nearly degenerate pairs (splittings down to 1e-7) and one shallow well,
+    # against 30-digit roots of the unfactorized secular function.
+    negs = negative_eigenvalues(RobinInterval(length, cl, cr))
+    assert len(negs) == n_bound
+    with mpmath.workdps(30):
+        L, a, b = mpmath.mpf(length), mpmath.mpf(cl), mpmath.mpf(cr)
+
+        def f(k):
+            return (k * k + a * b) * mpmath.tanh(k * L) + k * (a + b)
+
+        for lam in negs:
+            kappa = mpmath.findroot(f, mpmath.sqrt(-mpmath.mpf(lam)))
+            assert abs(lam + kappa**2) <= 1e-14 * kappa**2, (lam, kappa)
+
+
+def test_illinois_solves_and_fails_loudly():
+    lo, hi = np.array([3.0, 6.0]), np.array([3.3, 6.5])
+    roots = _illinois(np.sin, lo, hi, np.sin(lo), np.sin(hi))
+    assert np.all(np.abs(roots - [math.pi, 2.0 * math.pi]) <= 1e-15 * roots)
+    with pytest.raises(EnumerationError):
+        _illinois(np.sin, lo, hi, np.sin(lo), np.sin(hi), max_iter=2)
+
+
+def test_rescue_count():
+    # Both couplings positive: every Dirichlet bracket changes sign.
+    assert enumerate_eigenvalues(RobinInterval(1.0, 1.0, 1.0), 1e4).certificate.rescues == 0
+    # Two bound states empty the first bracket, and k_env = 30 lies in the spectrum.
+    assert enumerate_eigenvalues(RobinInterval(1.0, -30.0, -30.0), 1e4).certificate.rescues >= 1
+
+
+# Property tests on random intervals. Counts are taken a relative 1e-9 off
+# each node, far above the root error, so no comparison is a float tie.
+NODE_GAP = 1e-9
+LAM_MAX = 2500.0
+lengths = st.floats(0.3, 3.0)
+couplings = st.floats(-25.0, 25.0)
+
+
+def count_below(values, lam):
+    return sum(1 for v in values if v <= lam)
+
+
+def dirichlet_nodes(length, lam_max):
+    step = math.pi / length
+    return [(n * step) ** 2 for n in range(1, int(math.sqrt(lam_max) / step) + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(length=lengths, cl=couplings, cr=couplings)
+@example(length=1.0, cl=1.0346422931260303e-08, cr=0.0)  # ground state below the first probe
+@example(length=1.9375, cl=190.0, cr=-189.0)  # f(a) f(b) underflows at the bound state
+@example(length=1.0, cl=-0.5, cr=-5e-324)  # kappa^2 underflows to -0.0
+def test_property_dirichlet_brackets(length, cl, cr):
+    sp = enumerate_eigenvalues(RobinInterval(length, cl, cr), LAM_MAX)
+    # Rank-two interlacing: 0 <= N_Robin - N_Dirichlet <= 2 on both sides of every node.
+    for n, node in enumerate(dirichlet_nodes(length, LAM_MAX), start=1):
+        for lam, n_dirichlet in ((node * (1.0 - NODE_GAP), n - 1), (node * (1.0 + NODE_GAP), n)):
+            assert 0 <= count_below(sp.eigenvalues, lam) - n_dirichlet <= 2
+    # One root per Dirichlet bracket, except where a rescue found a pair.
+    step = math.pi / length
+    brackets = Counter()
+    for lam in sp.eigenvalues:
+        x = math.sqrt(lam) / step if lam > 0.0 else 0.0
+        if lam > 0.0 and abs(x - round(x)) > NODE_GAP * x:
+            brackets[math.floor(x)] += 1
+    assert sum(1 for c in brackets.values() if c > 1) <= sp.certificate.rescues
+
+
+@settings(max_examples=150, deadline=None)
+@given(length=lengths, cl=couplings, cr=couplings, delta=st.floats(1e-3, 5.0), side=st.booleans())
+@example(length=4.3125, cl=-3.0, cr=-0.2513466870978531, delta=1.0, side=False)  # shallow 2nd state
+def test_property_monotone_in_couplings(length, cl, cr, delta, side):
+    base = enumerate_eigenvalues(RobinInterval(length, cl, cr), LAM_MAX).eigenvalues
+    raised_iv = RobinInterval(length, cl + delta, cr) if side else RobinInterval(length, cl, cr + delta)
+    raised = enumerate_eigenvalues(raised_iv, LAM_MAX).eigenvalues
+    assert len(raised) <= len(base)
+    for lo, hi in zip(base, raised):
+        assert hi >= lo - 1e-9 * max(1.0, abs(lo))
+
+
+@settings(max_examples=200, deadline=None)
+@given(length=lengths, cl=couplings, cr=couplings)
+def test_property_neumann_count(length, cl, cr):
+    eigenvalues = enumerate_eigenvalues(RobinInterval(length, cl, cr), LAM_MAX).eigenvalues
+    cutoffs = [LAM_MAX] + [node * (1.0 + g) for node in dirichlet_nodes(length, LAM_MAX)
+                           for g in (-NODE_GAP, NODE_GAP)]
+    for lam in cutoffs:
+        assert abs(count_below(eigenvalues, lam) - neumann_count(length, lam)) <= 2
