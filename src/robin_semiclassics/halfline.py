@@ -13,35 +13,43 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError
-from .quadrature import _GAUSS_INDEX, _GAUSS_WEIGHTS, _GK_NODES, _GK_WEIGHTS, adaptive_quadrature
+from .quadrature import adaptive_quadrature
 
 _HALF_PI = 0.5 * math.pi
+_PHI_SPACING = math.pi / 16.0  # widest phi panel, whatever t is
 
 
 def _check_t(t):
     t = float(t)
-    if t < 0.0:
-        raise ValueError(f"half-line coordinate must satisfy t >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"half-line coordinate must be finite with t >= 0, got {t}")
     return t
+
+
+def _check_b(b):
+    b = float(b)
+    if not math.isfinite(b):
+        raise ValueError(f"Robin coefficient must be finite, got {b!r}")
+    return b
 
 
 def psi(b, t):
     """Generalized eigenfunction (cos t + b sin t) / sqrt(1 + b^2)."""
-    t = _check_t(t)
+    b, t = _check_b(b), _check_t(t)
     norm = math.sqrt(1.0 + b * b)
     return (math.cos(t) + b * math.sin(t)) / norm
 
 
 def psi_derivative(b, t):
     """d/dt of psi; psi'(0) = b * psi(0) holds exactly."""
-    t = _check_t(t)
+    b, t = _check_b(b), _check_t(t)
     norm = math.sqrt(1.0 + b * b)
     return (-math.sin(t) + b * math.cos(t)) / norm
 
 
 def psi_bound(b, t):
     """Bound state sqrt(-2b) e^(bt) for b < 0, identically 0 for b >= 0."""
-    t = _check_t(t)
+    b, t = _check_b(b), _check_t(t)
     if b >= 0.0:
         return 0.0
     return math.sqrt(-2.0 * b) * math.exp(b * t)
@@ -72,15 +80,15 @@ def _kernel_factors(d, b, sin_phi, cos_phi):
     return weight * (s2 - b * b) / denom, weight * (2.0 * b * sin_phi) / denom
 
 
-def _phi_mesh(b, t_max, base=math.pi / 16.0):
+def _phi_mesh(b, t_max):
     """Panel cut points on [0, pi/2]: oscillation-sized plus a cluster at arcsin|b|."""
-    spacing = base
+    spacing = _PHI_SPACING
     if t_max > 0.0:
         spacing = min(spacing, math.pi / (4.0 * t_max))
     cuts = set(np.arange(0.0, _HALF_PI, spacing).tolist())
     cuts.add(_HALF_PI)
     if 0.0 < abs(b) < 1.0:
-        phi_b = math.asin(min(abs(b), 1.0))
+        phi_b = math.asin(abs(b))
         for j in range(-8, 9):
             q = phi_b * 2.0**j
             if 0.0 < q < _HALF_PI:
@@ -94,8 +102,7 @@ def i_b(d, b, t, abs_tol=1e-9):
     Computed in the arcsin substitution with panels aligned to the
     cos(2tp) oscillation; non-convergence raises rather than truncates.
     """
-    t = _check_t(t)
-    b = float(b)
+    b, t = _check_b(b), _check_t(t)
     mesh = _phi_mesh(b, t)
 
     def integrand(phi):
@@ -109,37 +116,36 @@ def i_b(d, b, t, abs_tol=1e-9):
     return KernelSample(t=t, value=res.value)
 
 
-def _i_b_batch(d, b, ts, mesh):
-    """I_b at an array of t values on a fixed phi mesh.
+def _i_b_partial(d, b, big_t, abs_tol):
+    """int_0^T I_b(t) dt as one phi-integral, the t-integral done in closed form.
 
-    Returns (values, per-t Gauss-Kronrod error estimates). The mesh must
-    resolve the fastest oscillation present in ``ts``.
+    int_0^T cos(2ts) dt = sin(2Ts)/(2s) and int_0^T sin(2ts) dt = sin(Ts)^2/s
+    with s = sin(phi); the mesh is the one i_b uses at t = T. Every Kronrod
+    node is interior, so s > 0.
     """
-    lo, hi = mesh[:-1], mesh[1:]
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * _GK_NODES[None, :]
-    flat = nodes.ravel()
-    sin_phi = np.sin(flat)
-    cos_phi = np.cos(flat)
-    fc, fs = _kernel_factors(d, b, sin_phi, cos_phi)
-    phase = 2.0 * np.asarray(ts, dtype=float)[:, None] * sin_phi[None, :]
-    vals = fc[None, :] * np.cos(phase) + fs[None, :] * np.sin(phase)
-    vals = vals.reshape(len(ts), lo.size, _GK_NODES.size)
-    kron = (vals * _GK_WEIGHTS).sum(axis=2) * half
-    gauss = (vals[:, :, _GAUSS_INDEX] * _GAUSS_WEIGHTS).sum(axis=2) * half
-    return kron.sum(axis=1), np.abs(kron - gauss).sum(axis=1)
+    mesh = _phi_mesh(b, big_t)
+
+    def integrand(phi):
+        sin_phi = np.sin(phi)
+        fc, fs = _kernel_factors(d, b, sin_phi, np.cos(phi))
+        return (0.5 * fc * np.sin(2.0 * big_t * sin_phi) + fs * np.sin(big_t * sin_phi) ** 2) / sin_phi
+
+    return adaptive_quadrature(integrand, 0.0, _HALF_PI, abs_tol=abs_tol,
+                               breakpoints=mesh[1:-1], max_panels=60000)
 
 
 def i_b_integral(d, b, abs_tol=1e-7):
-    """int_0^infty I_b(t) dt by composite panels in t plus a tail-phase average.
+    """int_0^infty I_b(t) dt from two closed-form partial integrals and a phase average.
 
-    The truncation point is max(200, 50/|b|, the value forced by the
-    |I_b(t)| <= C t^(-(d+3)/2) decay at the requested tolerance); the
-    O(t^(-(d+3)/2)) oscillatory tail is cancelled by averaging the
-    partial integrals at T and T + pi/2. Tail or panel-error budget
-    failures raise QuadratureError.
+    The truncation point T is max(200, 50/|b|, the value forced by the
+    |I_b(t)| <= C t^(-(d+3)/2) decay at the requested tolerance), rounded
+    up to a multiple of pi/4. Each partial integral F(T) = int_0^T I_b is one
+    certified phi-quadrature (the t-integral is closed form), and the
+    O(t^(-(d+3)/2)) oscillatory tail is cancelled by returning the average
+    (F(T) + F(T + pi/2)) / 2. Tail or quadrature-error budget failures raise
+    QuadratureError.
     """
-    b = float(b)
+    b = _check_b(b)
     # After the phase average the tail residual is O(T^(-(d+5)/2)); the
     # closing tolerance check below still guards the constant.
     t_need = max(200.0, (2.0 * math.pi / abs_tol) ** (2.0 / (d + 5)))
@@ -150,29 +156,14 @@ def i_b_integral(d, b, abs_tol=1e-7):
             f"i_b_integral(d={d}, b={b}): tolerance {abs_tol:.3e} requires truncation "
             f"T ~ {t_need:.0f}, beyond the desk-scale cap of 3000"
         )
-    n_quarter = int(math.ceil(t_need / (0.25 * math.pi)))
-    edges = 0.25 * math.pi * np.arange(n_quarter + 3)  # two extra quarters past T
-    big_t = edges[n_quarter]
-
-    total = 0.0
-    extra = 0.0
-    quad_err = 0.0
-    last_amp = 0.0
-    for k in range(n_quarter + 2):
-        lo, hi = edges[k], edges[k + 1]
-        half = 0.5 * (hi - lo)
-        ts = 0.5 * (hi + lo) + half * _GK_NODES
-        mesh = _phi_mesh(b, hi)
-        vals, inner_err = _i_b_batch(d, b, ts, mesh)
-        kron = float((vals * _GK_WEIGHTS).sum() * half)
-        gauss = float((vals[_GAUSS_INDEX] * _GAUSS_WEIGHTS).sum() * half)
-        quad_err += abs(kron - gauss) + float((inner_err * _GK_WEIGHTS).sum() * half)
-        if k < n_quarter:
-            total += kron
-        else:
-            extra += kron
-            last_amp = max(last_amp, float(np.abs(vals).max()))
-    value = total + 0.5 * extra
+    n_quarter = math.ceil(t_need / (0.25 * math.pi))
+    big_t, t_end = 0.25 * math.pi * n_quarter, 0.25 * math.pi * (n_quarter + 2)
+    head = _i_b_partial(d, b, big_t, 0.25 * abs_tol)
+    full = _i_b_partial(d, b, t_end, 0.25 * abs_tol)
+    value = 0.5 * (head.value + full.value)
+    extra = full.value - head.value
+    quad_err = head.error_estimate + full.error_estimate
+    last_amp = max(abs(i_b(d, b, t).value) for t in np.linspace(big_t, t_end, 31))
     tail_estimate = max(abs(extra), last_amp * 0.25 * math.pi) * (4.0 / big_t)
     if tail_estimate + quad_err > abs_tol:
         raise QuadratureError(
@@ -184,6 +175,7 @@ def i_b_integral(d, b, abs_tol=1e-7):
 
 def bound_state_overlap(b):
     """<Psi_b, e^(-s)> = sqrt(-2b)/(1 - b) for b < 0; 0 otherwise."""
+    b = _check_b(b)
     if b >= 0.0:
         return 0.0
     return math.sqrt(-2.0 * b) / (1.0 - b)
@@ -198,8 +190,7 @@ def reconstruct(b, test_fn_id, t, abs_tol=1e-6):
     """
     if test_fn_id != "exp_decay":
         raise ValueError(f"unknown test function id {test_fn_id!r}")
-    t = _check_t(t)
-    b = float(b)
+    b, t = _check_b(b), _check_t(t)
     bound_part = psi_bound(b, t) * bound_state_overlap(b)
     if b == -1.0:
         # e^(-s) is proportional to the bound state; the continuum transform

@@ -94,6 +94,14 @@ def test_model_requires_t(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("args", [["--b", "1", "--t", "nan"], ["--b", "nan", "--t", "1"],
+                                  ["--b", "1", "--t", "inf"]])
+def test_model_non_finite_usage_error(args, capsys):
+    code, _, err = run_cli(["model", *args], capsys)
+    assert code == 2
+    assert "finite" in err
+
+
 def test_sweep_gamma_rejected(capsys):
     code, _, err = run_cli(["sweep", "--regime", "large", "--gamma", "1.0", "--b0", "-1"], capsys)
     assert code == 2

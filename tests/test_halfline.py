@@ -113,9 +113,7 @@ def test_i_b_abs_integral_bounded_and_monotone():
     # and the partial integrals are nondecreasing in T.
     ts = np.linspace(0.0, 60.0, 1201)
     for b in (-5.0, -1.0, 0.0, 2.0, 5.0):
-        mesh = halfline._phi_mesh(b, float(ts[-1]))
-        vals, _ = halfline._i_b_batch(2, b, ts, mesh)
-        vals = np.abs(vals)
+        vals = np.abs([halfline.i_b(2, b, t).value for t in ts])
         partial = np.cumsum((vals[1:] + vals[:-1]) * 0.5 * (ts[1] - ts[0]))
         assert np.all(np.diff(partial) >= -1e-15)
         assert partial[-1] < 10.0
@@ -123,10 +121,28 @@ def test_i_b_abs_integral_bounded_and_monotone():
 
 @pytest.mark.parametrize("b", [-2.0, -0.5, 0.5, 2.0, -0.1])
 def test_l2_via_i_b_integral(b):
-    lhs = halfline.i_b_integral(2, b)
-    if b < 0.0:
-        lhs += math.pi * (b * b + 1.0) ** 1.5
-    assert abs(coeffs.c_d(2).value * lhs - coeffs.l2(2, b).value) <= 1e-6
+    # l2 is the reference (mpmath-certified to 1e-13); the gap is held to the
+    # documented abs_tol = 1e-7 of i_b_integral in every dimension.
+    for d in (2, 3, 5, 8):
+        lhs = halfline.i_b_integral(d, b)
+        if b < 0.0:
+            lhs += math.pi * (b * b + 1.0) ** (0.5 * (d + 1))
+        assert abs(lhs - coeffs.l2(d, b).value / coeffs.c_d(d).value) <= 1e-7, d
+
+
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("b", [-2.0, -0.1, 0.0, 0.5])
+def test_i_b_partial_matches_t_quadrature(d, b):
+    # The closed-form t-integral against quadrature in t of I_b itself; T is
+    # not a multiple of pi/4, so no phase average can hide an error.
+    def kernel(ts):
+        return np.array([halfline.i_b(d, b, t, abs_tol=1e-12).value for t in ts])
+
+    for big_t in (3.3, 17.0):
+        swapped = halfline._i_b_partial(d, b, big_t, 1e-11)
+        direct = adaptive_quadrature(kernel, 0.0, big_t, abs_tol=1e-11,
+                                     breakpoints=np.arange(0.5, big_t, 0.5))
+        assert abs(swapped.value - direct.value) <= 1e-10, big_t
 
 
 def test_bound_state_overlap():
@@ -152,3 +168,14 @@ def test_negative_t_rejected():
         halfline.psi(1.0, -0.1)
     with pytest.raises(ValueError):
         halfline.i_b(2, 0.0, -1.0)
+    # Non-finite b or t is rejected, not carried through as nan.
+    for bad in (math.nan, math.inf, -math.inf):
+        for call in (lambda: halfline.psi(1.0, bad), lambda: halfline.psi(bad, 1.0),
+                     lambda: halfline.psi_derivative(bad, 1.0), lambda: halfline.psi_bound(-1.0, bad),
+                     lambda: halfline.psi_bound_derivative(bad, 1.0), lambda: halfline.i_b(2, 0.5, bad),
+                     lambda: halfline.i_b(2, bad, 1.0), lambda: halfline.i_b_integral(2, bad),
+                     lambda: halfline.bound_state_overlap(bad),
+                     lambda: halfline.reconstruct(bad, "exp_decay", 1.0),
+                     lambda: halfline.reconstruct(0.5, "exp_decay", bad)):
+            with pytest.raises(ValueError, match="finite"):
+                call()
