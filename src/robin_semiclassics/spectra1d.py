@@ -1,15 +1,21 @@
 """Certified enumeration of the Robin eigenvalues of -u'' on an interval.
 
-Boundary conditions u'(0) = c_left u(0), -u'(L) = c_right u(L). Positive
-eigenvalues are bracketed between consecutive Dirichlet nodes of the
-secular function, at most two negative eigenvalues are located on the
-hyperbolic branch, and completeness is certified against the Neumann
-counting function (the boundary form is a rank-two perturbation).
+Boundary conditions u'(0) = c_left u(0), -u'(L) = c_right u(L). The
+constant-coefficient Pruefer phase
+
+    Phi(k) = k L + arccot(c_left / k) + arccot(c_right / k),  arccot in (0, pi),
+
+counts the spectrum exactly: floor(Phi(k) / pi) eigenvalues lie at or below
+k^2 > 0 (Pryce, Numerical Solution of Sturm-Liouville Problems, 1993). So the
+n-th eigenvalue is the one point where Phi - n pi turns from negative to
+positive, inside ((n - 2) pi / L, n pi / L), and each positive one is solved
+by safeguarded Newton steps on Phi. At most two negative eigenvalues are
+located on the hyperbolic branch. The count is the completeness certificate,
+with no slack: N(0+) nonpositive eigenvalues and N(lam_max) in all.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -21,19 +27,15 @@ from .errors import EnumerationError
 
 # Matches the lambda = 0 secular condition at root-finding accuracy.
 _ZERO_EIG_RTOL = 1e-12
-# Below this, c_left + c_right is treated as exactly zero and the positive
-# spectrum collapses onto the Dirichlet nodes (the secular function becomes
-# (k^2 - c_l c_r) sin(kL)).
-_SUM_COLLAPSE_RTOL = 1e-13
-# Sign-change brackets are solved in blocks of this many, which bounds the
-# solver's temporaries whatever the size of the spectrum.
+# Phase indices are solved in blocks of this many, which bounds the solver's
+# temporaries whatever the size of the spectrum.
 _BRACKET_BLOCK = 4096
-# A bracket counts as solved once it is narrower than this times k (four
-# ulps), far inside the 1e-13 relative tolerance of the scalar rescue path.
+# A root counts as solved once its last step is below this times k (four ulps).
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
-# Dirichlet brackets have needed at most about 20 steps and the (0, eps)
-# bracket of a tiny ground state about 50; the cap only bounds a failure.
-_ILLINOIS_MAX_ITER = 200
+# Newton has needed 2-6 steps per block on sweep-sized spectra, and up to about
+# 50 where a ground state lies far below its bracket (couplings near 1e-12,
+# the smallest the zero condition leaves). The cap only bounds a failure.
+_NEWTON_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -47,14 +49,20 @@ class RobinInterval:
             raise ValueError(f"interval length must be positive, got {self.length!r}")
         if not (math.isfinite(self.c_left) and math.isfinite(self.c_right)):
             raise ValueError("Robin coefficients must be finite")
+        # Both bound the arithmetic below: the zero condition forms
+        # c_l c_r L, and the hyperbolic branch squares its kappa bound.
+        if not math.isfinite(self.c_left * self.c_right * self.length):
+            raise ValueError(f"c_left * c_right * length overflows for {self}")
+        kappa_max = _kappa_upper_bound(self)
+        if not math.isfinite(kappa_max * kappa_max):
+            raise ValueError(f"the bound-state depth bound overflows for {self}")
 
 
 @dataclass(frozen=True)
 class SpectrumCertificate:
     n_negative: int
     n_positive: int
-    bracket_count: int
-    rescues: int  # same-sign brackets sent down the scalar scan
+    bracket_count: int  # phase indices solved
 
 
 @dataclass(frozen=True)
@@ -135,7 +143,11 @@ def _kappa_root(f, a, b):
 
 
 def negative_eigenvalues(iv):
-    """All negative eigenvalues (at most two), sorted ascending."""
+    """All negative eigenvalues (at most two), sorted ascending.
+
+    When the zero condition places an eigenvalue at 0, that state is not
+    reported here even if it truly lies just below 0.
+    """
     cl, cr = iv.c_left, iv.c_right
     if cl >= 0.0 and cr >= 0.0:
         return []
@@ -187,6 +199,12 @@ def negative_eigenvalues(iv):
         raise EnumerationError(
             f"found {len(roots)} negative-branch roots for {iv}; at most 2 are possible"
         )
+    roots.sort()
+    if _zero_eigenvalue_present(iv) and len(roots) > _negative_trace(iv):
+        # The boundary form (see _nonpositive_count) then has eigenvalues 0
+        # and its trace, so only a negative trace leaves a state below 0; a
+        # root beyond that is the zero state itself, the shallowest one.
+        roots = roots[1:]
     # A root whose square underflows is a zero eigenvalue, which
     # enumerate_eigenvalues reports from the exact lambda = 0 condition.
     return sorted(-k * k for k in roots if k * k > 0.0)
@@ -197,163 +215,114 @@ def _zero_eigenvalue_present(iv):
     return abs(z) <= _ZERO_EIG_RTOL * (1.0 + abs(iv.c_left * iv.c_right) * iv.length)
 
 
-def _bisect_refine(f, a, b):
-    try:
-        return brentq(f, a, b, rtol=1e-13)
-    except ValueError:
-        return None
+def _negative_trace(iv):
+    return int(2.0 / iv.length + iv.c_left + iv.c_right < 0.0)
 
 
-def _illinois(f, lo, hi, flo, fhi, max_iter=_ILLINOIS_MAX_ITER):
-    """Roots of ``f`` in the brackets (lo, hi), all solved together.
+def _nonpositive_count(iv):
+    """N(0+), the number of eigenvalues <= 0.
 
-    ``flo`` and ``fhi`` are the endpoint values and must differ in sign bit.
-    Vectorized safeguarded regula falsi (Illinois; Dowell & Jarratt 1971):
-    a secant point outside its bracket is replaced by the midpoint, one
-    within a quarter tolerance of an endpoint is moved that far inside, the
-    value at an endpoint kept for a second step running is halved, and a
-    bracket leaves the active set once it is narrower than _ROOT_RTOL * k.
-    Raises EnumerationError if any bracket is still open after ``max_iter``
-    steps.
+    The quadratic form splits into a positive part on H^1_0 and its
+    restriction to linear functions, the boundary form
+    [[1/L + c_l, -1/L], [-1/L, 1/L + c_r]] with determinant
+    (c_l + c_r + c_l c_r L) / L; N(0+) is that matrix's number of eigenvalues
+    <= 0, with a zero one wherever _zero_eigenvalue_present says so.
     """
-    lo, hi, flo, fhi = (np.array(a, dtype=float) for a in (lo, hi, flo, fhi))
-    roots = np.empty(lo.size)
-    active = np.arange(lo.size)
-    kept = np.zeros(lo.size, dtype=np.int8)  # +1: hi kept last step, -1: lo kept
-    for _ in range(max_iter):
-        if active.size == 0:
-            return roots
-        c = hi - fhi * ((hi - lo) / (fhi - flo))
-        c = np.where((lo <= c) & (c <= hi), c, 0.5 * (lo + hi))
-        # A point that rounds onto an endpoint would never move it.
-        nudge = 0.25 * _ROOT_RTOL * hi
-        c = np.clip(c, lo + nudge, hi - nudge)
-        fc = f(c)
-        up = np.signbit(fc) == np.signbit(flo)  # the root lies in (c, hi)
-        fhi[up & (kept == 1)] *= 0.5
-        flo[~up & (kept == -1)] *= 0.5
-        lo = np.where(up, c, lo)
-        flo = np.where(up, fc, flo)
-        hi = np.where(up, hi, c)
-        fhi = np.where(up, fhi, fc)
-        kept = np.where(up, 1, -1).astype(np.int8)
-        hit = fc == 0.0
-        done = hit | (hi - lo <= _ROOT_RTOL * hi)
-        if done.any():
-            roots[active[done]] = np.where(hit[done], c[done], 0.5 * (lo[done] + hi[done]))
-            live = ~done
-            active, lo, hi, flo, fhi, kept = (a[live] for a in (active, lo, hi, flo, fhi, kept))
-    if active.size:
-        raise EnumerationError(
-            f"{active.size} sign-change brackets did not converge in {max_iter} Illinois steps"
-        )
-    return roots
+    if _zero_eigenvalue_present(iv):
+        return 1 + _negative_trace(iv)
+    if iv.c_left + iv.c_right + iv.c_left * iv.c_right * iv.length < 0.0:
+        return 1
+    return 2 * _negative_trace(iv)
 
 
-def _scan_same_sign(f, cl, cr, left_k, right_k, sign):
-    """Roots in a bracket whose endpoints share ``sign``: an even number, found
-    by an interior scan. The only mechanism is the envelope phase reversal
-    near k^2 = c_l c_r, so the scan is refined geometrically around it."""
-    scan = set(np.linspace(left_k, right_k, 26)[1:-1].tolist())
-    if cl * cr > 0.0:
-        k_env = math.sqrt(cl * cr)
-        if left_k < k_env < right_k:
-            for e in range(-30, 4):
-                for cand in (k_env - k_env * 2.0**e, k_env + k_env * 2.0**e):
-                    if left_k < cand < right_k:
-                        scan.add(cand)
-    scan = sorted(scan)
-    vals = [f(k) for k in scan]
-    pts = [left_k] + scan + [right_k]
-    sgs = [sign] + [math.copysign(1.0, v) if v != 0.0 else 0.0 for v in vals] + [sign]
-    roots = []
-    for i in range(len(pts) - 1):
-        if sgs[i + 1] == 0.0:
-            roots.append(pts[i + 1])
-        elif sgs[i] * sgs[i + 1] < 0.0:
-            root = _bisect_refine(f, pts[i], pts[i + 1])
-            if root is not None:
-                roots.append(root)
-    return roots
+def _phase_count(iv, lam):
+    """floor(Phi(sqrt(lam)) / pi), the number of eigenvalues <= lam, for lam > 0."""
+    k = math.sqrt(lam)
+    return math.floor((k * iv.length + math.atan2(k, iv.c_left) + math.atan2(k, iv.c_right)) / math.pi)
 
 
-def _positive_eigenvalues(iv, lam_max):
-    """Roots of the positive secular function up to k = sqrt(lam_max).
+def _phase_offset(iv, k, n):
+    """Phi(k) - n pi and Phi'(k) for arrays k > 0 and integers n.
 
-    Returns (eigenvalues, bracket_count, rescues), the eigenvalues as a
-    sorted array. Brackets are the Dirichlet intervals ((n-1)pi/L, n pi/L),
-    the first starting at a small eps and the last ending at k_max. Node
-    values are known exactly and alternate in sign, so every bracket between
-    two nodes changes sign; all sign-change brackets go to _illinois in
-    blocks of _BRACKET_BLOCK. A same-sign bracket (only the first or the
-    last can be one) may hide a root pair and is rescued by _scan_same_sign.
-    A ground state below eps is found from the sign of f as k -> 0+.
+    The offset is the angle of (cos Phi, sin Phi) turned by n pi, each
+    arccot(c / k) entering through its unit vector (c, k) / |k + ic|. That
+    keeps the offset accurate near a root, where the plain sum
+    k L + arccot(c_l / k) + arccot(c_r / k) - n pi cancels (the ground state
+    of c = (1.03e-8, 0) loses three digits to it); the plain sum only picks
+    the whole turn.
     """
     length, cl, cr = iv.length, iv.c_left, iv.c_right
+    rl, rr = np.hypot(k, cl), np.hypot(k, cr)
+    cos_l, sin_l, cos_r, sin_r = cl / rl, k / rl, cr / rr, k / rr
+    cos_b = cos_l * cos_r - sin_l * sin_r
+    sin_b = sin_l * cos_r + cos_l * sin_r
+    kl = k * length
+    s, c = np.sin(kl), np.cos(kl)
+    turn = 1.0 - 2.0 * (n % 2)
+    offset = np.arctan2(turn * (s * cos_b + c * sin_b), turn * (c * cos_b - s * sin_b))
+    # arccot(c_l / k) + arccot(c_r / k) lies in (0, 2 pi).
+    both = np.arctan2(sin_b, cos_b)
+    plain = kl + np.where(both > 0.0, both, both + 2.0 * math.pi) - n * math.pi
+    offset += 2.0 * math.pi * np.round((plain - offset) / (2.0 * math.pi))
+    return offset, length + cos_l / rl + cos_r / rr
+
+
+def _phase_roots(iv, n, k_max):
+    """The roots k of Phi(k) = n pi for the integer array n, all solved together.
+
+    Root n lies in ((n - 2) pi / L, n pi / L), cut to (0, k_max], and
+    Phi - n pi changes sign there once, from - to +, since the count never
+    decreases. So every evaluated point narrows the bracket. Vectorized
+    Newton steps on the phase; a step that leaves the bracket or is not half
+    the step before last is replaced by the midpoint (rtsafe, Press et al.,
+    Numerical Recipes). An index leaves the active set once its step is below
+    _ROOT_RTOL * k. Raises EnumerationError if any index is still open after
+    _NEWTON_MAX_ITER steps.
+    """
+    node_step = math.pi / iv.length
+    lo = np.maximum((n - 2) * node_step, 0.0)
+    hi = np.minimum(n * node_step, k_max)
+    k = 0.5 * (lo + hi)
+    last = before = hi - lo  # the last two step lengths
+    roots = np.empty(n.size)
+    active = np.arange(n.size)
+    for _ in range(_NEWTON_MAX_ITER):
+        offset, slope = _phase_offset(iv, k, n)
+        lo = np.where(offset < 0.0, k, lo)
+        hi = np.where(offset > 0.0, k, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dk = offset / slope
+        # A converged step may round onto k, which is now an end of the bracket.
+        converged = np.abs(dk) <= _ROOT_RTOL * k
+        newton = k - dk
+        # The initial ends are bounds, not evaluated points: a root within
+        # rounding of one is reached by stepping onto it.
+        inside = (lo <= newton) & (newton <= hi) & (newton > 0.0)
+        take = converged | (inside & (np.abs(dk) <= 0.5 * before))
+        new = np.where(take, newton, 0.5 * (lo + hi))
+        last, before = np.abs(new - k), last
+        done = converged | (last <= _ROOT_RTOL * new)
+        if done.any():
+            roots[active[done]] = new[done]
+            live = ~done
+            active, n, lo, hi, last, before, new = (
+                a[live] for a in (active, n, lo, hi, last, before, new))
+            if active.size == 0:
+                return roots
+        k = new
+    raise EnumerationError(
+        f"{active.size} phase indices did not converge in {_NEWTON_MAX_ITER} Newton steps for {iv}"
+    )
+
+
+def _positive_eigenvalues(iv, n_low, n_high, lam_max):
+    """Eigenvalues k_n^2 of the phase indices n_low < n <= n_high, in order."""
     k_max = math.sqrt(lam_max)
-    node_step = math.pi / length
-    s = cl + cr
-    if abs(s) <= _SUM_COLLAPSE_RTOL * max(1.0, abs(cl), abs(cr)):
-        # c_r = -c_l: secular function is (k^2 + c_l^2) sin(kL), spectrum at nodes.
-        n_hi = int(math.floor(k_max / node_step * (1.0 + 1e-15)))
-        nodes = np.arange(1, n_hi + 1) * node_step
-        return nodes * nodes, n_hi, 0
-
-    def f_array(k):
-        kl = k * length
-        return (k * k - cl * cr) * np.sin(kl) - k * s * np.cos(kl)
-
-    f = functools.partial(secular_positive, iv)
-    eps = 1e-4 * node_step
-    if not eps < k_max:
-        return np.empty(0), 0, 0
-    # Edges: eps, the nodes n * node_step <= k_max, then k_max unless it
-    # (nearly) coincides with the last of them.
-    n_nodes = int(k_max / node_step)
-    while (n_nodes + 1) * node_step <= k_max:
-        n_nodes += 1
-    while n_nodes > 0 and n_nodes * node_step > k_max:
-        n_nodes -= 1
-    last_edge = n_nodes * node_step if n_nodes else eps
-    tail = last_edge < k_max and k_max - last_edge > 1e-15 * k_max
-    bracket_count = n_nodes + int(tail)
-    f_eps = f(eps) or 0.0  # a zero start counts as positive
-    f_tail = f(k_max) if tail else None
-
-    parts = []
-    rescues = 0
-    for j0 in range(0, bracket_count, _BRACKET_BLOCK):
-        j1 = min(j0 + _BRACKET_BLOCK, bracket_count)
-        n = np.arange(j0, j1 + 1)
-        edges = n * node_step
-        values = np.where(n % 2 == 0, -s, s) * edges  # f(n pi / L) = -k s cos(n pi)
-        if j0 == 0:
-            edges[0], values[0] = eps, f_eps
-        at_tail = tail and j1 == bracket_count
-        if at_tail:
-            edges[-1], values[-1] = k_max, f_tail
-        solve = np.signbit(values[:-1]) != np.signbit(values[1:])
-        same = ~solve
-        if at_tail and f_tail == 0.0:
-            # A root on the cutoff itself; its bracket is not searched further.
-            solve[-1] = same[-1] = False
-            parts.append(np.array([k_max]))
-        lo, hi, flo, fhi = edges[:-1], edges[1:], values[:-1], values[1:]
-        parts.append(_illinois(f_array, lo[solve], hi[solve], flo[solve], fhi[solve]))
-        for i in np.flatnonzero(same):
-            rescues += 1
-            parts.append(np.array(_scan_same_sign(
-                f, cl, cr, float(lo[i]), float(hi[i]), math.copysign(1.0, flo[i]))))
-    z = cl + cr + cl * cr * length  # f(k) = -k z + O(k^3) as k -> 0+
-    if bracket_count and not _zero_eigenvalue_present(iv) and (f_eps < 0.0) != (z > 0.0):
-        # f changes sign on (0, eps): a ground state below eps.
-        parts.append(_illinois(f_array, [0.0], [eps], [math.copysign(0.0, -z)], [f_eps]))
-    roots = np.concatenate(parts) if parts else np.empty(0)
-    roots.sort()
-    dup = np.flatnonzero(np.diff(roots) <= 1e-12 * np.maximum(roots[1:], 1.0))
-    roots = np.delete(roots, dup + 1)
-    lam = roots * roots
-    return lam[:np.searchsorted(lam, lam_max * (1.0 + 1e-14), side="right")], bracket_count, rescues
+    roots = np.empty(max(n_high - n_low, 0))
+    for j in range(0, roots.size, _BRACKET_BLOCK):
+        n = np.arange(n_low + 1 + j, n_low + 1 + min(j + _BRACKET_BLOCK, roots.size))
+        roots[j:j + n.size] = _phase_roots(iv, n, k_max)
+    return roots * roots
 
 
 def neumann_count(length, lam_max):
@@ -366,26 +335,35 @@ def neumann_count(length, lam_max):
 def enumerate_eigenvalues(iv, lam_max):
     """All eigenvalues <= lam_max with a completeness certificate.
 
-    Raises EnumerationError when the Neumann-count cross-check (rank-two
-    perturbation bound |N_Robin - N_Neumann| <= 2) fails.
+    Raises EnumerationError unless the nonpositive eigenvalues number
+    exactly N(0+) and, for lam_max > 0, all of them number exactly the phase
+    count N(lam_max) = floor(Phi(sqrt(lam_max)) / pi).
     """
     lam_max = float(lam_max)
     if not math.isfinite(lam_max):
         raise ValueError("cutoff must be finite")
-    negatives = [lam for lam in negative_eigenvalues(iv) if lam <= lam_max]
-    zeros = [0.0] if (lam_max >= 0.0 and _zero_eigenvalue_present(iv)) else []
-    if lam_max > 0.0:
-        positives, bracket_count, rescues = _positive_eigenvalues(iv, lam_max)
-    else:
-        positives, bracket_count, rescues = np.empty(0), 0, 0
-    eigenvalues = sorted(negatives + zeros + positives.tolist())
-    cert = SpectrumCertificate(len(negatives), positives.size, bracket_count, rescues)
-    drift = abs(len(eigenvalues) - neumann_count(iv.length, lam_max))
-    if drift > 2:
+    negatives = negative_eigenvalues(iv)
+    nonpositive = negatives + ([0.0] if _zero_eigenvalue_present(iv) else [])
+    n_low = _nonpositive_count(iv)
+    if len(nonpositive) != n_low:
         raise EnumerationError(
-            f"counting certificate failed for {iv} at cutoff {lam_max}: "
-            f"N_Robin = {len(eigenvalues)}, N_Neumann = {neumann_count(iv.length, lam_max)}"
+            f"counting certificate failed for {iv}: {len(nonpositive)} nonpositive "
+            f"eigenvalues found, N(0+) = {n_low}"
         )
+    eigenvalues = [lam for lam in nonpositive if lam <= lam_max]
+    positives = np.empty(0)
+    if lam_max > 0.0:
+        # A state the zero condition places at 0 may truly lie just above it,
+        # past a cutoff that small: hence the max.
+        n_total = max(_phase_count(iv, lam_max), n_low)
+        positives = _positive_eigenvalues(iv, n_low, n_total, lam_max)
+        eigenvalues += positives.tolist()
+        if len(eigenvalues) != n_total:
+            raise EnumerationError(
+                f"counting certificate failed for {iv} at cutoff {lam_max}: "
+                f"{len(eigenvalues)} eigenvalues found, N = {n_total}"
+            )
+    cert = SpectrumCertificate(sum(lam <= lam_max for lam in negatives), positives.size, positives.size)
     return Spectrum1D(tuple(eigenvalues), lam_max, cert)
 
 

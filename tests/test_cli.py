@@ -80,6 +80,15 @@ def test_spectrum_negative_pair(capsys):
     assert sum(1 for lam in lams if lam < 0.0) == 2
 
 
+@pytest.mark.parametrize("cl,cr", [("1e200", "1e200"), ("-1e200", "-1e200"), ("-1e200", "0")])
+def test_spectrum_overflowing_couplings_usage_error(cl, cr, capsys):
+    code, out, err = run_cli(["spectrum", "--L", "1", f"--cl={cl}", f"--cr={cr}",
+                              "--Lambda", "100"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "overflows" in err
+
+
 def test_model_bound_state(capsys):
     code, out, _ = run_cli(["model", "--b", "-1", "--t", "0"], capsys)
     assert code == 0

@@ -108,15 +108,17 @@ def test_i_b_integral_tail_tolerance_failure():
         halfline.i_b_integral(2, 0.3, abs_tol=1e-14)
 
 
-def test_i_b_abs_integral_bounded_and_monotone():
+def test_i_b_abs_integral_bounded_and_decaying():
     # int_0^T |I_b| dt stays under an empirical envelope, uniformly on a b grid,
-    # and the partial integrals are nondecreasing in T.
+    # and |I_b(t)| decays like t^(-(d+3)/2): t^(5/2) |I_b(t)| <= 1 for t >= 5
+    # (measured maximum 0.85).
     ts = np.linspace(0.0, 60.0, 1201)
     for b in (-5.0, -1.0, 0.0, 2.0, 5.0):
         vals = np.abs([halfline.i_b(2, b, t).value for t in ts])
         partial = np.cumsum((vals[1:] + vals[:-1]) * 0.5 * (ts[1] - ts[0]))
-        assert np.all(np.diff(partial) >= -1e-15)
         assert partial[-1] < 10.0
+        tail = ts >= 5.0
+        assert np.all(ts[tail] ** 2.5 * vals[tail] <= 1.0), b
 
 
 @pytest.mark.parametrize("b", [-2.0, -0.5, 0.5, 2.0, -0.1])

@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import mpmath
 import numpy as np
@@ -8,10 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from robin_semiclassics import spectra1d
 from robin_semiclassics.errors import EnumerationError
 from robin_semiclassics.spectra1d import (
     RobinInterval,
-    _illinois,
     eigenvalue_bracket,
     enumerate_eigenvalues,
     fd_oracle,
@@ -272,19 +271,54 @@ def test_deep_double_wells_match_mpmath(length, cl, cr, n_bound):
             assert abs(lam + kappa**2) <= 1e-14 * kappa**2, (lam, kappa)
 
 
-def test_illinois_solves_and_fails_loudly():
-    lo, hi = np.array([3.0, 6.0]), np.array([3.3, 6.5])
-    roots = _illinois(np.sin, lo, hi, np.sin(lo), np.sin(hi))
-    assert np.all(np.abs(roots - [math.pi, 2.0 * math.pi]) <= 1e-15 * roots)
+def test_newton_step_cap_fails_loudly(monkeypatch):
+    iv = RobinInterval(1.0, 1.0, 1.0)
+    assert enumerate_eigenvalues(iv, 1e4).certificate.bracket_count == 32
+    monkeypatch.setattr(spectra1d, "_NEWTON_MAX_ITER", 1)
     with pytest.raises(EnumerationError):
-        _illinois(np.sin, lo, hi, np.sin(lo), np.sin(hi), max_iter=2)
+        enumerate_eigenvalues(iv, 1e4)
 
 
-def test_rescue_count():
-    # Both couplings positive: every Dirichlet bracket changes sign.
-    assert enumerate_eigenvalues(RobinInterval(1.0, 1.0, 1.0), 1e4).certificate.rescues == 0
-    # Two bound states empty the first bracket, and k_env = 30 lies in the spectrum.
-    assert enumerate_eigenvalues(RobinInterval(1.0, -30.0, -30.0), 1e4).certificate.rescues >= 1
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("length,cl,cr", [
+    (1.0, 1.03e-8, 0.0),  # Phi - pi cancels: arccot(c_l / k) sits near pi / 2
+    (1.0, 3.0, -0.7),  # Phi dips below pi before its ground state
+    (1.0, 1.0, -0.5 + 1e-11),  # z = c_l + c_r + c_l c_r L = 2e-11: ill-conditioned
+    (1.0, 1.0, -0.5 + 1e-9),
+])
+def test_lowest_positive_root_matches_mpmath(length, cl, cr):
+    # 40-digit root of the secular function. The tolerance is 1e-14, or the
+    # conditioning bound eps (|c_l| + |c_r| + |c_l c_r| L) / |z| near z = 0.
+    lam = min(lam for lam in enumerate_eigenvalues(RobinInterval(length, cl, cr), 100.0).eigenvalues
+              if lam > 0.0)
+    z = cl + cr + cl * cr * length
+    tol = max(1e-14, EPS * (abs(cl) + abs(cr) + abs(cl * cr) * length) / abs(z))
+    with mpmath.workdps(40):
+        L, a, b = mpmath.mpf(length), mpmath.mpf(cl), mpmath.mpf(cr)
+
+        def f(k):
+            return (k * k - a * b) * mpmath.sin(k * L) - k * (a + b) * mpmath.cos(k * L)
+
+        exact = mpmath.findroot(f, mpmath.sqrt(mpmath.mpf(lam))) ** 2
+        assert abs(lam - exact) <= tol * exact, (lam, exact, tol)
+
+
+@pytest.mark.parametrize("cl,cr", [(1e200, 1e200), (-1e200, -1e200), (-1e200, 0.0)])
+def test_overflowing_couplings_rejected(cl, cr):
+    # c_l c_r L or the squared bound-state depth bound overflows.
+    with pytest.raises(ValueError):
+        RobinInterval(1.0, cl, cr)
+
+
+def test_deepest_finite_couplings_enumerate():
+    sp = enumerate_eigenvalues(RobinInterval(1.0, -1e153, -1e153), 100.0)
+    assert len(sp.eigenvalues) == 5
+    for lam in sp.eigenvalues[:2]:
+        assert abs(lam + 1e306) <= 1e-14 * 1e306
+    for n, lam in enumerate(sp.eigenvalues[2:], start=1):
+        assert abs(lam - (n * math.pi) ** 2) <= 1e-14 * lam
 
 
 # Property tests on random intervals. Counts are taken a relative 1e-9 off
@@ -309,20 +343,43 @@ def dirichlet_nodes(length, lam_max):
 @example(length=1.0, cl=1.0346422931260303e-08, cr=0.0)  # ground state below the first probe
 @example(length=1.9375, cl=190.0, cr=-189.0)  # f(a) f(b) underflows at the bound state
 @example(length=1.0, cl=-0.5, cr=-5e-324)  # kappa^2 underflows to -0.0
+@example(length=1.0, cl=-1.1754943508222875e-38, cr=0.0)  # a state reported both at 0 and below it
 def test_property_dirichlet_brackets(length, cl, cr):
     sp = enumerate_eigenvalues(RobinInterval(length, cl, cr), LAM_MAX)
     # Rank-two interlacing: 0 <= N_Robin - N_Dirichlet <= 2 on both sides of every node.
     for n, node in enumerate(dirichlet_nodes(length, LAM_MAX), start=1):
         for lam, n_dirichlet in ((node * (1.0 - NODE_GAP), n - 1), (node * (1.0 + NODE_GAP), n)):
             assert 0 <= count_below(sp.eigenvalues, lam) - n_dirichlet <= 2
-    # One root per Dirichlet bracket, except where a rescue found a pair.
+    # The eigenvalue of rank N solves Phi(k) = N pi, so k lies in ((N - 2) pi / L, N pi / L).
     step = math.pi / length
-    brackets = Counter()
-    for lam in sp.eigenvalues:
-        x = math.sqrt(lam) / step if lam > 0.0 else 0.0
-        if lam > 0.0 and abs(x - round(x)) > NODE_GAP * x:
-            brackets[math.floor(x)] += 1
-    assert sum(1 for c in brackets.values() if c > 1) <= sp.certificate.rescues
+    for rank, lam in enumerate(sp.eigenvalues, start=1):
+        if lam > 0.0:
+            assert (rank - 2) * step < math.sqrt(lam) < rank * step
+
+
+def phase(length, cl, cr, k):
+    """Pruefer phase k L + arccot(c_l / k) + arccot(c_r / k), arccot in (0, pi)."""
+    return k * length + math.atan2(k, cl) + math.atan2(k, cr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(length=lengths, cl=couplings, cr=couplings)
+@example(length=1.0, cl=3.0, cr=-0.7)  # Phi is not monotone: the ground state needs N(0+)
+@example(length=1.0, cl=1.0, cr=-0.5)  # lambda = 0 exactly
+@example(length=1.0, cl=1.0, cr=-0.5 + 1e-13)  # inside the zero condition's tolerance
+@example(length=1.0, cl=1.0, cr=-0.5 - 1e-13)
+@example(length=1.0, cl=-2.0 - 4e-14, cr=-2.0 - 4e-14)  # a shallow odd state within that tolerance
+@example(length=1.0, cl=-1e-13, cr=0.0)  # a shallow state within that tolerance
+@example(length=1.0, cl=1.0346422931260303e-08, cr=0.0)
+@example(length=1.9375, cl=190.0, cr=-189.0)
+@example(length=1.0, cl=-0.5, cr=-5e-324)
+def test_property_phase_count(length, cl, cr):
+    # The count below lam is exactly floor(Phi(sqrt(lam)) / pi), on both sides of every node.
+    eigenvalues = enumerate_eigenvalues(RobinInterval(length, cl, cr), LAM_MAX).eigenvalues
+    cutoffs = [LAM_MAX] + [node * (1.0 + g) for node in dirichlet_nodes(length, LAM_MAX)
+                           for g in (-NODE_GAP, NODE_GAP)]
+    for lam in cutoffs:
+        assert count_below(eigenvalues, lam) == math.floor(phase(length, cl, cr, math.sqrt(lam)) / math.pi)
 
 
 @settings(max_examples=150, deadline=None)
