@@ -3,7 +3,10 @@
 The operator is H(b) = -h^2 Delta - 1 on a box with per-facet Robin
 coefficients b (classical coefficients c = b/h). Its Riesz mean is the
 sum of (1 - h^2 lambda)_+ over tuples of per-axis interval eigenvalues,
-evaluated by sorted prefix sums so that no O(N^2) pass is needed.
+evaluated by sorted prefix sums so that no O(N^2) pass is needed. In 2-D
+both axes are enumerated only up to h^-2; the roots above it, which pair
+only with the other axis's bound states, enter as band sums
+(spectra1d.band_sum), in closed form where certified.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coeffs
-from .spectra1d import RobinInterval, enumerate_eigenvalues, negative_eigenvalues
+from .spectra1d import RobinInterval, band_sum, enumerate_eigenvalues, negative_eigenvalues
 
 # Largest materialized pair-sum array in the d >= 3 reduction.
 _PAIR_CHUNK = 20_000_000
@@ -81,11 +84,14 @@ def weyl_term(box, h):
     return coeffs.l1(box.d).value * box.volume * h ** (-box.d)
 
 
+def _intervals(box, h):
+    return [RobinInterval(side, lo / h, hi / h) for side, (lo, hi) in zip(box.sides, box.facet_b)]
+
+
 def axis_spectra(box, h):
     """Exhaustive per-axis spectra with cutoffs raised by the partner axes'
     negative parts, so no tuple below the total cutoff h^-2 is missed."""
-    intervals = [RobinInterval(side, lo / h, hi / h)
-                 for side, (lo, hi) in zip(box.sides, box.facet_b)]
+    intervals = _intervals(box, h)
     neg_floors = [min(negative_eigenvalues(iv), default=0.0) for iv in intervals]
     cutoff_total = h**-2
     spectra = []
@@ -108,6 +114,29 @@ def _pair_trace(sorted_axis, other_axis, h):
         counts, other_axis = counts[:empty[0]], other_axis[:empty[0]]
     terms = counts * (1.0 - h2 * other_axis) - h2 * prefix[counts]
     return math.fsum(terms), int(counts.sum())
+
+
+def _band_trace(box, h):
+    """Trace and tuple count of a 2-D box from spectra cut at h^-2 (1 + 1e-12).
+
+    A root x above that cut pairs only with a partner's bound state y < 0,
+    so for each of those (at most two per axis) the band of the other axis
+    between the cut and h^-2 - y adds h^2 sum (h^-2 - y - x), a sum that
+    spectra1d.band_sum takes in closed form where its remainder bound allows.
+    """
+    intervals = _intervals(box, h)
+    bound_states = [negative_eigenvalues(iv) for iv in intervals]
+    cutoff = h**-2
+    spectra = [np.array(enumerate_eigenvalues(iv, cutoff * (1.0 + 1e-12)).eigenvalues)
+               for iv in intervals]
+    trace, count = _pair_trace(spectra[0], spectra[1], h)
+    parts = [trace]
+    for axis, partner in ((0, 1), (1, 0)):
+        for y in bound_states[partner]:
+            band = band_sum(intervals[axis], spectra[axis].size, cutoff - y)
+            parts.append(h * h * band.value)
+            count += band.count
+    return math.fsum(parts), count
 
 
 def _reduce_pair(a, b, cutoff):
@@ -139,13 +168,16 @@ def riesz_mean(box, h):
         raise ValueError(
             f"h = {h} violates the h <= min(sides)/4 = {min(box.sides) / 4.0} guard"
         )
-    spectra = axis_spectra(box, h)
-    cutoff = h**-2
-    combined = spectra[0]
-    for i in range(1, box.d - 1):
-        allowance = sum(min(0.0, float(spec.min())) for spec in spectra[i + 1:])
-        combined = _reduce_pair(combined, spectra[i], cutoff - allowance)
-    trace, count = _pair_trace(combined, spectra[-1], h)
+    if box.d == 2:
+        trace, count = _band_trace(box, h)
+    else:
+        # A tuple can have two axes above h^-2 here, so the spectra stay exhaustive.
+        spectra = axis_spectra(box, h)
+        combined = spectra[0]
+        for i in range(1, box.d - 1):
+            allowance = sum(min(0.0, float(spec.min())) for spec in spectra[i + 1:])
+            combined = _reduce_pair(combined, spectra[i], h**-2 - allowance)
+        trace, count = _pair_trace(combined, spectra[-1], h)
     weyl = weyl_term(box, h)
     return RieszReport(
         h=h,

@@ -12,6 +12,12 @@ positive, inside ((n - 2) pi / L, n pi / L), and each positive one is solved
 by safeguarded Newton steps on Phi. At most two negative eigenvalues are
 located on the hyperbolic branch. The count is the completeness certificate,
 with no slack: N(0+) nonpositive eigenvalues and N(lam_max) in all.
+
+band_sum gives the sum of (lam - lambda_n)_+ over a band of high indices by
+Euler-Maclaurin summation over the phase index, from the band's two end
+roots, wherever an analytic bound puts its remainder below eps times the
+sum and its rounding stays small; elsewhere it solves and sums every root
+of the band.
 """
 
 from __future__ import annotations
@@ -30,10 +36,20 @@ _ZERO_EIG_RTOL = 1e-12
 # Phase indices are solved in blocks of this many, which bounds the solver's
 # temporaries whatever the size of the spectrum.
 _BRACKET_BLOCK = 4096
+_EPS = float(np.finfo(float).eps)
 # A root counts as solved once its last step is below this times k (four ulps).
-_ROOT_RTOL = 4.0 * np.finfo(float).eps
-# Newton has needed 2-6 steps per block on sweep-sized spectra, and up to about
-# 50 where a ground state lies far below its bracket (couplings near 1e-12,
+_ROOT_RTOL = 4.0 * _EPS
+# Bound on |P_3(x)| / 3! for the periodic Bernoulli function: the
+# Euler-Maclaurin remainder after the g' term is at most this times
+# the integral of |g'''|.
+_EM_REMAINDER = 2.0 * 1.2020569031595942 / (2.0 * math.pi) ** 3  # 2 zeta(3) / (2 pi)^3
+# Largest rounding bound, relative to the band, with which band_sum takes the
+# closed form. The bands of uniform-coupling sweeps stay below 1e-13. A short
+# band far up the spectrum, where G(k_N) - G(k_a) cancels, or a huge positive
+# coupling c, where (lam + c^2) arctan(k / c) - c k does, exceeds it.
+_CLOSED_FORM_RTOL = 1e-12
+# Newton has needed 2-6 steps per block on sweep-sized spectra, and about a
+# dozen where a ground state lies far below its bracket (couplings near 1e-12,
 # the smallest the zero condition leaves). The cap only bounds a failure.
 _NEWTON_MAX_ITER = 200
 
@@ -273,11 +289,13 @@ def _phase_roots(iv, n, k_max):
     Root n lies in ((n - 2) pi / L, n pi / L), cut to (0, k_max], and
     Phi - n pi changes sign there once, from - to +, since the count never
     decreases. So every evaluated point narrows the bracket. Vectorized
-    Newton steps on the phase; a step that leaves the bracket or is not half
-    the step before last is replaced by the midpoint (rtsafe, Press et al.,
-    Numerical Recipes). An index leaves the active set once its step is below
-    _ROOT_RTOL * k. Raises EnumerationError if any index is still open after
-    _NEWTON_MAX_ITER steps.
+    Newton steps on the phase; a step that leaves the bracket, is not half
+    the step before last or is longer than the last one is replaced by the
+    midpoint (rtsafe, Press et al., Numerical Recipes), taken in log k once
+    the bracket's lower end is positive. Below a ground state, where the
+    phase goes as -c / k, Newton only doubles k. An index leaves the active
+    set once its step is below _ROOT_RTOL * k. Raises EnumerationError if any
+    index is still open after _NEWTON_MAX_ITER steps.
     """
     node_step = math.pi / iv.length
     lo = np.maximum((n - 2) * node_step, 0.0)
@@ -298,8 +316,9 @@ def _phase_roots(iv, n, k_max):
         # The initial ends are bounds, not evaluated points: a root within
         # rounding of one is reached by stepping onto it.
         inside = (lo <= newton) & (newton <= hi) & (newton > 0.0)
-        take = converged | (inside & (np.abs(dk) <= 0.5 * before))
-        new = np.where(take, newton, 0.5 * (lo + hi))
+        take = converged | (inside & (np.abs(dk) <= np.minimum(0.5 * before, last)))
+        middle = np.where(lo > 0.0, np.sqrt(lo) * np.sqrt(hi), 0.5 * (lo + hi))
+        new = np.where(take, newton, middle)
         last, before = np.abs(new - k), last
         done = converged | (last <= _ROOT_RTOL * new)
         if done.any():
@@ -365,6 +384,137 @@ def enumerate_eigenvalues(iv, lam_max):
             )
     cert = SpectrumCertificate(sum(lam <= lam_max for lam in negatives), positives.size, positives.size)
     return Spectrum1D(tuple(eigenvalues), lam_max, cert)
+
+
+@dataclass(frozen=True)
+class BandSum:
+    value: float  # sum of lam - lambda_n over the counted roots
+    count: int  # roots with lam - lambda_n > 0 in floating point
+    error: float  # bound on |value - exact sum|, roots taken within _ROOT_RTOL
+    closed_form: bool  # Euler-Maclaurin closed form taken, not the explicit sum
+
+
+def band_sum(iv, n_below, lam):
+    """Sum of (lam - lambda_n)_+ over the eigenvalues above the lowest n_below.
+
+    The band is the phase indices a = n_below + 1 .. N = N(lam), all positive
+    roots; a root with lam - lambda_n <= 0 in floating point is not counted.
+    With k(n) the root of Phi(k) = n pi and g(n) = lam - k(n)^2,
+    Euler-Maclaurin summation over n gives
+
+        sum_{n=a..N} g(n) = G(k_N) - G(k_a) + (g_a + g_N) / 2 + (g'_N - g'_a) / 12 + R,
+
+    with G(k) = [lam L k - L k^3 / 3 + sum_{c != 0} ((lam + c^2) arctan(k / c) - c k)] / pi
+    the antiderivative of (lam - k^2) Phi'(k) / pi and g' = -2 pi k / Phi'(k).
+    So only k_a and k_N are solved. |R| <= 2 zeta(3) / (2 pi)^3 int |g'''| dn,
+    bounded analytically over the band (_remainder_bound). The closed form is
+    taken only when that bound is at most eps * value and its rounding bound
+    at most _CLOSED_FORM_RTOL * value. Otherwise (short bands, a bound that
+    is not finite or not small, huge couplings) every root of the band is
+    solved and the terms are summed by math.fsum. The reported error adds
+    the rounding of either sum to that bound.
+
+    Raises EnumerationError when the explicit path does not solve N - a + 1
+    increasing roots.
+    """
+    lam = float(lam)
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"band cutoff must be positive and finite, got {lam!r}")
+    if n_below < _nonpositive_count(iv):
+        raise ValueError(f"the band must start above the {_nonpositive_count(iv)} "
+                         f"nonpositive eigenvalues of {iv}, got n_below = {n_below}")
+    n_top = _phase_count(iv, lam)
+    if n_top <= n_below:
+        return BandSum(0.0, 0, 0.0, False)
+    # The bound only grows with its interval, [a pi / L, (N - 2) pi / L] lies
+    # inside [k_a, k_N], and the value is below (N - a + 1) lam: a band that
+    # fails the test on those is summed without solving its ends.
+    node = math.pi / iv.length
+    if (n_top - n_below >= 4 and _remainder_bound(iv, (n_below + 1) * node, (n_top - 2) * node)
+            <= _EPS * (n_top - n_below) * lam):
+        k_a, k_n = _phase_roots(iv, np.array([n_below + 1, n_top]), math.sqrt(lam)).tolist()
+        bound = _remainder_bound(iv, k_a, k_n)
+        value, rounding = _closed_form_band(iv, k_a, k_n, lam)
+        if bound <= _EPS * value and rounding <= _CLOSED_FORM_RTOL * value:
+            count = n_top - n_below - (lam - k_n * k_n <= 0.0)
+            return BandSum(value, count, bound + rounding, True)
+    roots = _positive_eigenvalues(iv, n_below, n_top, lam)
+    if roots.size != n_top - n_below or np.any(np.diff(roots) <= 0.0):
+        raise EnumerationError(
+            f"band of {iv} below {lam}: {roots.size} increasing roots solved, "
+            f"indices {n_below + 1}..{n_top} need {n_top - n_below}")
+    terms = lam - roots
+    terms = terms[terms > 0.0]
+    value = math.fsum(terms.tolist())
+    return BandSum(value, terms.size, 2.0 * _ROOT_RTOL * lam * terms.size + _EPS * value, False)
+
+
+def _slope_part(c, k):
+    """c / (k^2 + c^2), one coupling's part of Phi'(k), and its k-derivative."""
+    r = k * k + c * c
+    return c / r, -2.0 * c * k / (r * r)
+
+
+def _remainder_bound(iv, k_a, k_n):
+    """2 zeta(3) / (2 pi)^3 times a bound on int |g'''| dn over the band [k_a, k_n].
+
+    With dn = Phi' dk / pi,
+    |g'''| dn = 2 pi^2 |k Phi''' Phi' + 3 (Phi' - k Phi'') Phi''| / Phi'^4 dk.
+    Each coupling c adds p = c / (k^2 + c^2) to Phi', p' to Phi'' and p'' to
+    Phi'''. Since p is monotone, Phi' lies between the sums of its end values,
+    and int |p'| dk = |p(k_N) - p(k_a)|. p'' changes sign only at
+    k = |c| / sqrt(3), and k p'' = (k p' - p)', so int k |p''| dk is a sum of
+    differences of k p' - p. k |p'| = 2 |c| k^2 / (k^2 + c^2)^2 peaks at
+    k = |c|. Returns inf when Phi' may vanish on the band.
+    """
+    slope_min = slope_max = iv.length
+    curl = turn = peak = 0.0  # sums of int k |p''|, int |p'| and max k |p'|
+    for c in (iv.c_left, iv.c_right):
+        nodes = [k_a, k_n]
+        if k_a < abs(c) / math.sqrt(3.0) < k_n:
+            nodes.insert(1, abs(c) / math.sqrt(3.0))
+        parts = [_slope_part(c, k) for k in nodes]
+        q = [k * dp - p for k, (p, dp) in zip(nodes, parts)]
+        curl += sum(abs(b - a) for a, b in zip(q[:-1], q[1:]))
+        p_a, p_n = parts[0][0], parts[-1][0]
+        slope_min += min(p_a, p_n)
+        slope_max += max(p_a, p_n)
+        turn += abs(p_n - p_a)
+        k_peak = min(max(abs(c), k_a), k_n)
+        peak += abs(k_peak * _slope_part(c, k_peak)[1])
+    if not slope_min > 0.0:
+        return math.inf
+    integral = 2.0 * math.pi**2 * (slope_max * curl + 3.0 * (slope_max + peak) * turn) / slope_min**4
+    return _EM_REMAINDER * integral
+
+
+def _closed_form_band(iv, k_a, k_n, lam):
+    """The Euler-Maclaurin sum over the band [k_a, k_n] and its rounding bound.
+
+    A last root with lam - k_n^2 <= 0 in floating point is taken out. The
+    rounding bound counts a few ulps of every term, and the change of the sum
+    when either end root moves by _ROOT_RTOL * k: its k-derivative at an end
+    is about g Phi' / pi + k + pi / Phi'.
+    """
+    length = iv.length
+    terms = []
+    sensitivity = 0.0
+    for sign, k in ((-1.0, k_a), (1.0, k_n)):
+        slope = length + sum(_slope_part(c, k)[0] for c in (iv.c_left, iv.c_right))
+        g = lam - k * k
+        parts = [lam * length * k, -length * k**3 / 3.0]
+        for c in (iv.c_left, iv.c_right):
+            if c != 0.0:
+                parts += [(lam + c * c) * math.atan(k / c), -c * k]
+        terms += [sign * t / math.pi for t in parts]
+        terms += [0.5 * g, sign * (-2.0 * math.pi * k / slope) / 12.0]
+        sensitivity += _ROOT_RTOL * k * (abs(g) * slope / math.pi + k + math.pi / slope)
+    if lam - k_n * k_n <= 0.0:
+        terms.append(k_n * k_n - lam)
+    rounding = 8.0 * _EPS * math.fsum(abs(t) for t in terms) + sensitivity
+    if not math.isfinite(rounding):  # a term overflows, as lam + c^2 does for huge c
+        return math.nan, rounding
+    return math.fsum(terms), rounding
 
 
 def fd_oracle(iv, n_grid, n_eigs):

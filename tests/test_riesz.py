@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from robin_semiclassics import coeffs
+from robin_semiclassics import coeffs, riesz
 from robin_semiclassics.riesz import (
     BoxDomain,
     _pair_trace,
@@ -194,3 +194,36 @@ def test_pair_trace_bit_identical_to_loop(box, h, exits_early):
     # Whether the last partner eigenvalue passes the cutoff, i.e. the loop breaks.
     assert (combined[0] + spectra[-1][-1] >= h**-2) == exits_early
     assert _pair_trace(combined, spectra[-1], h) == pair_trace_loop(combined, spectra[-1], h)
+
+
+@pytest.mark.parametrize("box,h,paths", [
+    # Large regime gamma = 1/4, b0 = -1: b = -h^(-1/4). Uniform axes have two
+    # bound states each, each pairing with the band of the other axis.
+    (BoxDomain.uniform((1.0, SQ2), -(1e-3 ** -0.25)), 1e-3, (False,) * 4),
+    (BoxDomain.uniform((1.0, SQ2), -(2e-4 ** -0.25)), 2e-4, (True,) * 4),
+    (BoxDomain.uniform((1.0, SQ2), -1.0), 4e-5, (True,) * 4),
+    (BoxDomain((0.8, 1.7), ((-2.0, 0.5), (1.0, -0.3))), 0.1, (False, False)),
+    # The first band, 112 roots above index 2547, fails both the remainder
+    # and the rounding test of the closed form.
+    (BoxDomain((0.8, 1.7), ((-2.0, 0.5), (1.0, -0.3))), 1e-4, (False, True)),
+    # The same facets in the large regime gamma = 1/4.
+    (BoxDomain((0.8, 1.7), ((-2.0 * 2e-4 ** -0.25, 0.5 * 2e-4 ** -0.25),
+                            (1.0 * 2e-4 ** -0.25, -0.3 * 2e-4 ** -0.25))), 2e-4, (True, True)),
+])
+def test_band_sums_match_the_inflated_enumeration(monkeypatch, box, h, paths):
+    # riesz_mean cuts both axes at h^-2 and adds the bands above the cut, in
+    # closed form where certified; axis_spectra enumerates them all.
+    taken = []
+    band_sum = riesz.band_sum
+
+    def recorded(*args):
+        band = band_sum(*args)
+        taken.append(band.closed_form)
+        return band
+
+    monkeypatch.setattr(riesz, "band_sum", recorded)
+    rep = riesz_mean(box, h)
+    trace, count = _pair_trace(*axis_spectra(box, h), h)
+    assert abs(rep.trace - trace) <= 1e-14 * trace
+    assert rep.eig_count == count
+    assert tuple(taken) == paths

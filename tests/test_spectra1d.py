@@ -321,6 +321,141 @@ def test_deepest_finite_couplings_enumerate():
         assert abs(lam - (n * math.pi) ** 2) <= 1e-14 * lam
 
 
+@pytest.mark.parametrize("length,cl,cr", [(0.13, 0.0, 1.8e-12), (1.0, 1e-10, 0.0)])
+def test_ground_state_far_below_its_bracket_takes_few_phase_evaluations(monkeypatch, length, cl, cr):
+    # The ground state k ~ sqrt(c / L) lies ten decades below its bracket
+    # (0, pi / L); halving k alone took 49 and 38 phase evaluations.
+    iv = RobinInterval(length, cl, cr)
+    calls = []
+    phase_offset = spectra1d._phase_offset
+
+    def counted(*args):
+        calls.append(1)
+        return phase_offset(*args)
+
+    monkeypatch.setattr(spectra1d, "_phase_offset", counted)
+    eigenvalues = enumerate_eigenvalues(iv, 1000.0).eigenvalues
+    assert len(calls) <= 15
+    with mpmath.workdps(40):
+        L, a, b = mpmath.mpf(length), mpmath.mpf(cl), mpmath.mpf(cr)
+        for n, lam in enumerate(eigenvalues, start=1):
+            exact = mpmath.findroot(
+                lambda k: k * L + mpmath.atan2(k, a) + mpmath.atan2(k, b) - n * mpmath.pi,
+                mpmath.sqrt(mpmath.mpf(lam))) ** 2
+            assert abs(lam - exact) <= 1e-14 * exact, (n, lam, exact)
+
+
+def band_start(iv, h):
+    """(n_below, lam) for the band above the cut h^-2 (1 + 1e-12) of iv's
+    spectrum, up to h^-2 minus the deepest bound state of the same interval."""
+    n_below = len(enumerate_eigenvalues(iv, h**-2 * (1.0 + 1e-12)).eigenvalues)
+    return n_below, h**-2 - negative_eigenvalues(iv)[0]
+
+
+def explicit_band(iv, n_below, lam):
+    roots = np.array([x for x in enumerate_eigenvalues(iv, lam).eigenvalues[n_below:] if lam - x > 0.0])
+    return math.fsum((lam - roots).tolist()), roots.size
+
+
+@pytest.mark.parametrize("length,h", [(1.0, 4e-5), (math.sqrt(2.0), 5e-4)])
+def test_band_sum_closed_form_within_its_bound_of_mpmath(length, h):
+    # Fixed b = -1 at h = 4e-5 (3296 roots) and the large regime gamma = 1/4
+    # at h = 5e-4 (5187 roots): each band root refined to 30 digits by Newton
+    # on Phi(k) = n pi, and the terms summed in 30 digits.
+    c = -1.0 / h if length == 1.0 else -h**-1.25
+    iv = RobinInterval(length, c, c)
+    n_below, lam = band_start(iv, h)
+    band = spectra1d.band_sum(iv, n_below, lam)
+    assert band.closed_form
+    n_top = spectra1d._phase_count(iv, lam)
+    assert 3000 <= band.count == n_top - n_below
+    roots = np.sqrt(spectra1d._positive_eigenvalues(iv, n_below, n_top, lam))
+    with mpmath.workdps(30):
+        L, cm, pi = mpmath.mpf(length), mpmath.mpf(c), mpmath.pi
+        total = mpmath.mpf(0)
+        for n, k in enumerate(roots.tolist(), start=n_below + 1):
+            k = mpmath.mpf(k)
+            for _ in range(2):
+                phase = k * L + 2 * mpmath.atan2(k, cm) - n * pi
+                k -= phase / (L + 2 * cm / (k * k + cm * cm))
+            total += mpmath.mpf(lam) - k * k
+        error = abs(mpmath.mpf(band.value) - total)
+    assert error <= band.error <= 1e-13 * band.value, (error, band.error)
+
+
+def test_band_sum_short_band_takes_the_explicit_path():
+    # h = 0.1, b = -2: the three-term Euler-Maclaurin sum over these four
+    # roots is 7e-7 off, inside its remainder bound, so they are summed one
+    # by one.
+    iv = RobinInterval(1.0, -20.0, -20.0)
+    n_below, lam = band_start(iv, 0.1)
+    band = spectra1d.band_sum(iv, n_below, lam)
+    assert not band.closed_form
+    value, count = explicit_band(iv, n_below, lam)
+    assert (band.value, band.count) == (value, count)
+    n_top = spectra1d._phase_count(iv, lam)
+    k_a, k_n = spectra1d._phase_roots(iv, np.array([n_below + 1, n_top]), math.sqrt(lam)).tolist()
+    closed, rounding = spectra1d._closed_form_band(iv, k_a, k_n, lam)
+    bound = spectra1d._remainder_bound(iv, k_a, k_n)
+    assert 1e-7 * value < abs(closed - value) <= bound + rounding
+
+
+def test_band_sum_uncertifiable_bound_takes_the_explicit_path(monkeypatch):
+    # From the ground state at k = 0.336 on, Phi' = 1 + 3 / (k^2 + 9) - 0.7 / (k^2 + 0.49)
+    # is bounded below only by 1 - 1.16 + 0.008 < 0, so no remainder bound exists.
+    iv = RobinInterval(1.0, 3.0, -0.7)
+    k_a, k_n = spectra1d._phase_roots(iv, np.array([1, spectra1d._phase_count(iv, 400.0)]), 20.0)
+    assert spectra1d._remainder_bound(iv, k_a, k_n) == math.inf
+    band = spectra1d.band_sum(iv, 0, 400.0)
+    assert not band.closed_form
+    assert (band.value, band.count) == explicit_band(iv, 0, 400.0)
+    # A band that takes the closed form, once its bound over the solved end
+    # roots (the second call; the first screens the inner interval) is NaN.
+    iv = RobinInterval(1.0, -2.5e4, -2.5e4)
+    n_below, lam = band_start(iv, 4e-5)
+    assert spectra1d.band_sum(iv, n_below, lam).closed_form
+    calls = []
+    remainder_bound = spectra1d._remainder_bound
+
+    def ends_fail(*args):
+        calls.append(args)
+        return remainder_bound(*args) if len(calls) == 1 else math.nan
+
+    monkeypatch.setattr(spectra1d, "_remainder_bound", ends_fail)
+    band = spectra1d.band_sum(iv, n_below, lam)
+    assert not band.closed_form and len(calls) == 2
+    assert (band.value, band.count) == explicit_band(iv, n_below, lam)
+
+
+@pytest.mark.parametrize("c", [1e100, 1e200])
+def test_band_sum_huge_coupling_takes_the_explicit_path(c):
+    # (lam + c^2) arctan(k / c) - c k cancels to nothing at c = 1e100 and
+    # overflows at c = 1e200, though the remainder bound is 0 for both.
+    iv = RobinInterval(1.0, c, 0.0)
+    band = spectra1d.band_sum(iv, 0, 1e8)
+    assert not band.closed_form
+    assert (band.value, band.count) == explicit_band(iv, 0, 1e8)
+    k_a, k_n = spectra1d._phase_roots(iv, np.array([1, band.count]), 1e4).tolist()
+    assert spectra1d._remainder_bound(iv, k_a, k_n) == 0.0
+    closed, rounding = spectra1d._closed_form_band(iv, k_a, k_n, 1e8)
+    assert not abs(closed - band.value) <= 1e-12 * band.value
+
+
+def test_band_sum_fails_loudly(monkeypatch):
+    iv = RobinInterval(1.0, -20.0, -20.0)
+    n_below, lam = band_start(iv, 0.1)
+    with pytest.raises(ValueError):
+        spectra1d.band_sum(iv, 1, lam)  # below the two bound states
+    with pytest.raises(ValueError):
+        spectra1d.band_sum(iv, n_below, math.inf)
+    assert spectra1d.band_sum(iv, n_below, 50.0) == spectra1d.BandSum(0.0, 0, 0.0, False)
+    positive_eigenvalues = spectra1d._positive_eigenvalues
+    monkeypatch.setattr(spectra1d, "_positive_eigenvalues",
+                        lambda *args: positive_eigenvalues(*args)[1:])
+    with pytest.raises(EnumerationError):
+        spectra1d.band_sum(iv, n_below, lam)
+
+
 # Property tests on random intervals. Counts are taken a relative 1e-9 off
 # each node, far above the root error, so no comparison is a float tie.
 NODE_GAP = 1e-9
