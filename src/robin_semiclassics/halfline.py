@@ -13,10 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError
-from .quadrature import adaptive_quadrature
+from .quadrature import adaptive_quadrature, panel_rule
 
 _HALF_PI = 0.5 * math.pi
 _PHI_SPACING = math.pi / 16.0  # widest phi panel, whatever t is
+_TAIL_PANELS = 1024  # bounds the (t, phi node) arrays of one tail block to about 120 kB each
 
 
 def _check_t(t):
@@ -96,6 +97,19 @@ def _phi_mesh(b, t_max):
     return np.array(sorted(cuts))
 
 
+def _i_b_integrand(d, b, t):
+    """The I_b(t) integrand in phi; a column of t values gives one row per t."""
+
+    def integrand(phi):
+        sin_phi = np.sin(phi)
+        cos_phi = np.cos(phi)
+        fc, fs = _kernel_factors(d, b, sin_phi, cos_phi)
+        arg = 2.0 * t * sin_phi
+        return fc * np.cos(arg) + fs * np.sin(arg)
+
+    return integrand
+
+
 def i_b(d, b, t, abs_tol=1e-9):
     """Kernel I_b(t): the p-integral over [0, 1] of the oscillatory model density.
 
@@ -104,16 +118,30 @@ def i_b(d, b, t, abs_tol=1e-9):
     """
     b, t = _check_b(b), _check_t(t)
     mesh = _phi_mesh(b, t)
-
-    def integrand(phi):
-        sin_phi = np.sin(phi)
-        cos_phi = np.cos(phi)
-        fc, fs = _kernel_factors(d, b, sin_phi, cos_phi)
-        return fc * np.cos(2.0 * t * sin_phi) + fs * np.sin(2.0 * t * sin_phi)
-
-    res = adaptive_quadrature(integrand, 0.0, _HALF_PI, abs_tol=abs_tol,
+    res = adaptive_quadrature(_i_b_integrand(d, b, t), 0.0, _HALF_PI, abs_tol=abs_tol,
                               breakpoints=mesh[1:-1], max_panels=60000)
     return KernelSample(t=t, value=res.value)
+
+
+def _max_abs_i_b(d, b, ts, abs_tol=1e-9):
+    """max |I_b(t)| over ``ts``, evaluated on the one mesh i_b uses at max(ts).
+
+    That mesh resolves the oscillation of every smaller t. The t values go
+    through panel_rule in blocks of at most _TAIL_PANELS t-panel pairs; a t
+    whose summed Gauss-Kronrod error exceeds abs_tol falls back to its own
+    adaptive i_b.
+    """
+    mesh = _phi_mesh(b, float(ts.max()))
+    rows = max(1, _TAIL_PANELS // (mesh.size - 1))
+    amp = 0.0
+    for start in range(0, ts.size, rows):
+        block = ts[start:start + rows]
+        kron, err = panel_rule(_i_b_integrand(d, b, block[:, None]), mesh[:-1], mesh[1:])
+        values = kron.sum(axis=-1)
+        for k in np.flatnonzero(err.sum(axis=-1) > abs_tol):
+            values[k] = i_b(d, b, block[k], abs_tol).value
+        amp = max(amp, float(np.abs(values).max()))
+    return amp
 
 
 def _i_b_partial(d, b, big_t, abs_tol):
@@ -163,7 +191,7 @@ def i_b_integral(d, b, abs_tol=1e-7):
     value = 0.5 * (head.value + full.value)
     extra = full.value - head.value
     quad_err = head.error_estimate + full.error_estimate
-    last_amp = max(abs(i_b(d, b, t).value) for t in np.linspace(big_t, t_end, 31))
+    last_amp = _max_abs_i_b(d, b, np.linspace(big_t, t_end, 31))
     tail_estimate = max(abs(extra), last_amp * 0.25 * math.pi) * (4.0 / big_t)
     if tail_estimate + quad_err > abs_tol:
         raise QuadratureError(

@@ -58,16 +58,19 @@ class QuadResult:
 def panel_rule(f, lo, hi):
     """Kronrod values and Gauss-Kronrod error estimates on a batch of panels.
 
-    ``f`` must accept a flat ndarray and return values elementwise.
+    ``f`` must accept a flat ndarray and return values elementwise, along
+    the last axis; leading axes of its result (a family of integrands on
+    the same nodes) carry through to both returned arrays.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     x = mid[:, None] + half[:, None] * _GK_NODES[None, :]
-    y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    kron = (y * _GK_WEIGHTS).sum(axis=1) * half
-    gauss = (y[:, _GAUSS_INDEX] * _GAUSS_WEIGHTS).sum(axis=1) * half
+    y = np.asarray(f(x.ravel()), dtype=float)
+    y = y.reshape(y.shape[:-1] + x.shape)
+    kron = (y * _GK_WEIGHTS).sum(axis=-1) * half
+    gauss = (y[..., _GAUSS_INDEX] * _GAUSS_WEIGHTS).sum(axis=-1) * half
     return kron, np.abs(kron - gauss)
 
 

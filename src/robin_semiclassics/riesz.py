@@ -6,7 +6,11 @@ sum of (1 - h^2 lambda)_+ over tuples of per-axis interval eigenvalues,
 evaluated by sorted prefix sums so that no O(N^2) pass is needed. In 2-D
 both axes are enumerated only up to h^-2; the roots above it, which pair
 only with the other axis's bound states, enter as band sums
-(spectra1d.band_sum), in closed form where certified.
+(spectra1d.band_sum), in closed form where certified. For d >= 3 the axes
+split into halves 0..ceil(d/2)-1 and ceil(d/2)..d-1; each half folds into
+sorted partial sums below the cutoff, and the two sorted arrays are paired
+by the same prefix sums (meet in the middle), so no (d-1)-axis tuple array
+is built.
 """
 
 from __future__ import annotations
@@ -172,12 +176,18 @@ def riesz_mean(box, h):
         trace, count = _band_trace(box, h)
     else:
         # A tuple can have two axes above h^-2 here, so the spectra stay exhaustive.
+        # Each half folds into sorted partial sums, cut at h^-2 less the floors of
+        # every axis not yet summed, and _pair_trace pairs the two halves.
         spectra = axis_spectra(box, h)
-        combined = spectra[0]
-        for i in range(1, box.d - 1):
-            allowance = sum(min(0.0, float(spec.min())) for spec in spectra[i + 1:])
-            combined = _reduce_pair(combined, spectra[i], h**-2 - allowance)
-        trace, count = _pair_trace(combined, spectra[-1], h)
+        floors = [min(0.0, float(spec.min())) for spec in spectra]
+        halves = []
+        for axes in (range((box.d + 1) // 2), range((box.d + 1) // 2, box.d)):
+            combined = spectra[axes[0]]
+            for i in axes[1:]:
+                allowance = sum(f for j, f in enumerate(floors) if j not in axes or j > i)
+                combined = _reduce_pair(combined, spectra[i], h**-2 - allowance)
+            halves.append(combined)
+        trace, count = _pair_trace(*halves, h)
     weyl = weyl_term(box, h)
     return RieszReport(
         h=h,

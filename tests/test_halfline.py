@@ -181,3 +181,37 @@ def test_negative_t_rejected():
                      lambda: halfline.reconstruct(0.5, "exp_decay", bad)):
             with pytest.raises(ValueError, match="finite"):
                 call()
+
+
+def _tail_points(d, b):
+    # The 31 points of [T, T + pi/2] at which i_b_integral samples |I_b|.
+    t_need = max(200.0, (2.0 * math.pi / 1e-7) ** (2.0 / (d + 5)))
+    if b != 0.0:
+        t_need = max(t_need, 50.0 / abs(b))
+    n_quarter = math.ceil(t_need / (0.25 * math.pi))
+    return np.linspace(0.25 * math.pi * n_quarter, 0.25 * math.pi * (n_quarter + 2), 31)
+
+
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("b", [-2.0, -0.5, -0.1, 0.0, 0.5, 2.0])
+def test_shared_mesh_tail_amplitude_matches_per_t_i_b(d, b):
+    ts = _tail_points(d, b)
+    per_t = max(abs(halfline.i_b(d, b, t).value) for t in ts)
+    assert abs(halfline._max_abs_i_b(d, b, ts) - per_t) <= 1e-9
+
+
+def test_shared_mesh_tail_amplitude_falls_back_per_t(monkeypatch):
+    # Rows whose error estimate misses the tolerance are recomputed by i_b,
+    # so a wrong value on such a row cannot reach the maximum.
+    d, b = 2, -0.5
+    ts = _tail_points(d, b)
+    panel_rule = halfline.panel_rule
+
+    def failing_rows(f, lo, hi):
+        kron, err = panel_rule(f, lo, hi)
+        kron[::10], err[::10] = 1.0, 1.0
+        return kron, err
+
+    monkeypatch.setattr(halfline, "panel_rule", failing_rows)
+    per_t = max(abs(halfline.i_b(d, b, t).value) for t in ts)
+    assert abs(halfline._max_abs_i_b(d, b, ts) - per_t) <= 1e-9

@@ -73,6 +73,19 @@ def test_bruteforce_equivalence_d3():
     assert abs(rep.trace - trace_bruteforce(box, 0.15)) <= 1e-10 * max(1.0, rep.trace)
 
 
+@pytest.mark.parametrize("box,h", [
+    (BoxDomain((1.0, 1.3, 0.9, 1.1), ((-1.0, 0.0), (0.5, 0.5), (-0.5, 2.0), (-2.0, -0.3))), 0.15),
+    (BoxDomain.uniform((1.0, 1.2, 0.9, 1.1), -1.0), 0.1),
+    (BoxDomain((0.8,) * 5, ((-1.0, 0.0), (0.5, 0.5), (-0.5, 2.0), (-2.0, -0.3), (1.0, -1.5))),
+     0.2),
+])
+def test_bruteforce_equivalence_d4_d5(box, h):
+    # Negative floors on both halves of the axis split exercise the cutoff
+    # allowance that one half takes for the other.
+    rep = riesz_mean(box, h)
+    assert abs(rep.trace - trace_bruteforce(box, h)) <= 1e-10 * max(1.0, rep.trace)
+
+
 def test_single_mode_hand_count():
     # h = 0.24 on the unit square: per-axis spectrum below cutoff is {0, pi^2},
     # so the trace is 1 + 2 (1 - h^2 pi^2) by hand.
@@ -227,3 +240,33 @@ def test_band_sums_match_the_inflated_enumeration(monkeypatch, box, h, paths):
     assert abs(rep.trace - trace) <= 1e-14 * trace
     assert rep.eig_count == count
     assert tuple(taken) == paths
+
+
+def _longdouble_trace(box, h):
+    """Trace and count from the two halves' full pair sums, all in long double."""
+    spectra = [spec.astype(np.longdouble) for spec in axis_spectra(box, h)]
+    h2 = np.longdouble(h) * np.longdouble(h)
+    halves = []
+    for axes in ((0, 1), (2, 3)):
+        sums = (spectra[axes[0]][:, None] + spectra[axes[1]][None, :]).ravel()
+        sums.sort()
+        halves.append(sums)
+    first, second = halves
+    prefix = np.concatenate(([np.longdouble(0.0)], np.cumsum(first)))
+    counts = np.searchsorted(first, 1.0 / h2 - second, side="left")
+    terms = counts * (1.0 - h2 * second) - h2 * prefix[counts]
+    return terms.sum(), int(counts.sum())
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("b", [1.0, -1.0])
+def test_d4_trace_within_1e14_of_long_double(b):
+    # The prefix sums run over one half's pair sums, tens of thousands of
+    # entries, rather than millions of three-axis sums.
+    box = BoxDomain.uniform((1.0, SQ2, math.sqrt(3.0), math.sqrt(5.0)), b)
+    h = 1.5e-3
+    rep = riesz_mean(box, h)
+    ref, count = _longdouble_trace(box, h)
+    assert abs(np.longdouble(rep.trace) - ref) <= 1e-14 * ref
+    assert rep.eig_count == count
