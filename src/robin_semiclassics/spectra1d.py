@@ -9,9 +9,10 @@ counts the spectrum exactly: floor(Phi(k) / pi) eigenvalues lie at or below
 k^2 > 0 (Pryce, Numerical Solution of Sturm-Liouville Problems, 1993). So the
 n-th eigenvalue is the one point where Phi - n pi turns from negative to
 positive, inside ((n - 2) pi / L, n pi / L), and each positive one is solved
-by safeguarded Newton steps on Phi. At most two negative eigenvalues are
-located on the hyperbolic branch. The count is the completeness certificate,
-with no slack: N(0+) nonpositive eigenvalues and N(lam_max) in all.
+by safeguarded Newton steps on Phi. The negative ones, at most two, are the
+kappa where the two eigenvalue branches of the boundary form B(kappa) cross
+0 (lambda = -kappa^2); B(0) gives N(0+). The count is the completeness
+certificate, with no slack: N(0+) nonpositive eigenvalues and N(lam_max) in all.
 
 band_sum gives the sum of (lam - lambda_n)_+ over a band of high indices by
 Euler-Maclaurin summation over the phase index, from the band's two end
@@ -66,7 +67,7 @@ class RobinInterval:
         if not (math.isfinite(self.c_left) and math.isfinite(self.c_right)):
             raise ValueError("Robin coefficients must be finite")
         # Both bound the arithmetic below: the zero condition forms
-        # c_l c_r L, and the hyperbolic branch squares its kappa bound.
+        # c_l c_r L, and eigenvalue_bracket squares the kappa bound.
         if not math.isfinite(self.c_left * self.c_right * self.length):
             raise ValueError(f"c_left * c_right * length overflows for {self}")
         kappa_max = _kappa_upper_bound(self)
@@ -104,18 +105,6 @@ def secular_negative(iv, kappa):
     return (kappa * kappa + iv.c_left * iv.c_right) * math.sinh(kl) + kappa * (iv.c_left + iv.c_right) * math.cosh(kl)
 
 
-def _secular_negative_scaled(iv, kappa):
-    # secular_negative / cosh(kappa L): same zeros, no overflow for deep wells.
-    kl = kappa * iv.length
-    cl, cr = iv.c_left, iv.c_right
-    if kl <= 1.0:
-        return (kappa * kappa + cl * cr) * math.tanh(kl) + kappa * (cl + cr)
-    # (kappa + c_l)(kappa + c_r) - (kappa^2 + c_l c_r)(1 - tanh(kappa L)): the
-    # two terms of the tanh form cancel for deep, nearly degenerate pairs.
-    decay = math.exp(-2.0 * kl)
-    return (kappa + cl) * (kappa + cr) - (kappa * kappa + cl * cr) * (2.0 * decay / (1.0 + decay))
-
-
 def _kappa_upper_bound(iv):
     # Variational bound: lambda_0 >= -(G/L + G^2) with G the total negative
     # coupling, so every root satisfies kappa <= sqrt(G/L + G^2). The
@@ -130,7 +119,7 @@ def eigenvalue_bracket(iv, lam):
     """Interval (lo, hi) holding the eigenvalue ``lam`` of ``iv``.
 
     A negative eigenvalue lies in [-kappa_max^2, 0] with kappa_max the
-    variational bound on the hyperbolic branch; a positive one lies
+    variational depth bound; a positive one lies
     between the squared Dirichlet nodes n pi / L enclosing sqrt(lam).
     """
     if lam < 0.0:
@@ -143,87 +132,66 @@ def eigenvalue_bracket(iv, lam):
     return (n * node) ** 2, ((n + 1) * node) ** 2
 
 
-def _dedupe_sorted(values):
-    out = []
-    for v in sorted(values):
-        if not out or abs(v - out[-1]) > 1e-9 * max(1.0, abs(v)):
-            out.append(v)
-    return out
+def _boundary_form_branch(kappa, iv, upper):
+    """mu_hi(kappa) if upper else mu_lo(kappa), the eigenvalues of B(kappa), kappa > 0.
 
-
-def _kappa_root(f, a, b):
-    # Relative tolerance only: brentq's default absolute xtol = 2e-12 would
-    # swamp shallow states (kappa ~ 1e-4 and below). Bisecting down to a
-    # kappa near 1e-300 takes about a thousand steps, hence maxiter.
-    return brentq(f, a, b, xtol=1e-300, rtol=1e-15, maxiter=2000)
+    B(kappa) = kappa [[coth kL, -csch kL], [-csch kL, coth kL]] + diag(c_l, c_r) is
+    the Dirichlet-to-Neumann map of -u'' + kappa^2 u plus the couplings. The branch
+    of larger magnitude is mean -+ spread, the other det B over it, with det B =
+    (kappa coth(kL/2) + c_l)(kappa tanh(kL/2) + c_r) + (c_l - c_r) kappa csch kL for
+    kL <= 1 (the odd and even equations' product if c_l = c_r), and else
+    (kappa + c_l)(kappa + c_r) + (c_l + c_r) kappa (coth kL - 1).
+    """
+    cl, cr = iv.c_left, iv.c_right
+    kl = kappa * iv.length
+    if kl <= 1.0:
+        t = math.tanh(0.5 * kl)
+        odd = kappa / t  # kappa coth(kL/2)
+        cross = 0.5 * odd * (1.0 - t * t)  # kappa csch kL
+        det = (odd + cl) * (kappa * t + cr) + (cl - cr) * cross
+        mean = 0.5 * odd * (1.0 + t * t) + 0.5 * (cl + cr)
+    else:
+        decay = math.exp(-kl)
+        cross = 2.0 * kappa * decay / (1.0 - decay * decay)
+        excess = cross * decay  # kappa (coth kL - 1)
+        det = (kappa + cl) * (kappa + cr) + (cl + cr) * excess
+        mean = (kappa + 0.5 * (cl + cr)) + excess
+    spread = math.hypot(0.5 * (cl - cr), cross)
+    big = mean - spread if mean < 0.0 else mean + spread
+    small = det / big if big != 0.0 else 0.0  # big = 0 only where B = 0
+    return small if (mean < 0.0) == upper else big
 
 
 def negative_eigenvalues(iv):
     """All negative eigenvalues (at most two), sorted ascending.
 
-    When the zero condition places an eigenvalue at 0, that state is not
-    reported here even if it truly lies just below 0.
+    -kappa^2 is one exactly where a branch of B(kappa) crosses 0. Both rise
+    strictly from B(0) (see _nonpositive_count) to positive values at the
+    depth bound, so N(0+) branches cross, less one for a zero state, which is
+    not reported here even if it truly lies just below 0. Raises
+    EnumerationError if a branch that must cross shows no sign change.
     """
-    cl, cr = iv.c_left, iv.c_right
-    if cl >= 0.0 and cr >= 0.0:
-        return []
-    length = iv.length
-    kappa_max = _kappa_upper_bound(iv)
-    roots = []
-    if cl == cr:
-        # Symmetric well: even/odd factorization. Both branches are strictly
-        # monotone, which keeps deep, nearly-degenerate pairs resolvable.
-        gamma = -cl
-        roots.append(_kappa_root(lambda k: k * math.tanh(0.5 * length * k) - gamma,
-                                 1e-300, kappa_max))
-        if gamma > 2.0 / length:
-            roots.append(_kappa_root(lambda k: k / math.tanh(0.5 * length * k) - gamma,
-                                     1e-12 * kappa_max, kappa_max))
-    else:
-        grid = set(np.linspace(0.0, kappa_max, 401)[1:].tolist())
-        if not _zero_eigenvalue_present(iv):
-            # f(kappa) = kappa (c_l + c_r + c_l c_r L) + O(kappa^3): a shallow
-            # state can lie below every other grid point.
-            grid.add(1e-300)
-        for g0 in (max(-cl, 0.0), max(-cr, 0.0)):
-            if g0 > 0.0:
-                for e in range(-48, 3):
-                    step = g0 * 2.0**e
-                    for cand in (g0 - step, g0 + step, g0):
-                        if 0.0 < cand <= kappa_max:
-                            grid.add(cand)
-        grid = sorted(grid)
-        vals = [_secular_negative_scaled(iv, k) for k in grid]
-        for i in range(len(grid) - 1):
-            if vals[i] == 0.0:
-                roots.append(grid[i])
-            elif vals[i + 1] != 0.0 and (vals[i] < 0.0) != (vals[i + 1] < 0.0):
-                # Compare signs, not the product: near a deep root it underflows.
-                roots.append(_kappa_root(lambda k: _secular_negative_scaled(iv, k),
-                                         grid[i], grid[i + 1]))
-        if vals[-1] == 0.0:
-            roots.append(grid[-1])
-        # A double root pinched below float resolution shows up as an exact
-        # zero of (kappa + c_l)(kappa + c_r), once the tanh correction
-        # underflows, with no sign change around it.
-        for g0 in (max(-cl, 0.0), max(-cr, 0.0)):
-            if g0 > 0.0 and all(abs(r - g0) > 1e-9 * g0 for r in roots):
-                if _secular_negative_scaled(iv, g0) == 0.0:
-                    roots.append(g0)
-        roots = _dedupe_sorted(roots)
-    if len(roots) > 2:
-        raise EnumerationError(
-            f"found {len(roots)} negative-branch roots for {iv}; at most 2 are possible"
-        )
-    roots.sort()
-    if _zero_eigenvalue_present(iv) and len(roots) > _negative_trace(iv):
-        # The boundary form (see _nonpositive_count) then has eigenvalues 0
-        # and its trace, so only a negative trace leaves a state below 0; a
-        # root beyond that is the zero state itself, the shallowest one.
-        roots = roots[1:]
-    # A root whose square underflows is a zero eigenvalue, which
-    # enumerate_eigenvalues reports from the exact lambda = 0 condition.
-    return sorted(-k * k for k in roots if k * k > 0.0)
+    n_branches = _nonpositive_count(iv) - int(_zero_eigenvalue_present(iv))
+    # The lower end keeps kappa and kappa L normal, so B is accurate there.
+    ends = (1e-300 * max(1.0, 1.0 / iv.length), _kappa_upper_bound(iv))
+    kappas = []
+    for upper in (False, True)[:n_branches]:  # the lower branch first
+        if upper:
+            # mu_hi >= mu_lo crosses 0 first: its sign at the lower root says on
+            # which side of it the upper root lies, or that a pinched pair shares it.
+            at = _boundary_form_branch(kappas[0], iv, True)
+            if at == 0.0:
+                kappas.append(kappas[0])
+                break
+            ends = (ends[0], kappas[0]) if at > 0.0 else (kappas[0], ends[1])
+        try:
+            # Relative tolerance only, for shallow states: ~1000 steps reach 1e-300.
+            kappas.append(brentq(_boundary_form_branch, *ends, args=(iv, upper),
+                                 xtol=1e-300, rtol=1e-15, maxiter=2000))
+        except ValueError as exc:  # no sign change on the bracket, or a NaN
+            raise EnumerationError(f"the {'upper' if upper else 'lower'} branch of the boundary "
+                                   f"form of {iv} fails on {list(ends)}: {exc}") from exc
+    return sorted(-k * k for k in kappas)
 
 
 def _zero_eigenvalue_present(iv):
@@ -231,24 +199,21 @@ def _zero_eigenvalue_present(iv):
     return abs(z) <= _ZERO_EIG_RTOL * (1.0 + abs(iv.c_left * iv.c_right) * iv.length)
 
 
-def _negative_trace(iv):
-    return int(2.0 / iv.length + iv.c_left + iv.c_right < 0.0)
-
-
 def _nonpositive_count(iv):
     """N(0+), the number of eigenvalues <= 0.
 
     The quadratic form splits into a positive part on H^1_0 and its
     restriction to linear functions, the boundary form
-    [[1/L + c_l, -1/L], [-1/L, 1/L + c_r]] with determinant
+    B(0) = [[1/L + c_l, -1/L], [-1/L, 1/L + c_r]] with determinant
     (c_l + c_r + c_l c_r L) / L; N(0+) is that matrix's number of eigenvalues
     <= 0, with a zero one wherever _zero_eigenvalue_present says so.
     """
+    negative_trace = int(2.0 / iv.length + iv.c_left + iv.c_right < 0.0)
     if _zero_eigenvalue_present(iv):
-        return 1 + _negative_trace(iv)
+        return 1 + negative_trace
     if iv.c_left + iv.c_right + iv.c_left * iv.c_right * iv.length < 0.0:
         return 1
-    return 2 * _negative_trace(iv)
+    return 2 * negative_trace
 
 
 def _phase_count(iv, lam):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from robin_semiclassics import cli, coeffs, halfline
+from robin_semiclassics import cli, coeffs, halfline, spectra1d
 
 
 def run_cli(args, capsys):
@@ -78,6 +78,27 @@ def test_spectrum_negative_pair(capsys):
     _, columns, rows = parse_csv(out)
     lams = [float(dict(zip(columns, r))["lambda"]) for r in rows]
     assert sum(1 for lam in lams if lam < 0.0) == 2
+
+
+def test_spectrum_deep_near_degenerate_pair(capsys):
+    # The two wells' states differ by less than float resolution.
+    code, out, _ = run_cli(["spectrum", "--L", "1.4352426176743935", "--cl", "-2537.9354549289155",
+                            "--cr", "-2537.93545492892", "--Lambda", "100"], capsys)
+    assert code == 0
+    _, columns, rows = parse_csv(out)
+    lams = [float(dict(zip(columns, r))["lambda"]) for r in rows]
+    assert sum(1 for lam in lams if lam < 0.0) == 2
+
+
+def test_spectrum_uncertified_bound_state_exits_3(monkeypatch, capsys):
+    # A branch of the boundary form with no sign change is a certification
+    # failure (exit 3), not a usage error.
+    monkeypatch.setattr(spectra1d, "_boundary_form_branch", lambda kappa, iv, upper: 1.0)
+    code, out, err = run_cli(["spectrum", "--L", "1", "--cl", "-3", "--cr", "-3",
+                              "--Lambda", "100"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "different signs" in err
 
 
 @pytest.mark.parametrize("cl,cr", [("1e200", "1e200"), ("-1e200", "-1e200"), ("-1e200", "0")])

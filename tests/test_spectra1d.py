@@ -254,6 +254,7 @@ def test_roots_near_1e5_match_mpmath(length, cl, cr):
     (0.5, -30.0, -30.01, 2),
     (3.0, -5.0, -5.001, 2),
     (1.0, -1e-8, 0.0, 1),
+    (1.4352426176743935, -2537.9354549289155, -2537.93545492892, 2),  # pinched below resolution
 ])
 def test_deep_double_wells_match_mpmath(length, cl, cr, n_bound):
     # Nearly degenerate pairs (splittings down to 1e-7) and one shallow well,
@@ -277,6 +278,44 @@ def test_newton_step_cap_fails_loudly(monkeypatch):
     monkeypatch.setattr(spectra1d, "_NEWTON_MAX_ITER", 1)
     with pytest.raises(EnumerationError):
         enumerate_eigenvalues(iv, 1e4)
+
+
+def test_branch_without_sign_change_fails_loudly(monkeypatch):
+    # N(0+) = 2 says both branches of B(kappa) cross 0; one that stays
+    # positive on its bracket raises EnumerationError, not brentq's ValueError.
+    iv = RobinInterval(1.0, -3.0, -2.0)
+    assert len(negative_eigenvalues(iv)) == spectra1d._nonpositive_count(iv) == 2
+    branch = spectra1d._boundary_form_branch
+    for lifted in (False, True):
+        monkeypatch.setattr(spectra1d, "_boundary_form_branch",
+                            lambda k, iv, upper: branch(k, iv, upper) + (1e9 if upper == lifted else 0.0))
+        with pytest.raises(EnumerationError, match="upper" if lifted else "lower"):
+            enumerate_eigenvalues(iv, 100.0)
+
+
+EPS40 = mpmath.mpf(2) ** -52
+
+
+@pytest.mark.parametrize("length", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("gamma", ["odd+1e-9", "odd+1e-3", 1.0, 3.0, 10.0, 200.0, 1e5])
+def test_symmetric_wells_match_even_and_odd_equations(length, gamma):
+    # For c_l = c_r = -gamma the branches of B(kappa) are the even and odd
+    # equations kappa tanh(kappa L / 2) = gamma and kappa coth(kappa L / 2) = gamma;
+    # the odd one has a root only for gamma > 2 / L. Each eigenvalue lies within
+    # 2 eps (1 + S (S + 2 / L) / |lam|) relative of the 40-digit root, S = 2 gamma:
+    # the bound grows with the state's conditioning, as the odd state nears 0.
+    if isinstance(gamma, str):
+        gamma = 2.0 / length * (1.0 + float(gamma[3:]))
+    negs = negative_eigenvalues(RobinInterval(length, -gamma, -gamma))
+    assert len(negs) == 1 + (gamma > 2.0 / length)
+    s = 2.0 * gamma
+    with mpmath.workdps(40):
+        L, g = mpmath.mpf(length), mpmath.mpf(gamma)
+        equations = (lambda k: k * mpmath.tanh(k * L / 2) - g, lambda k: k * mpmath.coth(k * L / 2) - g)
+        for lam, f in zip(negs, equations):
+            exact = -mpmath.findroot(f, mpmath.sqrt(-mpmath.mpf(lam))) ** 2
+            bound = 2 * EPS40 * (1 + s * (s + 2 / L) / abs(exact))
+            assert abs(lam - exact) <= bound * abs(exact), (lam, exact, bound)
 
 
 EPS = np.finfo(float).eps
@@ -508,6 +547,8 @@ def phase(length, cl, cr, k):
 @example(length=1.0, cl=1.0346422931260303e-08, cr=0.0)
 @example(length=1.9375, cl=190.0, cr=-189.0)
 @example(length=1.0, cl=-0.5, cr=-5e-324)
+@example(length=1.5409293574918808, cl=-17.900350442533103, cr=-17.900350442533107)  # a deep pair
+@example(length=4.134819949852971, cl=-0.4836969987220648, cr=-0.4836969987220648)  # odd state at 2 / L
 def test_property_phase_count(length, cl, cr):
     # The count below lam is exactly floor(Phi(sqrt(lam)) / pi), on both sides of every node.
     eigenvalues = enumerate_eigenvalues(RobinInterval(length, cl, cr), LAM_MAX).eigenvalues
@@ -515,6 +556,17 @@ def test_property_phase_count(length, cl, cr):
                            for g in (-NODE_GAP, NODE_GAP)]
     for lam in cutoffs:
         assert count_below(eigenvalues, lam) == math.floor(phase(length, cl, cr, math.sqrt(lam)) / math.pi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(length=lengths, cl=st.floats(-25.0, -0.5), log_delta=st.floats(-16.0, -6.0))
+def test_property_near_degenerate_pairs_all_found(length, cl, log_delta):
+    # c_r = c_l (1 + delta): the two wells' states are nearly degenerate, and
+    # every one of the N(0+) nonpositive states is found.
+    iv = RobinInterval(length, cl, cl * (1.0 + 10.0**log_delta))
+    eigenvalues = enumerate_eigenvalues(iv, LAM_MAX).eigenvalues
+    assert count_below(eigenvalues, 0.0) == spectra1d._nonpositive_count(iv)
+    assert count_below(eigenvalues, 0.0) == len(negative_eigenvalues(iv)) + spectra1d._zero_eigenvalue_present(iv)
 
 
 @settings(max_examples=150, deadline=None)
