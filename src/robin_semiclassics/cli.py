@@ -1,14 +1,18 @@
 """Command-line surface: coefficient tables, model samples, spectra, sweeps.
 
-Output is CSV (default) or JSON; every run embeds its fully resolved
-configuration in the header so a plot can be reproduced from the file
-alone. Exit codes: 0 success, 2 usage error, 3 numerical-certification
-failure.
+argparse owns every option: its type, choices and default. A ``--config``
+file of ``key = value`` lines becomes the command's defaults, so argparse
+converts each value with the option's type and explicit flags still win.
+Every run embeds all resolved options, defaults included, in the header
+(CSV ``#`` lines or the JSON ``config`` object), so a plot can be
+reproduced from the file alone. Output is CSV (default) or JSON. Exit
+codes: 0 success, 2 usage error, 3 numerical-certification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -19,10 +23,8 @@ from .errors import CertificationError
 USAGE_EXIT = 2
 CERTIFICATION_EXIT = 3
 
-_COMMANDS = ("coeff", "model", "spectrum", "sweep")
 
-
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -35,7 +37,7 @@ def _fmt(value):
 
 
 def _parse_floats(text, option):
-    items = [s.strip() for s in str(text).split(",") if s.strip() != ""]
+    items = [s.strip() for s in text.split(",") if s.strip() != ""]
     if not items:
         raise _UsageError(f"{option} needs a non-empty comma-separated list")
     try:
@@ -44,7 +46,22 @@ def _parse_floats(text, option):
         raise _UsageError(f"{option}: {exc}") from None
 
 
-def _load_config(path, known_keys):
+def _as_bool(text, option):
+    if text.lower() in ("1", "true", "yes", "on"):
+        return True
+    if text.lower() in ("0", "false", "no", "off"):
+        return False
+    raise _UsageError(f"{option}: expected a boolean, got {text!r}")
+
+
+def _load_config(path, command):
+    """The ``key = value`` lines of ``path`` as defaults of the subparser ``command``.
+
+    Values stay strings for argparse to convert, except booleans, since a
+    store_true flag takes no type. argparse never checks a default against
+    the option's choices, so that check is made here.
+    """
+    actions = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -52,40 +69,25 @@ def _load_config(path, known_keys):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
-                if "=" not in line:
-                    raise _UsageError(f"{path}:{line_no}: expected 'key = value'")
-                key, _, val = line.partition("=")
-                key = key.strip()
-                if key not in known_keys:
-                    raise _UsageError(f"{path}:{line_no}: unknown config key {key!r}")
-                values[key] = val.strip()
+                key, eq, val = (part.strip() for part in line.partition("="))
+                where = f"{path}:{line_no}"
+                if not eq:
+                    raise _UsageError(f"{where}: expected 'key = value'")
+                action = actions.get(key)
+                if action is None:
+                    raise _UsageError(f"{where}: unknown config key {key!r}")
+                if isinstance(action.default, bool):
+                    val = _as_bool(val, f"{where}: {key}")
+                elif action.choices is not None and val not in action.choices:
+                    raise _UsageError(f"{where}: {key} must be one of "
+                                      f"{', '.join(action.choices)}, got {val!r}")
+                values[key] = val
     except OSError as exc:
         raise _UsageError(f"cannot read config file {path}: {exc}") from None
     return values
 
 
-def _resolve(args, key, fallback=None):
-    """Flag value if given, else config-file value, else fallback."""
-    value = getattr(args, key.replace("-", "_"))
-    if value is not None:
-        return value
-    if key in args._config_values:
-        return args._config_values[key]
-    return fallback
-
-
-def _as_bool(value, option):
-    if isinstance(value, bool):
-        return value
-    text = str(value).strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off"):
-        return False
-    raise _UsageError(f"{option}: expected a boolean, got {value!r}")
-
-
-def _write_output(path, config, columns, rows, fit=None, fmt="csv"):
+def _write_output(path, fmt, config, columns, rows, fit):
     lines = []
     if fmt == "csv":
         lines.append(f"# robin-semiclassics {__version__}")
@@ -118,10 +120,10 @@ def _write_output(path, config, columns, rows, fit=None, fmt="csv"):
 
 
 def _cmd_coeff(args):
-    d = int(_resolve(args, "d", 2))
-    b_list = _parse_floats(_resolve(args, "b"), "--b") if _resolve(args, "b") is not None else None
-    if b_list is None:
+    if args.b is None:
         raise _UsageError("coeff requires --b with at least one value")
+    b_list = _parse_floats(args.b, "--b")
+    d = args.d
     columns = ("d", "b", "l1_d", "l1_dm1", "c_d", "l2", "abs_err")
     l1_d = coeffs.l1(d).value
     l1_dm1 = coeffs.l1(d - 1).value
@@ -134,32 +136,26 @@ def _cmd_coeff(args):
 
 
 def _cmd_model(args):
-    d = int(_resolve(args, "d", 2))
-    if _resolve(args, "b") is None:
+    if args.b is None:
         raise _UsageError("model requires --b")
-    b = float(_resolve(args, "b"))
-    if _resolve(args, "t") is None:
+    if args.t is None:
         raise _UsageError("model requires --t with at least one value")
-    t_list = _parse_floats(_resolve(args, "t"), "--t")
+    t_list = _parse_floats(args.t, "--t")
     columns = ("t", "psi", "psi_bound", "i_b")
     rows = []
     for t in t_list:
         if t < 0.0:
             raise _UsageError(f"--t values must be >= 0, got {t}")
-        rows.append((t, halfline.psi(b, t), halfline.psi_bound(b, t),
-                     halfline.i_b(d, b, t).value))
+        rows.append((t, halfline.psi(args.b, t), halfline.psi_bound(args.b, t),
+                     halfline.i_b(args.d, args.b, t).value))
     return columns, rows, None
 
 
 def _cmd_spectrum(args):
-    if _resolve(args, "L") is None or _resolve(args, "Lambda") is None:
+    if args.L is None or args.Lambda is None:
         raise _UsageError("spectrum requires --L and --Lambda")
-    iv = spectra1d.RobinInterval(
-        float(_resolve(args, "L")),
-        float(_resolve(args, "cl", 0.0)),
-        float(_resolve(args, "cr", 0.0)),
-    )
-    spectrum = spectra1d.enumerate_eigenvalues(iv, float(_resolve(args, "Lambda")))
+    iv = spectra1d.RobinInterval(args.L, args.cl, args.cr)
+    spectrum = spectra1d.enumerate_eigenvalues(iv, args.Lambda)
     columns = ("n", "lambda", "bracket_lo", "bracket_hi")
     rows = []
     for n, lam in enumerate(spectrum.eigenvalues):
@@ -178,32 +174,23 @@ def _parse_facets(text, d, option):
 
 
 def _cmd_sweep(args):
-    sides = tuple(_parse_floats(_resolve(args, "sides", "1,1.4142135623730951"), "--sides"))
+    sides = tuple(_parse_floats(args.sides, "--sides"))
     d = len(sides)
-    kind = _resolve(args, "regime")
-    if kind is None:
+    if args.regime is None:
         raise _UsageError("sweep requires --regime {fixed,small,large}")
-    if _resolve(args, "b0") is None:
+    if args.b0 is None:
         raise _UsageError("sweep requires --b0")
-    facets = _parse_facets(_resolve(args, "b0"), d, "--b0")
-    exponent = 0.0
-    if kind == asympt.REGIME_SMALL:
-        exponent = float(_resolve(args, "s", 0.5))
-    elif kind == asympt.REGIME_LARGE:
-        if _resolve(args, "gamma") is None:
-            raise _UsageError("large regime requires --gamma")
-        exponent = float(_resolve(args, "gamma"))
-    try:
-        regime = asympt.RegimeSpec(kind, facets, exponent)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    facets = _parse_facets(args.b0, d, "--b0")
+    exponent = {asympt.REGIME_SMALL: args.s, asympt.REGIME_LARGE: args.gamma}.get(args.regime, 0.0)
+    if exponent is None:
+        raise _UsageError("large regime requires --gamma")
+    regime = asympt.RegimeSpec(args.regime, facets, exponent)
     box = riesz.BoxDomain(sides, facets)
-    h_list = _parse_floats(_resolve(args, "h", "0.04,0.02,0.01,0.005"), "--h")
+    h_list = _parse_floats(args.h, "--h")
     if len(set(h_list)) != len(h_list):
         raise _UsageError("--h values must be distinct")
     if len(h_list) < 4:
         raise _UsageError("sweep needs at least 4 h values for the remainder fit")
-    timings = _as_bool(_resolve(args, "timings", False), "--timings")
 
     reports = []
     seconds = []
@@ -219,102 +206,73 @@ def _cmd_sweep(args):
 
     columns = ["h", "trace", "weyl", "boundary", "remainder", "remainder_normalized",
                "eig_count", "kroger_ok"]
-    if timings:
+    if args.timings:
         columns.append("seconds")
     rows = []
     for i, rep in enumerate(reports):
         row = [rep.h, rep.trace, rep.weyl_term, rep.boundary_term, rep.remainder,
                asympt.normalized_remainder(regime, rep, d), rep.eig_count, rep.kroger_ok]
-        if timings:
+        if args.timings:
             row.append(round(seconds[i], 3))
         rows.append(tuple(row))
-    fit_doc = {
-        "points": [[h, y] for h, y in fit.points],
-        "fitted_exponent": fit.fitted_exponent,
-        "fit_residual": fit.fit_residual,
-        "sign_flips": fit.sign_flips,
-        "decay_verified": fit.decay_verified,
-    }
-    return tuple(columns), rows, fit_doc
-
-
-_COMMAND_OPTIONS = {
-    "coeff": ("d", "b", "format", "output", "config"),
-    "model": ("d", "b", "t", "format", "output", "config"),
-    "spectrum": ("L", "cl", "cr", "Lambda", "format", "output", "config"),
-    "sweep": ("sides", "b0", "regime", "s", "gamma", "h", "timings",
-              "format", "output", "config"),
-}
-
-_RUNNERS = {
-    "coeff": _cmd_coeff,
-    "model": _cmd_model,
-    "spectrum": _cmd_spectrum,
-    "sweep": _cmd_sweep,
-}
+    return tuple(columns), rows, {**dataclasses.asdict(fit), "decay_verified": fit.decay_verified}
 
 
 def _build_parser():
+    """The parser and its subparsers by command name."""
     parser = argparse.ArgumentParser(
         prog="robin-semiclassics",
         description="Robin-Laplacian box spectra, Riesz means, and two-term sweeps.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--output", default=None, help="output path, '-' for stdout")
-        p.add_argument("--config", default=None, help="key = value config file; flags win")
+    def command(name, run, help):
+        p = commands.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--output", help="output path, '-' for stdout")
+        p.add_argument("--config", help="key = value config file; flags win")
+        return p
 
-    p = sub.add_parser("coeff", help="semiclassical coefficient table over a b grid")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--b", default=None, help="comma-separated Robin coefficients")
-    common(p)
+    p = command("coeff", _cmd_coeff, "semiclassical coefficient table over a b grid")
+    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--b", help="comma-separated Robin coefficients")
 
-    p = sub.add_parser("model", help="half-line model-operator samples")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--t", default=None, help="comma-separated t values")
-    common(p)
+    p = command("model", _cmd_model, "half-line model-operator samples")
+    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--b", type=float)
+    p.add_argument("--t", help="comma-separated t values")
 
-    p = sub.add_parser("spectrum", help="1-D Robin interval eigenvalues")
-    p.add_argument("--L", type=float, default=None)
-    p.add_argument("--cl", type=float, default=None)
-    p.add_argument("--cr", type=float, default=None)
-    p.add_argument("--Lambda", type=float, default=None)
-    common(p)
+    p = command("spectrum", _cmd_spectrum, "1-D Robin interval eigenvalues")
+    p.add_argument("--L", type=float)
+    p.add_argument("--cl", type=float, default=0.0)
+    p.add_argument("--cr", type=float, default=0.0)
+    p.add_argument("--Lambda", type=float)
 
-    p = sub.add_parser("sweep", help="two-term regime sweep over an h list")
-    p.add_argument("--sides", default=None)
-    p.add_argument("--b0", default=None)
-    p.add_argument("--regime", default=None, choices=("fixed", "small", "large"))
-    p.add_argument("--s", type=float, default=None, help="small-regime exponent in theta = h^s")
-    p.add_argument("--gamma", type=float, default=None, help="large-regime exponent in Theta = h^-gamma")
-    p.add_argument("--h", default=None, help="comma-separated h values (>= 4)")
-    p.add_argument("--timings", action="store_true", default=None,
+    p = command("sweep", _cmd_sweep, "two-term regime sweep over an h list")
+    p.add_argument("--sides", default="1,1.4142135623730951")
+    p.add_argument("--b0")
+    p.add_argument("--regime", choices=("fixed", "small", "large"))
+    p.add_argument("--s", type=float, default=0.5, help="small-regime exponent in theta = h^s")
+    p.add_argument("--gamma", type=float, help="large-regime exponent in Theta = h^-gamma")
+    p.add_argument("--h", default="0.04,0.02,0.01,0.005", help="comma-separated h values (>= 4)")
+    p.add_argument("--timings", action="store_true",
                    help="append measured wall seconds per row (breaks byte reproducibility)")
-    common(p)
-    return parser
+    return parser, commands.choices
 
 
 def main(argv=None):
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        known = _COMMAND_OPTIONS[args.command]
-        config_path = args.config
-        args._config_values = _load_config(config_path, set(known)) if config_path else {}
-        columns, rows, fit = _RUNNERS[args.command](args)
-        fmt = _resolve(args, "format", "csv")
-        if fmt not in ("csv", "json"):
-            raise _UsageError(f"unknown format {fmt!r}")
-        resolved = {key: _resolve(args, key) for key in known
-                    if key not in ("output", "config") and _resolve(args, key) is not None}
-        resolved["command"] = args.command
-        _write_output(_resolve(args, "output"), resolved, columns, rows, fit=fit, fmt=fmt)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+        if args.config is not None:
+            command = commands[args.command]
+            command.set_defaults(**_load_config(args.config, command))
+            args = parser.parse_args(argv)
+        columns, rows, fit = args.run(args)
+        config = {key: value for key, value in vars(args).items()
+                  if key not in ("run", "output", "config") and value is not None}
+        _write_output(args.output, args.format, config, columns, rows, fit)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -25,6 +25,8 @@ from .spectra1d import RobinInterval, band_sum, enumerate_eigenvalues, negative_
 
 # Largest materialized pair-sum array in the d >= 3 reduction.
 _PAIR_CHUNK = 20_000_000
+# Relative slack of kroger_check, for the rounding of trace and both bound terms.
+_KROGER_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -210,7 +212,7 @@ def trace_bruteforce(box, h):
     return math.fsum(vals[vals > 0.0].tolist())
 
 
-def kroger_check(box, h, trace, rel_slack=1e-10):
+def kroger_check(box, h, trace):
     """Sharp lower bound Tr(-Delta_c - Lambda)_- >= Weyl - boundary correction.
 
     With Lambda = h^-2 and c = b/h the left side is trace * h^-2; the
@@ -224,4 +226,4 @@ def kroger_check(box, h, trace, rel_slack=1e-10):
     omega = coeffs.unit_ball_volume(d).value
     rhs = (coeffs.l1(d).value * box.volume * lam ** (1.0 + 0.5 * d)
            - omega * (2.0 * math.pi) ** (-d) * c_integral * lam ** (0.5 * d))
-    return lhs >= rhs - rel_slack * max(1.0, abs(lhs), abs(rhs))
+    return lhs >= rhs - _KROGER_RTOL * max(1.0, abs(lhs), abs(rhs))

@@ -97,22 +97,15 @@ def secular_positive(iv, k):
     return (k * k - iv.c_left * iv.c_right) * math.sin(kl) - k * (iv.c_left + iv.c_right) * math.cos(kl)
 
 
-def secular_negative(iv, kappa):
-    """(kappa^2 + c_l c_r) sinh(kappa L) + kappa (c_l + c_r) cosh(kappa L); zeros are lambda = -kappa^2."""
-    if kappa <= 0.0:
-        raise ValueError(f"need kappa > 0, got {kappa}")
-    kl = kappa * iv.length
-    return (kappa * kappa + iv.c_left * iv.c_right) * math.sinh(kl) + kappa * (iv.c_left + iv.c_right) * math.cosh(kl)
-
-
 def _kappa_upper_bound(iv):
     # Variational bound: lambda_0 >= -(G/L + G^2) with G the total negative
     # coupling, so every root satisfies kappa <= sqrt(G/L + G^2). The
-    # 2*max(c-)+1 rule alone fails on short intervals.
+    # 2*max(c-)+1 rule alone fails on short intervals. The slack is relative
+    # too, since a bare + 1 rounds away once the square root passes 1e16.
     gl = max(-iv.c_left, 0.0)
     gr = max(-iv.c_right, 0.0)
     g = gl + gr
-    return max(2.0 * max(gl, gr) + 1.0, math.sqrt(g / iv.length + g * g) + 1.0)
+    return max(2.0 * max(gl, gr) + 1.0, math.sqrt(g / iv.length + g * g) * (1.0 + 1e-8) + 1.0)
 
 
 def eigenvalue_bracket(iv, lam):

@@ -227,3 +227,67 @@ def test_byte_identical_reruns(tmp_path, capsys):
     for p in paths:
         assert run_cli(args + ["--output", str(p)], capsys)[0] == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def run_cli_exit(args, capsys):
+    """Like run_cli, but an argparse error's SystemExit counts as the exit code."""
+    try:
+        code = cli.main(args)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command,text,option", [
+    (["coeff", "--b", "0"], "format = xml\n", "format"),  # argparse skips choices on defaults
+    (["coeff", "--b", "0"], "d = two\n", "--d"),  # converted by the option's type
+    (["sweep", "--regime", "fixed", "--b0", "1"], "timings = maybe\n", "timings"),
+], ids=["format", "d", "timings"])
+def test_config_values_checked_like_flags(tmp_path, capsys, command, text, option):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli_exit([*command, "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and option in err
+
+
+def test_config_choice_accepted_and_flag_wins(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = json\nd = 3\n")
+    code, out, _ = run_cli(["coeff", "--config", str(cfg), "--b", "0"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["rows"][0]["d"] == 3  # typed by argparse, not kept as a string
+    assert doc["config"]["format"] == "json"
+    code, out, _ = run_cli(["coeff", "--config", str(cfg), "--b", "0", "--format", "csv"], capsys)
+    assert code == 0
+    assert out.startswith("# robin-semiclassics")
+
+
+def test_header_records_defaults(tmp_path, capsys):
+    out_file = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(["sweep", "--regime", "small", "--b0", "1",
+                          "--h", "0.2,0.1,0.05,0.025", "--output", str(out_file)], capsys)
+    assert code == 0
+    comments, _, _ = parse_csv(out_file.read_text())
+    header = dict(c[2:].split(" = ", 1) for c in comments[1:] if not c.startswith("# fit = "))
+    assert header["sides"] == "1,1.4142135623730951"
+    assert header["s"] == "0.5"
+    assert header["h"] == "0.2,0.1,0.05,0.025"
+    assert header["format"] == "csv"
+    assert header["timings"] == "False"
+    assert "gamma" not in header and "output" not in header
+
+
+def test_spectrum_tiny_symmetric_well(capsys):
+    # The depth bound's slack once rounded away at L = 1e-300 (exit 3).
+    code, out, err = run_cli(["spectrum", "--L", "1e-300", "--cl", "-1", "--cr", "-1",
+                              "--Lambda", "1"], capsys)
+    assert code == 0, err
+    _, columns, rows = parse_csv(out)
+    cell = dict(zip(columns, rows[0]))
+    assert len(rows) == 1
+    assert abs(float(cell["lambda"]) + 2e300) <= 1e-15 * 2e300
+    assert float(cell["bracket_lo"]) <= float(cell["lambda"]) < 0.0

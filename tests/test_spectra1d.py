@@ -16,7 +16,6 @@ from robin_semiclassics.spectra1d import (
     fd_oracle,
     negative_eigenvalues,
     neumann_count,
-    secular_negative,
     secular_positive,
 )
 
@@ -34,11 +33,8 @@ def test_secular_positive_neumann_nodes():
         assert abs(secular_positive(iv, k)) < 1e-9 * k * k
 
 
-def test_secular_negative_positive_coefficients_have_no_zeros():
-    iv = RobinInterval(1.0, 1.0, 2.0)
-    kappas = np.linspace(0.01, 10.0, 200)
-    assert all(secular_negative(iv, k) > 0.0 for k in kappas)
-    assert negative_eigenvalues(iv) == []
+def test_positive_coefficients_have_no_bound_states():
+    assert negative_eigenvalues(RobinInterval(1.0, 1.0, 2.0)) == []
 
 
 def test_neumann_spectrum_explicit():
@@ -316,6 +312,26 @@ def test_symmetric_wells_match_even_and_odd_equations(length, gamma):
             exact = -mpmath.findroot(f, mpmath.sqrt(-mpmath.mpf(lam))) ** 2
             bound = 2 * EPS40 * (1 + s * (s + 2 / L) / abs(exact))
             assert abs(lam - exact) <= bound * abs(exact), (lam, exact, bound)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 3.0, 1e3])
+def test_tiny_symmetric_wells_match_even_equation(gamma):
+    # On L = 1e-10 ... 1e-300 the even state kappa tanh(kappa L / 2) = gamma sits
+    # near kappa^2 = 2 gamma / L, where the depth bound's slack once rounded
+    # away. No odd state binds (gamma < 2 / L). With s = sqrt(gamma L / 2) and
+    # y tanh(s y) = s, lam = -(2 gamma / L) y^2, solved at 40 digits with y near 1.
+    for e in range(10, 301, 5):
+        length = 10.0 ** -e
+        eigs = enumerate_eigenvalues(RobinInterval(length, -gamma, -gamma), 1.0).eigenvalues
+        assert len(eigs) == 1, (length, eigs)
+        s = 2.0 * gamma
+        with mpmath.workdps(40):
+            L, g = mpmath.mpf(length), mpmath.mpf(gamma)
+            root = mpmath.sqrt(g * L / 2)
+            y = mpmath.findroot(lambda y: y * mpmath.tanh(root * y) - root, 1)
+            exact = -2 * g / L * y * y
+            bound = 2 * EPS40 * (1 + s * (s + 2 / L) / abs(exact))
+            assert abs(eigs[0] - exact) <= bound * abs(exact), (length, eigs[0], exact, bound)
 
 
 EPS = np.finfo(float).eps
