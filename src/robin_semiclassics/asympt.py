@@ -12,6 +12,7 @@ every b0 >= 0 it uses the limits -l1(d-1)/4 (b0 > 0) and +l1(d-1)/4
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,43 +80,61 @@ class CrossoverRecord:
     ratio: float
 
 
-def _facet_densities(d, regime, h):
+def _facet_densities(d, regime, h, l2_values):
+    """Per-facet boundary densities; l2_values maps each realized b to l2(d, b).value.
+
+    The dict lives for one sweep, so a fixed regime computes each distinct b
+    once per sweep, and every sweep pays for its own quadratures.
+    """
     quarter = 0.25 * coeffs.l1(d - 1).value
     if regime.kind == REGIME_SMALL:
         return [(quarter, quarter) for _ in regime.b0_facets]
     if regime.kind == REGIME_FIXED or regime.has_negative_part:
-        return [(coeffs.l2(d, lo).value, coeffs.l2(d, hi).value)
-                for lo, hi in regime.realized_facets(h)]
+        realized = regime.realized_facets(h)
+        for b in {b for pair in realized for b in pair} - l2_values.keys():
+            l2_values[b] = coeffs.l2(d, b).value
+        return [(l2_values[lo], l2_values[hi]) for lo, hi in realized]
     return [(-quarter if lo > 0.0 else quarter, -quarter if hi > 0.0 else quarter)
             for lo, hi in regime.b0_facets]
 
 
-def predict(box, regime, h):
-    """Two-term prediction: Weyl term and the regime's boundary term."""
+def _boundary_term(box, regime, h, l2_values):
     d = box.d
     if len(regime.b0_facets) != d:
         raise ValueError(f"regime carries {len(regime.b0_facets)} facet pairs for a {d}-d box")
-    densities = _facet_densities(d, regime, h)
+    densities = _facet_densities(d, regime, h, l2_values)
     boundary = sum(box.facet_area(i) * (lo + hi) for i, (lo, hi) in enumerate(densities))
-    return TwoTermPrediction(weyl=riesz.weyl_term(box, h), boundary=boundary * h ** (1 - d))
+    return boundary * h ** (1 - d)
 
 
-def _sweep_point(box, regime, h):
+def predict(box, regime, h):
+    """Two-term prediction: Weyl term and the regime's boundary term."""
+    return TwoTermPrediction(weyl=riesz.weyl_term(box, h),
+                             boundary=_boundary_term(box, regime, h, {}))
+
+
+def _sweep_point(box, regime, h, l2_values):
+    start = time.perf_counter()
     realized = replace(box, facet_b=regime.realized_facets(h))
     rep = riesz.riesz_mean(realized, h)
-    pred = predict(box, regime, h)
-    return replace(rep, boundary_term=pred.boundary,
-                   remainder=rep.trace - rep.weyl_term - pred.boundary)
+    boundary = _boundary_term(box, regime, h, l2_values)
+    return replace(rep, boundary_term=boundary, remainder=rep.trace - rep.weyl_term - boundary,
+                   seconds=time.perf_counter() - start)
 
 
 def run_sweep(box, regime, h_list):
     """RieszReports over distinct h, sorted by descending h, with
-    regime-filled boundary terms and remainders trace - weyl - boundary."""
+    regime-filled boundary terms and remainders trace - weyl - boundary.
+
+    Each report's ``seconds`` is the wall time of its own point. A boundary
+    density l2(d, b) is computed once per distinct realized b in the sweep.
+    """
     items = [float(h) for h in h_list]
     hs = sorted(set(items), reverse=True)
     if len(hs) != len(items):
         raise ValueError("sweep h values must be distinct")
-    return [_sweep_point(box, regime, h) for h in hs]
+    l2_values = {}
+    return [_sweep_point(box, regime, h, l2_values) for h in hs]
 
 
 def normalized_remainder(regime, report, d):

@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
 
 from . import __version__, asympt, coeffs, halfline, riesz, spectra1d
 from .errors import CertificationError
@@ -26,6 +25,13 @@ CERTIFICATION_EXIT = 3
 
 class _UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors reach main as usage errors; --help still exits 0."""
+
+    def error(self, message):
+        raise _UsageError(message)
 
 
 def _fmt(value):
@@ -192,13 +198,7 @@ def _cmd_sweep(args):
     if len(h_list) < 4:
         raise _UsageError("sweep needs at least 4 h values for the remainder fit")
 
-    reports = []
-    seconds = []
-    for h in sorted(h_list, reverse=True):
-        start = time.perf_counter()
-        batch = asympt.run_sweep(box, regime, [h])
-        seconds.append(time.perf_counter() - start)
-        reports.extend(batch)
+    reports = asympt.run_sweep(box, regime, h_list)
     bad = [r.h for r in reports if not r.kroger_ok]
     if bad:
         raise CertificationError(f"Kroger lower bound violated at h = {bad}")
@@ -209,18 +209,18 @@ def _cmd_sweep(args):
     if args.timings:
         columns.append("seconds")
     rows = []
-    for i, rep in enumerate(reports):
+    for rep in reports:
         row = [rep.h, rep.trace, rep.weyl_term, rep.boundary_term, rep.remainder,
                asympt.normalized_remainder(regime, rep, d), rep.eig_count, rep.kroger_ok]
         if args.timings:
-            row.append(round(seconds[i], 3))
+            row.append(round(rep.seconds, 3))
         rows.append(tuple(row))
     return tuple(columns), rows, {**dataclasses.asdict(fit), "decay_verified": fit.decay_verified}
 
 
 def _build_parser():
     """The parser and its subparsers by command name."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="robin-semiclassics",
         description="Robin-Laplacian box spectra, Riesz means, and two-term sweeps.",
     )
@@ -263,8 +263,8 @@ def _build_parser():
 
 def main(argv=None):
     parser, commands = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.config is not None:
             command = commands[args.command]
             command.set_defaults(**_load_config(args.config, command))

@@ -16,7 +16,7 @@ is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,6 +83,8 @@ class RieszReport:
     remainder: float
     eig_count: int
     kroger_ok: bool
+    # Wall time of the sweep point, set by asympt.run_sweep; not part of the result.
+    seconds: float = field(default=0.0, compare=False)
 
 
 def weyl_term(box, h):
@@ -104,7 +106,7 @@ def axis_spectra(box, h):
     for i, iv in enumerate(intervals):
         allowance = sum(neg_floors[j] for j in range(len(intervals)) if j != i)
         lam_max = (cutoff_total - allowance) * (1.0 + 1e-12)
-        spectra.append(np.array(enumerate_eigenvalues(iv, lam_max).eigenvalues))
+        spectra.append(enumerate_eigenvalues(iv, lam_max).eigenvalues)
     return spectra
 
 
@@ -133,8 +135,7 @@ def _band_trace(box, h):
     intervals = _intervals(box, h)
     bound_states = [negative_eigenvalues(iv) for iv in intervals]
     cutoff = h**-2
-    spectra = [np.array(enumerate_eigenvalues(iv, cutoff * (1.0 + 1e-12)).eigenvalues)
-               for iv in intervals]
+    spectra = [enumerate_eigenvalues(iv, cutoff * (1.0 + 1e-12)).eigenvalues for iv in intervals]
     trace, count = _pair_trace(spectra[0], spectra[1], h)
     parts = [trace]
     for axis, partner in ((0, 1), (1, 0)):

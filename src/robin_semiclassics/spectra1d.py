@@ -82,19 +82,11 @@ class SpectrumCertificate:
     bracket_count: int  # phase indices solved
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum1D:
-    eigenvalues: tuple
+    eigenvalues: np.ndarray  # ascending, read-only float64
     cutoff: float
     certificate: SpectrumCertificate
-
-
-def secular_positive(iv, k):
-    """(k^2 - c_l c_r) sin(kL) - k (c_l + c_r) cos(kL); zeros are lambda = k^2."""
-    if k <= 0.0:
-        raise ValueError(f"need k > 0, got {k}")
-    kl = k * iv.length
-    return (k * k - iv.c_left * iv.c_right) * math.sin(kl) - k * (iv.c_left + iv.c_right) * math.cos(kl)
 
 
 def _kappa_upper_bound(iv):
@@ -246,19 +238,25 @@ def _phase_roots(iv, n, k_max):
 
     Root n lies in ((n - 2) pi / L, n pi / L), cut to (0, k_max], and
     Phi - n pi changes sign there once, from - to +, since the count never
-    decreases. So every evaluated point narrows the bracket. Vectorized
-    Newton steps on the phase; a step that leaves the bracket, is not half
-    the step before last or is longer than the last one is replaced by the
-    midpoint (rtsafe, Press et al., Numerical Recipes), taken in log k once
-    the bracket's lower end is positive. Below a ground state, where the
-    phase goes as -c / k, Newton only doubles k. An index leaves the active
-    set once its step is below _ROOT_RTOL * k. Raises EnumerationError if any
+    decreases. So every evaluated point narrows the bracket. The start is
+    one fixed-point step of k L = (n - 1) pi + arctan(c_l / k) + arctan(c_r / k)
+    from the bracket's midpoint, or the midpoint where that step leaves the
+    bracket. Then vectorized Newton steps on the phase; a step that leaves
+    the bracket, is not half the step before last or is longer than the last
+    one is replaced by the midpoint (rtsafe, Press et al., Numerical
+    Recipes), taken in log k once the bracket's lower end is positive. Below
+    a ground state, where the phase goes as -c / k, Newton only doubles k.
+    An index leaves the active set once its step is below _ROOT_RTOL * k, or
+    once _newton_certified proves its Newton iterate, which on sweep spectra
+    takes one phase evaluation per root. Raises EnumerationError if any
     index is still open after _NEWTON_MAX_ITER steps.
     """
     node_step = math.pi / iv.length
     lo = np.maximum((n - 2) * node_step, 0.0)
     hi = np.minimum(n * node_step, k_max)
-    k = 0.5 * (lo + hi)
+    middle = 0.5 * (lo + hi)
+    k = ((n - 1) * math.pi + np.arctan2(iv.c_left, middle) + np.arctan2(iv.c_right, middle)) / iv.length
+    k = np.where((lo < k) & (k < hi), k, middle)
     last = before = hi - lo  # the last two step lengths
     roots = np.empty(n.size)
     active = np.arange(n.size)
@@ -268,9 +266,9 @@ def _phase_roots(iv, n, k_max):
         hi = np.where(offset > 0.0, k, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
             dk = offset / slope
-        # A converged step may round onto k, which is now an end of the bracket.
-        converged = np.abs(dk) <= _ROOT_RTOL * k
         newton = k - dk
+        # A converged step may round onto k, which is now an end of the bracket.
+        converged = (np.abs(dk) <= _ROOT_RTOL * k) | _newton_certified(iv, k, offset, dk, newton)
         # The initial ends are bounds, not evaluated points: a root within
         # rounding of one is reached by stepping onto it.
         inside = (lo <= newton) & (newton <= hi) & (newton > 0.0)
@@ -292,6 +290,30 @@ def _phase_roots(iv, n, k_max):
     )
 
 
+def _newton_certified(iv, k, offset, dk, newton):
+    """Where the Newton iterate ``newton = k - dk`` is proven close to its root.
+
+    On I = [k - 2|dk|, k + 2|dk|], cut at 0, m = L + sum_c min p bounds Phi'
+    below and M = sum_c 2 |c| k_hi / (k_lo^2 + c^2)^2 bounds |Phi''| above,
+    with p = c / (k^2 + c^2) monotone in k. If m > 0 and e = |offset| / m is
+    at most 2|dk|, the root lies in I within e of k, and Newton's error is at
+    most M e^2 / (2 m) (Kantorovich), accepted up to _ROOT_RTOL * k. A
+    bound that is not finite, as for tiny couplings at tiny k, compares False.
+    """
+    step = 2.0 * np.abs(dk)
+    k_lo, k_hi = np.maximum(k - step, 0.0), k + step
+    slope_min, curve_max = iv.length, 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for c in (iv.c_left, iv.c_right):
+            if c != 0.0:
+                r_lo = k_lo * k_lo + c * c
+                slope_min = slope_min + np.minimum(c / r_lo, c / (k_hi * k_hi + c * c))
+                curve_max = curve_max + 2.0 * abs(c) * k_hi / (r_lo * r_lo)
+        e = np.abs(offset) / slope_min
+        return ((slope_min > 0.0) & (e <= step)
+                & (curve_max * e * e <= 2.0 * _ROOT_RTOL * slope_min * newton))
+
+
 def _positive_eigenvalues(iv, n_low, n_high, lam_max):
     """Eigenvalues k_n^2 of the phase indices n_low < n <= n_high, in order."""
     k_max = math.sqrt(lam_max)
@@ -300,13 +322,6 @@ def _positive_eigenvalues(iv, n_low, n_high, lam_max):
         n = np.arange(n_low + 1 + j, n_low + 1 + min(j + _BRACKET_BLOCK, roots.size))
         roots[j:j + n.size] = _phase_roots(iv, n, k_max)
     return roots * roots
-
-
-def neumann_count(length, lam_max):
-    """Counting function of the Neumann interval: #{n >= 0 : (n pi / L)^2 <= lam}."""
-    if lam_max < 0.0:
-        return 0
-    return 1 + int(math.floor(math.sqrt(lam_max) * length / math.pi * (1.0 + 1e-15)))
 
 
 def enumerate_eigenvalues(iv, lam_max):
@@ -327,21 +342,21 @@ def enumerate_eigenvalues(iv, lam_max):
             f"counting certificate failed for {iv}: {len(nonpositive)} nonpositive "
             f"eigenvalues found, N(0+) = {n_low}"
         )
-    eigenvalues = [lam for lam in nonpositive if lam <= lam_max]
     positives = np.empty(0)
     if lam_max > 0.0:
         # A state the zero condition places at 0 may truly lie just above it,
         # past a cutoff that small: hence the max.
         n_total = max(_phase_count(iv, lam_max), n_low)
         positives = _positive_eigenvalues(iv, n_low, n_total, lam_max)
-        eigenvalues += positives.tolist()
-        if len(eigenvalues) != n_total:
-            raise EnumerationError(
-                f"counting certificate failed for {iv} at cutoff {lam_max}: "
-                f"{len(eigenvalues)} eigenvalues found, N = {n_total}"
-            )
+    eigenvalues = np.concatenate(([lam for lam in nonpositive if lam <= lam_max], positives))
+    if lam_max > 0.0 and eigenvalues.size != n_total:
+        raise EnumerationError(
+            f"counting certificate failed for {iv} at cutoff {lam_max}: "
+            f"{eigenvalues.size} eigenvalues found, N = {n_total}"
+        )
+    eigenvalues.flags.writeable = False
     cert = SpectrumCertificate(sum(lam <= lam_max for lam in negatives), positives.size, positives.size)
-    return Spectrum1D(tuple(eigenvalues), lam_max, cert)
+    return Spectrum1D(eigenvalues, lam_max, cert)
 
 
 @dataclass(frozen=True)

@@ -16,15 +16,11 @@ import time
 import numpy as np
 import pytest
 
+from conftest import neumann_count
 from robin_semiclassics import asympt, cli, coeffs, halfline
 from robin_semiclassics.asympt import RegimeSpec, crossover_demo, fit_sweep, run_sweep
 from robin_semiclassics.riesz import BoxDomain, riesz_mean
-from robin_semiclassics.spectra1d import (
-    RobinInterval,
-    enumerate_eigenvalues,
-    fd_oracle,
-    neumann_count,
-)
+from robin_semiclassics.spectra1d import RobinInterval, enumerate_eigenvalues, fd_oracle
 
 SQ2 = math.sqrt(2.0)
 H_SWEEP = (0.04, 0.02, 0.01, 0.005)

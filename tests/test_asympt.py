@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from robin_semiclassics import asympt, coeffs
@@ -164,6 +165,45 @@ def test_run_sweep_deterministic_and_ordered():
     second = asympt.run_sweep(box, regime, [0.025, 0.05, 0.1, 0.2])
     assert [r.h for r in first] == [0.2, 0.1, 0.05, 0.025]
     assert first == second
+
+
+def test_sweep_computes_each_density_once(monkeypatch):
+    calls = []
+    l2 = coeffs.l2
+
+    def counted(d, b):
+        calls.append(b)
+        return l2(d, b)
+
+    monkeypatch.setattr(coeffs, "l2", counted)
+    box = BoxDomain.uniform((1.0, SQ2), 1.0)
+    regime = uniform_regime("fixed", 1.0)
+    first = asympt.run_sweep(box, regime, HS)
+    assert calls == [1.0]
+    # No cache outlives a sweep: the second one pays for its own quadrature.
+    assert asympt.run_sweep(box, regime, HS) == first
+    assert calls == [1.0, 1.0]
+    calls.clear()
+    mixed = RegimeSpec("fixed", ((1.0, -1.0), (2.0, 1.0)))
+    asympt.run_sweep(BoxDomain((1.0, SQ2), mixed.b0_facets), mixed, HS)
+    assert sorted(calls) == [-1.0, 1.0, 2.0]
+    # The large regime realizes a new b = h^(-1/4) b0 at every h.
+    calls.clear()
+    large = uniform_regime("large", -1.0, exponent=0.25)
+    asympt.run_sweep(BoxDomain.uniform((1.0, SQ2), -1.0), large, HS)
+    assert sorted(calls) == sorted(-large.scale(h) for h in HS)
+
+
+def test_neumann_box_remainder_averages_to_corner_term():
+    # Each right angle adds 1/16 to the Neumann heat trace (Kac 1966; van den
+    # Berg & Srisatkunarajah 1988), so the remainder of the 1 x sqrt(2) box
+    # oscillates about 1/4. Averaged over 16 h near 1e-5, the mean checks the
+    # traces there to about 1e-4 absolute.
+    box = BoxDomain.uniform((1.0, SQ2), 0.0)
+    reports = asympt.run_sweep(box, uniform_regime("fixed", 0.0), np.geomspace(0.74e-5, 1.35e-5, 16))
+    remainders = np.array([r.remainder for r in reports])
+    standard_error = remainders.std(ddof=1) / math.sqrt(remainders.size)
+    assert abs(remainders.mean() - 0.25) <= 3.0 * standard_error, (remainders.mean(), standard_error)
 
 
 def test_crossover_ratio_scaling():

@@ -229,16 +229,6 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def run_cli_exit(args, capsys):
-    """Like run_cli, but an argparse error's SystemExit counts as the exit code."""
-    try:
-        code = cli.main(args)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 @pytest.mark.parametrize("command,text,option", [
     (["coeff", "--b", "0"], "format = xml\n", "format"),  # argparse skips choices on defaults
     (["coeff", "--b", "0"], "d = two\n", "--d"),  # converted by the option's type
@@ -247,10 +237,30 @@ def run_cli_exit(args, capsys):
 def test_config_values_checked_like_flags(tmp_path, capsys, command, text, option):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
-    code, out, err = run_cli_exit([*command, "--config", str(cfg)], capsys)
+    code, out, err = run_cli([*command, "--config", str(cfg)], capsys)
     assert code == 2
     assert out == ""
     assert "error:" in err and option in err
+
+
+@pytest.mark.parametrize("args", [
+    ["coeff", "--b", "0", "--bogus"],
+    ["coeff", "--d", "two", "--b", "0"],
+    ["sweep", "--regime", "medium", "--b0", "1"],
+    [],
+], ids=["unknown-flag", "bad-type", "bad-choice", "no-command"])
+def test_bad_flags_return_usage_exit(capsys, args):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--help"])
+    assert exc.value.code == 0
+    assert "--regime" in capsys.readouterr().out
 
 
 def test_config_choice_accepted_and_flag_wins(tmp_path, capsys):

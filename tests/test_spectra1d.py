@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from conftest import neumann_count, secular_positive
 from robin_semiclassics import spectra1d
 from robin_semiclassics.errors import EnumerationError
 from robin_semiclassics.spectra1d import (
@@ -15,8 +16,6 @@ from robin_semiclassics.spectra1d import (
     enumerate_eigenvalues,
     fd_oracle,
     negative_eigenvalues,
-    neumann_count,
-    secular_positive,
 )
 
 
@@ -605,3 +604,68 @@ def test_property_neumann_count(length, cl, cr):
                            for g in (-NODE_GAP, NODE_GAP)]
     for lam in cutoffs:
         assert abs(count_below(eigenvalues, lam) - neumann_count(length, lam)) <= 2
+
+
+# Couplings of every scale the stop must handle: O(1), stiff, and near 1e-12,
+# where the ground state lies decades below its bracket.
+stop_couplings = st.one_of(couplings, st.floats(-3e3, 3e3), st.floats(1e-13, 1e-11),
+                           st.floats(-1e-11, -1e-13))
+
+
+@settings(max_examples=300, deadline=None)
+@given(length=lengths, cl=stop_couplings, cr=stop_couplings, rank=st.integers(1, 40),
+       log_gap=st.floats(-16.0, -0.01), below=st.booleans())
+@example(length=1.0, cl=-0.3, cr=-0.3, rank=1, log_gap=-0.01, below=True)  # Phi' < 0 at k
+@example(length=1.0, cl=-0.3, cr=-0.3, rank=1, log_gap=-3.0, below=True)
+@example(length=1.0, cl=1e-12, cr=0.0, rank=1, log_gap=-9.0, below=False)  # ground state near 1e-6
+@example(length=1.4142135623730951, cl=1e5, cr=-3e4, rank=40, log_gap=-8.0, below=True)
+def test_property_kantorovich_stop_within_tolerance_of_mpmath(length, cl, cr, rank, log_gap, below):
+    # A Newton iterate the bound accepts lies within _ROOT_RTOL of the
+    # 30-digit root of Phi(k) = n pi, plus the offset's rounding, about
+    # eps (k L + 2 pi) in phase, as a shift of the root.
+    iv = RobinInterval(length, cl, cr)
+    n = spectra1d._nonpositive_count(iv) + rank
+    start = spectra1d._phase_roots(iv, np.array([n]), n * math.pi / length)[0]
+    with mpmath.workdps(30):
+        L, a, b = mpmath.mpf(length), mpmath.mpf(cl), mpmath.mpf(cr)
+        exact = mpmath.findroot(
+            lambda k: k * L + mpmath.atan2(k, a) + mpmath.atan2(k, b) - n * mpmath.pi, mpmath.mpf(start))
+        k = np.array([float(exact * (1 + (-1 if below else 1) * mpmath.mpf(10) ** log_gap))])
+        exact = float(exact)
+    offset, slope = spectra1d._phase_offset(iv, k, np.array([n]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dk = offset / slope
+    newton = k - dk
+    certified = spectra1d._newton_certified(iv, k, offset, dk, newton)[0]
+    if slope[0] <= 0.0:
+        assert not certified
+    if certified:
+        rounding = 4.0 * spectra1d._EPS * (k[0] * length + 2.0 * math.pi) / slope[0]
+        assert abs(newton[0] - exact) <= spectra1d._ROOT_RTOL * exact + rounding, (newton[0], exact)
+
+
+def test_stiff_interval_roots_match_brentq():
+    # c = (1e5, -3e4) up to lam = 1e10: 45,015 positive roots, most of them
+    # accepted by the Kantorovich stop after one phase evaluation.
+    iv = RobinInterval(math.sqrt(2.0), 1e5, -3e4)
+    eigenvalues = enumerate_eigenvalues(iv, 1e10).eigenvalues
+    got = np.sqrt(eigenvalues[eigenvalues > 0.0])
+    want = np.sqrt(brentq_positive_reference(iv, 1e10))
+    assert got.size == want.size == 45_015
+    assert np.max(np.abs(got - want) / want) <= 2.0 * spectra1d._ROOT_RTOL
+
+
+def test_one_phase_evaluation_per_root(monkeypatch):
+    # A sweep-sized axis, c = 1/h at h = 2e-5 (22,508 roots): the fixed-point
+    # start and the Kantorovich stop take one phase point per root.
+    points = []
+    phase_offset = spectra1d._phase_offset
+
+    def counted(iv, k, n):
+        points.append(k.size)
+        return phase_offset(iv, k, n)
+
+    monkeypatch.setattr(spectra1d, "_phase_offset", counted)
+    sp = enumerate_eigenvalues(RobinInterval(math.sqrt(2.0), 5e4, 5e4), 2.5e9)
+    assert sp.certificate.n_positive > 22_000
+    assert sum(points) <= 1.02 * sp.certificate.n_positive
