@@ -5,7 +5,9 @@ file of ``key = value`` lines becomes the command's defaults, so argparse
 converts each value with the option's type and explicit flags still win.
 Every run embeds all resolved options, defaults included, in the header
 (CSV ``#`` lines or the JSON ``config`` object), so a plot can be
-reproduced from the file alone. Output is CSV (default) or JSON. Exit
+reproduced from the file alone. A sweep ends with its fit and a spectrum
+with its completeness certificate, each a ``# name = {...}`` line (a JSON
+object of that name). Output is CSV (default) or JSON. Exit
 codes: 0 success, 2 usage error, 3 numerical-certification failure.
 """
 
@@ -93,7 +95,8 @@ def _load_config(path, command):
     return values
 
 
-def _write_output(path, fmt, config, columns, rows, fit):
+def _write_output(path, fmt, config, columns, rows, trailer):
+    """Header, rows and each ``trailer`` object as a ``# name = {...}`` line or JSON key."""
     lines = []
     if fmt == "csv":
         lines.append(f"# robin-semiclassics {__version__}")
@@ -102,8 +105,8 @@ def _write_output(path, fmt, config, columns, rows, fit):
         lines.append(",".join(columns))
         for row in rows:
             lines.append(",".join(_fmt(v) for v in row))
-        if fit is not None:
-            lines.append("# fit = " + json.dumps(fit, sort_keys=True))
+        for name, value in trailer.items():
+            lines.append(f"# {name} = " + json.dumps(value, sort_keys=True))
         text = "\n".join(lines) + "\n"
     else:
         doc = {
@@ -112,8 +115,7 @@ def _write_output(path, fmt, config, columns, rows, fit):
             "columns": list(columns),
             "rows": [dict(zip(columns, row)) for row in rows],
         }
-        if fit is not None:
-            doc["fit"] = fit
+        doc.update(trailer)
         text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -138,7 +140,7 @@ def _cmd_coeff(args):
     for b in b_list:
         val = coeffs.l2(d, b)
         rows.append((d, b, l1_d, l1_dm1, cd, val.value, val.abs_error_estimate))
-    return columns, rows, None
+    return columns, rows, {}
 
 
 def _cmd_model(args):
@@ -154,7 +156,7 @@ def _cmd_model(args):
             raise _UsageError(f"--t values must be >= 0, got {t}")
         rows.append((t, halfline.psi(args.b, t), halfline.psi_bound(args.b, t),
                      halfline.i_b(args.d, args.b, t).value))
-    return columns, rows, None
+    return columns, rows, {}
 
 
 def _cmd_spectrum(args):
@@ -162,12 +164,10 @@ def _cmd_spectrum(args):
         raise _UsageError("spectrum requires --L and --Lambda")
     iv = spectra1d.RobinInterval(args.L, args.cl, args.cr)
     spectrum = spectra1d.enumerate_eigenvalues(iv, args.Lambda)
-    columns = ("n", "lambda", "bracket_lo", "bracket_hi")
-    rows = []
-    for n, lam in enumerate(spectrum.eigenvalues):
-        lo, hi = spectra1d.eigenvalue_bracket(iv, lam)
-        rows.append((n, lam, lo, hi))
-    return columns, rows, None
+    rows = list(enumerate(spectrum.eigenvalues.tolist()))
+    certificate = {"n_negative": spectrum.certificate.n_negative,
+                   "n_positive": spectrum.certificate.n_positive}
+    return ("n", "lambda"), rows, {"certificate": certificate}
 
 
 def _parse_facets(text, d, option):
@@ -215,7 +215,7 @@ def _cmd_sweep(args):
         if args.timings:
             row.append(round(rep.seconds, 3))
         rows.append(tuple(row))
-    return tuple(columns), rows, {**dataclasses.asdict(fit), "decay_verified": fit.decay_verified}
+    return tuple(columns), rows, {"fit": {**dataclasses.asdict(fit), "decay_verified": fit.decay_verified}}
 
 
 def _build_parser():
@@ -269,10 +269,10 @@ def main(argv=None):
             command = commands[args.command]
             command.set_defaults(**_load_config(args.config, command))
             args = parser.parse_args(argv)
-        columns, rows, fit = args.run(args)
+        columns, rows, trailer = args.run(args)
         config = {key: value for key, value in vars(args).items()
                   if key not in ("run", "output", "config") and value is not None}
-        _write_output(args.output, args.format, config, columns, rows, fit)
+        _write_output(args.output, args.format, config, columns, rows, trailer)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

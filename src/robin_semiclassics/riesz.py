@@ -4,9 +4,10 @@ The operator is H(b) = -h^2 Delta - 1 on a box with per-facet Robin
 coefficients b (classical coefficients c = b/h). Its Riesz mean is the
 sum of (1 - h^2 lambda)_+ over tuples of per-axis interval eigenvalues,
 evaluated by sorted prefix sums so that no O(N^2) pass is needed. In 2-D
-both axes are enumerated only up to h^-2; the roots above it, which pair
-only with the other axis's bound states, enter as band sums
-(spectra1d.band_sum), in closed form where certified. For d >= 3 the axes
+the roots of an axis above h^-2 pair only with the other axis's bound
+states. Where spectra1d.band_sum certifies the closed form of every such
+band of an axis, the axis is enumerated only up to h^-2 and the bands are
+added; otherwise it is enumerated through its deepest band. For d >= 3 the axes
 split into halves 0..ceil(d/2)-1 and ceil(d/2)..d-1; each half folds into
 sorted partial sums below the cutoff, and the two sorted arrays are paired
 by the same prefix sums (meet in the middle), so no (d-1)-axis tuple array
@@ -23,8 +24,6 @@ import numpy as np
 from . import coeffs
 from .spectra1d import RobinInterval, band_sum, enumerate_eigenvalues, negative_eigenvalues
 
-# Largest materialized pair-sum array in the d >= 3 reduction.
-_PAIR_CHUNK = 20_000_000
 # Relative slack of kroger_check, for the rounding of trace and both bound terms.
 _KROGER_RTOL = 1e-10
 
@@ -125,39 +124,37 @@ def _pair_trace(sorted_axis, other_axis, h):
 
 
 def _band_trace(box, h):
-    """Trace and tuple count of a 2-D box from spectra cut at h^-2 (1 + 1e-12).
+    """Trace and tuple count of a 2-D box, each axis enumerated once.
 
-    A root x above that cut pairs only with a partner's bound state y < 0,
-    so for each of those (at most two per axis) the band of the other axis
-    between the cut and h^-2 - y adds h^2 sum (h^-2 - y - x), a sum that
-    spectra1d.band_sum takes in closed form where its remainder bound allows.
+    A root x above h^-2 pairs only with a partner's bound state y < 0 (at
+    most two per axis), adding h^2 (h^-2 - y - x). If spectra1d.band_sum
+    certifies the closed form of every such band of an axis, that axis is
+    cut at h^-2 (1 + 1e-12) and the bands are added. Otherwise it is
+    enumerated through its deepest band, to (h^-2 - y_min) (1 + 1e-12) as
+    in axis_spectra, and _pair_trace counts every tuple.
     """
     intervals = _intervals(box, h)
     bound_states = [negative_eigenvalues(iv) for iv in intervals]
     cutoff = h**-2
-    spectra = [enumerate_eigenvalues(iv, cutoff * (1.0 + 1e-12)).eigenvalues for iv in intervals]
-    trace, count = _pair_trace(spectra[0], spectra[1], h)
-    parts = [trace]
-    for axis, partner in ((0, 1), (1, 0)):
-        for y in bound_states[partner]:
-            band = band_sum(intervals[axis], spectra[axis].size, cutoff - y)
-            parts.append(h * h * band.value)
-            count += band.count
-    return math.fsum(parts), count
+    cut = cutoff * (1.0 + 1e-12)
+    spectra, parts, count = [], [], 0
+    for iv, partner_states in zip(intervals, bound_states[::-1]):
+        bands = [band_sum(iv, cut, cutoff - y) for y in partner_states]
+        if any(band is None for band in bands):
+            lam_max = (cutoff - min(partner_states)) * (1.0 + 1e-12)
+        else:
+            lam_max = cut
+            parts += [h * h * band.value for band in bands]
+            count += sum(band.count for band in bands)
+        spectra.append(enumerate_eigenvalues(iv, lam_max).eigenvalues)
+    trace, pairs = _pair_trace(spectra[0], spectra[1], h)
+    return math.fsum([trace, *parts]), count + pairs
 
 
 def _reduce_pair(a, b, cutoff):
-    """Sorted pair sums a_i + b_j not exceeding ``cutoff``, chunked for memory."""
-    if a.size * b.size > _PAIR_CHUNK:
-        step = max(1, _PAIR_CHUNK // max(b.size, 1))
-        parts = []
-        for i in range(0, a.size, step):
-            block = (a[i:i + step, None] + b[None, :]).ravel()
-            parts.append(block[block <= cutoff])
-        sums = np.concatenate(parts)
-    else:
-        sums = (a[:, None] + b[None, :]).ravel()
-        sums = sums[sums <= cutoff]
+    """Sorted pair sums a_i + b_j not exceeding ``cutoff``."""
+    sums = (a[:, None] + b[None, :]).ravel()
+    sums = sums[sums <= cutoff]
     sums.sort()
     return sums
 

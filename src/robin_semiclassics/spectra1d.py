@@ -17,8 +17,8 @@ certificate, with no slack: N(0+) nonpositive eigenvalues and N(lam_max) in all.
 band_sum gives the sum of (lam - lambda_n)_+ over a band of high indices by
 Euler-Maclaurin summation over the phase index, from the band's two end
 roots, wherever an analytic bound puts its remainder below eps times the
-sum and its rounding stays small; elsewhere it solves and sums every root
-of the band.
+sum and its rounding stays small; elsewhere it returns None, and the caller
+enumerates the band instead.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ class RobinInterval:
         if not (math.isfinite(self.c_left) and math.isfinite(self.c_right)):
             raise ValueError("Robin coefficients must be finite")
         # Both bound the arithmetic below: the zero condition forms
-        # c_l c_r L, and eigenvalue_bracket squares the kappa bound.
+        # c_l c_r L, and negative_eigenvalues squares a kappa that may
+        # reach kappa_max.
         if not math.isfinite(self.c_left * self.c_right * self.length):
             raise ValueError(f"c_left * c_right * length overflows for {self}")
         kappa_max = _kappa_upper_bound(self)
@@ -98,23 +99,6 @@ def _kappa_upper_bound(iv):
     gr = max(-iv.c_right, 0.0)
     g = gl + gr
     return max(2.0 * max(gl, gr) + 1.0, math.sqrt(g / iv.length + g * g) * (1.0 + 1e-8) + 1.0)
-
-
-def eigenvalue_bracket(iv, lam):
-    """Interval (lo, hi) holding the eigenvalue ``lam`` of ``iv``.
-
-    A negative eigenvalue lies in [-kappa_max^2, 0] with kappa_max the
-    variational depth bound; a positive one lies
-    between the squared Dirichlet nodes n pi / L enclosing sqrt(lam).
-    """
-    if lam < 0.0:
-        kappa_hi = _kappa_upper_bound(iv)
-        return -kappa_hi * kappa_hi, 0.0
-    if lam == 0.0:
-        return 0.0, 0.0
-    node = math.pi / iv.length
-    n = int(math.floor(math.sqrt(lam) / node))
-    return (n * node) ** 2, ((n + 1) * node) ** 2
 
 
 def _boundary_form_branch(kappa, iv, upper):
@@ -364,13 +348,13 @@ class BandSum:
     value: float  # sum of lam - lambda_n over the counted roots
     count: int  # roots with lam - lambda_n > 0 in floating point
     error: float  # bound on |value - exact sum|, roots taken within _ROOT_RTOL
-    closed_form: bool  # Euler-Maclaurin closed form taken, not the explicit sum
 
 
-def band_sum(iv, n_below, lam):
-    """Sum of (lam - lambda_n)_+ over the eigenvalues above the lowest n_below.
+def band_sum(iv, lam_low, lam):
+    """Certified closed-form sum of (lam - lambda_n)_+ over the eigenvalues above lam_low, or None.
 
-    The band is the phase indices a = n_below + 1 .. N = N(lam), all positive
+    The band is the phase indices a .. N = N(lam) above the N(lam_low)
+    eigenvalues that enumerate_eigenvalues(iv, lam_low) returns, all positive
     roots; a root with lam - lambda_n <= 0 in floating point is not counted.
     With k(n) the root of Phi(k) = n pi and g(n) = lam - k(n)^2,
     Euler-Maclaurin summation over n gives
@@ -380,46 +364,28 @@ def band_sum(iv, n_below, lam):
     with G(k) = [lam L k - L k^3 / 3 + sum_{c != 0} ((lam + c^2) arctan(k / c) - c k)] / pi
     the antiderivative of (lam - k^2) Phi'(k) / pi and g' = -2 pi k / Phi'(k).
     So only k_a and k_N are solved. |R| <= 2 zeta(3) / (2 pi)^3 int |g'''| dn,
-    bounded analytically over the band (_remainder_bound). The closed form is
-    taken only when that bound is at most eps * value and its rounding bound
-    at most _CLOSED_FORM_RTOL * value. Otherwise (short bands, a bound that
-    is not finite or not small, huge couplings) every root of the band is
-    solved and the terms are summed by math.fsum. The reported error adds
-    the rounding of either sum to that bound.
-
-    Raises EnumerationError when the explicit path does not solve N - a + 1
-    increasing roots.
+    bounded analytically over the band (_remainder_bound). The sum is
+    returned only when that bound is at most eps * value and its rounding
+    bound at most _CLOSED_FORM_RTOL * value; its error adds the two. Otherwise
+    (short bands, a bound that is not finite or not small, huge couplings)
+    the result is None, and the caller enumerates the band.
     """
-    lam = float(lam)
+    lam_low, lam = float(lam_low), float(lam)
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"band cutoff must be positive and finite, got {lam!r}")
-    if n_below < _nonpositive_count(iv):
-        raise ValueError(f"the band must start above the {_nonpositive_count(iv)} "
-                         f"nonpositive eigenvalues of {iv}, got n_below = {n_below}")
+    if not (math.isfinite(lam_low) and lam_low > 0.0):
+        raise ValueError(f"the band must start above the nonpositive eigenvalues of {iv}, "
+                         f"got lam_low = {lam_low!r}")
+    n_below = max(_phase_count(iv, lam_low), _nonpositive_count(iv))
     n_top = _phase_count(iv, lam)
     if n_top <= n_below:
-        return BandSum(0.0, 0, 0.0, False)
-    # The bound only grows with its interval, [a pi / L, (N - 2) pi / L] lies
-    # inside [k_a, k_N], and the value is below (N - a + 1) lam: a band that
-    # fails the test on those is summed without solving its ends.
-    node = math.pi / iv.length
-    if (n_top - n_below >= 4 and _remainder_bound(iv, (n_below + 1) * node, (n_top - 2) * node)
-            <= _EPS * (n_top - n_below) * lam):
-        k_a, k_n = _phase_roots(iv, np.array([n_below + 1, n_top]), math.sqrt(lam)).tolist()
-        bound = _remainder_bound(iv, k_a, k_n)
-        value, rounding = _closed_form_band(iv, k_a, k_n, lam)
-        if bound <= _EPS * value and rounding <= _CLOSED_FORM_RTOL * value:
-            count = n_top - n_below - (lam - k_n * k_n <= 0.0)
-            return BandSum(value, count, bound + rounding, True)
-    roots = _positive_eigenvalues(iv, n_below, n_top, lam)
-    if roots.size != n_top - n_below or np.any(np.diff(roots) <= 0.0):
-        raise EnumerationError(
-            f"band of {iv} below {lam}: {roots.size} increasing roots solved, "
-            f"indices {n_below + 1}..{n_top} need {n_top - n_below}")
-    terms = lam - roots
-    terms = terms[terms > 0.0]
-    value = math.fsum(terms.tolist())
-    return BandSum(value, terms.size, 2.0 * _ROOT_RTOL * lam * terms.size + _EPS * value, False)
+        return BandSum(0.0, 0, 0.0)
+    k_a, k_n = _phase_roots(iv, np.array([n_below + 1, n_top]), math.sqrt(lam)).tolist()
+    bound = _remainder_bound(iv, k_a, k_n)
+    value, rounding = _closed_form_band(iv, k_a, k_n, lam)
+    if not (bound <= _EPS * value and rounding <= _CLOSED_FORM_RTOL * value):
+        return None
+    return BandSum(value, n_top - n_below - (lam - k_n * k_n <= 0.0), bound + rounding)
 
 
 def _slope_part(c, k):

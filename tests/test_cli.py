@@ -63,8 +63,10 @@ def test_spectrum_neumann(capsys):
     code, out, _ = run_cli(["spectrum", "--L", "1", "--cl", "0", "--cr", "0",
                             "--Lambda", "100"], capsys)
     assert code == 0
-    _, columns, rows = parse_csv(out)
-    assert columns == ["n", "lambda", "bracket_lo", "bracket_hi"]
+    comments, columns, rows = parse_csv(out)
+    assert columns == ["n", "lambda"]
+    # The zero ground state is neither negative nor positive.
+    assert comments[-1] == '# certificate = {"n_negative": 0, "n_positive": 3}'
     lams = [float(dict(zip(columns, r))["lambda"]) for r in rows]
     expected = [0.0, math.pi**2, 4 * math.pi**2, 9 * math.pi**2]
     assert len(lams) == 4
@@ -300,4 +302,12 @@ def test_spectrum_tiny_symmetric_well(capsys):
     cell = dict(zip(columns, rows[0]))
     assert len(rows) == 1
     assert abs(float(cell["lambda"]) + 2e300) <= 1e-15 * 2e300
-    assert float(cell["bracket_lo"]) <= float(cell["lambda"]) < 0.0
+
+
+def test_spectrum_json_carries_the_certificate(capsys):
+    code, out, _ = run_cli(["spectrum", "--L", "1", "--cl", "-3", "--cr", "-3",
+                            "--Lambda", "100", "--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["certificate"] == {"n_negative": 2, "n_positive": 2}
+    assert len(doc["rows"]) == 4 and "fit" not in doc

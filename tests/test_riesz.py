@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from robin_semiclassics import coeffs, riesz
+from robin_semiclassics import coeffs, riesz, spectra1d
 from robin_semiclassics.riesz import (
     BoxDomain,
     _pair_trace,
@@ -215,23 +215,27 @@ def test_pair_trace_bit_identical_to_loop(box, h, exits_early):
     (BoxDomain.uniform((1.0, SQ2), -(1e-3 ** -0.25)), 1e-3, (False,) * 4),
     (BoxDomain.uniform((1.0, SQ2), -(2e-4 ** -0.25)), 2e-4, (True,) * 4),
     (BoxDomain.uniform((1.0, SQ2), -1.0), 4e-5, (True,) * 4),
-    (BoxDomain((0.8, 1.7), ((-2.0, 0.5), (1.0, -0.3))), 0.1, (False, False)),
+    # The first band holds no root; the second, 7 roots, is too short for
+    # the closed form, so the second axis is enumerated.
+    (BoxDomain((0.8, 1.7), ((-2.0, 0.5), (1.0, -0.3))), 0.1, (True, False)),
     # The first band, 112 roots above index 2547, fails both the remainder
-    # and the rounding test of the closed form.
+    # and the rounding test of the closed form: the first axis is
+    # enumerated, the second takes its band in closed form.
     (BoxDomain((0.8, 1.7), ((-2.0, 0.5), (1.0, -0.3))), 1e-4, (False, True)),
     # The same facets in the large regime gamma = 1/4.
     (BoxDomain((0.8, 1.7), ((-2.0 * 2e-4 ** -0.25, 0.5 * 2e-4 ** -0.25),
                             (1.0 * 2e-4 ** -0.25, -0.3 * 2e-4 ** -0.25))), 2e-4, (True, True)),
 ])
 def test_band_sums_match_the_inflated_enumeration(monkeypatch, box, h, paths):
-    # riesz_mean cuts both axes at h^-2 and adds the bands above the cut, in
-    # closed form where certified; axis_spectra enumerates them all.
+    # riesz_mean cuts an axis at h^-2 and adds its bands above the cut where
+    # every one is certified in closed form, and else enumerates that axis
+    # through its deepest band; axis_spectra enumerates every band.
     taken = []
     band_sum = riesz.band_sum
 
     def recorded(*args):
         band = band_sum(*args)
-        taken.append(band.closed_form)
+        taken.append(band is not None)
         return band
 
     monkeypatch.setattr(riesz, "band_sum", recorded)
@@ -240,6 +244,36 @@ def test_band_sums_match_the_inflated_enumeration(monkeypatch, box, h, paths):
     assert abs(rep.trace - trace) <= 1e-14 * trace
     assert rep.eig_count == count
     assert tuple(taken) == paths
+
+
+def test_no_phase_index_is_solved_twice(monkeypatch):
+    # Uniform b0 = -1 at h = 1e-3: each axis has two nearly degenerate bound
+    # states, so the two bands of an axis span the same phase indices. Each
+    # band may solve its two end roots; every other index is solved once,
+    # by the one enumeration of its axis (1093 indices in all).
+    solved, enumerated, bands = [], [], []
+    phase_roots, enumerate_eigenvalues, band_sum = (
+        spectra1d._phase_roots, riesz.enumerate_eigenvalues, riesz.band_sum)
+
+    def counted_roots(iv, n, k_max):
+        solved.append(n.size)
+        return phase_roots(iv, n, k_max)
+
+    def counted_enumeration(iv, lam_max):
+        spectrum = enumerate_eigenvalues(iv, lam_max)
+        enumerated.append(spectrum.certificate.n_positive)
+        return spectrum
+
+    def counted_band(*args):
+        bands.append(args)
+        return band_sum(*args)
+
+    monkeypatch.setattr(spectra1d, "_phase_roots", counted_roots)
+    monkeypatch.setattr(riesz, "enumerate_eigenvalues", counted_enumeration)
+    monkeypatch.setattr(riesz, "band_sum", counted_band)
+    riesz_mean(BoxDomain.uniform((1.0, SQ2), -1.0), 1e-3)
+    assert len(enumerated) == 2 and len(bands) == 4
+    assert sum(solved) <= sum(enumerated) + 2 * len(bands)
 
 
 def _longdouble_trace(box, h):

@@ -12,7 +12,6 @@ from robin_semiclassics import spectra1d
 from robin_semiclassics.errors import EnumerationError
 from robin_semiclassics.spectra1d import (
     RobinInterval,
-    eigenvalue_bracket,
     enumerate_eigenvalues,
     fd_oracle,
     negative_eigenvalues,
@@ -186,10 +185,15 @@ def test_negative_cutoff_returns_only_deep_states():
 
 @pytest.mark.parametrize("length,cl,cr", [(1.0, 0.0, 0.0), (1.0, -3.0, -3.0), (1.3, -2.0, 0.7)])
 def test_eigenvalues_lie_in_their_brackets(length, cl, cr):
+    # A bound state lies above minus the squared depth bound; eigenvalue n
+    # >= 0 lies in the phase bracket ((n - 2) pi / L, n pi / L] in k.
     iv = RobinInterval(length, cl, cr)
-    for lam in enumerate_eigenvalues(iv, 400.0).eigenvalues:
-        lo, hi = eigenvalue_bracket(iv, lam)
-        assert lo <= lam <= hi, (lam, lo, hi)
+    node = math.pi / length
+    for n, lam in enumerate(enumerate_eigenvalues(iv, 400.0).eigenvalues, start=1):
+        if lam < 0.0:
+            assert -spectra1d._kappa_upper_bound(iv) ** 2 <= lam < 0.0, (n, lam)
+        else:
+            assert max(n - 2, 0) * node <= math.sqrt(lam) <= n * node, (n, lam)
 
 
 def brentq_positive_reference(iv, lam_max):
@@ -400,13 +404,13 @@ def test_ground_state_far_below_its_bracket_takes_few_phase_evaluations(monkeypa
 
 
 def band_start(iv, h):
-    """(n_below, lam) for the band above the cut h^-2 (1 + 1e-12) of iv's
+    """(cut, lam) for the band above the cut h^-2 (1 + 1e-12) of iv's
     spectrum, up to h^-2 minus the deepest bound state of the same interval."""
-    n_below = len(enumerate_eigenvalues(iv, h**-2 * (1.0 + 1e-12)).eigenvalues)
-    return n_below, h**-2 - negative_eigenvalues(iv)[0]
+    return h**-2 * (1.0 + 1e-12), h**-2 - negative_eigenvalues(iv)[0]
 
 
-def explicit_band(iv, n_below, lam):
+def explicit_band(iv, cut, lam):
+    n_below = len(enumerate_eigenvalues(iv, cut).eigenvalues)
     roots = np.array([x for x in enumerate_eigenvalues(iv, lam).eigenvalues[n_below:] if lam - x > 0.0])
     return math.fsum((lam - roots).tolist()), roots.size
 
@@ -418,9 +422,10 @@ def test_band_sum_closed_form_within_its_bound_of_mpmath(length, h):
     # on Phi(k) = n pi, and the terms summed in 30 digits.
     c = -1.0 / h if length == 1.0 else -h**-1.25
     iv = RobinInterval(length, c, c)
-    n_below, lam = band_start(iv, h)
-    band = spectra1d.band_sum(iv, n_below, lam)
-    assert band.closed_form
+    cut, lam = band_start(iv, h)
+    band = spectra1d.band_sum(iv, cut, lam)
+    assert band is not None
+    n_below = len(enumerate_eigenvalues(iv, cut).eigenvalues)
     n_top = spectra1d._phase_count(iv, lam)
     assert 3000 <= band.count == n_top - n_below
     roots = np.sqrt(spectra1d._positive_eigenvalues(iv, n_below, n_top, lam))
@@ -439,15 +444,14 @@ def test_band_sum_closed_form_within_its_bound_of_mpmath(length, h):
 
 def test_band_sum_short_band_takes_the_explicit_path():
     # h = 0.1, b = -2: the three-term Euler-Maclaurin sum over these four
-    # roots is 7e-7 off, inside its remainder bound, so they are summed one
-    # by one.
+    # roots is 7e-7 off, inside its remainder bound, so it is not certified.
     iv = RobinInterval(1.0, -20.0, -20.0)
-    n_below, lam = band_start(iv, 0.1)
-    band = spectra1d.band_sum(iv, n_below, lam)
-    assert not band.closed_form
-    value, count = explicit_band(iv, n_below, lam)
-    assert (band.value, band.count) == (value, count)
+    cut, lam = band_start(iv, 0.1)
+    assert spectra1d.band_sum(iv, cut, lam) is None
+    value, count = explicit_band(iv, cut, lam)
+    n_below = len(enumerate_eigenvalues(iv, cut).eigenvalues)
     n_top = spectra1d._phase_count(iv, lam)
+    assert count == n_top - n_below == 4
     k_a, k_n = spectra1d._phase_roots(iv, np.array([n_below + 1, n_top]), math.sqrt(lam)).tolist()
     closed, rounding = spectra1d._closed_form_band(iv, k_a, k_n, lam)
     bound = spectra1d._remainder_bound(iv, k_a, k_n)
@@ -460,25 +464,13 @@ def test_band_sum_uncertifiable_bound_takes_the_explicit_path(monkeypatch):
     iv = RobinInterval(1.0, 3.0, -0.7)
     k_a, k_n = spectra1d._phase_roots(iv, np.array([1, spectra1d._phase_count(iv, 400.0)]), 20.0)
     assert spectra1d._remainder_bound(iv, k_a, k_n) == math.inf
-    band = spectra1d.band_sum(iv, 0, 400.0)
-    assert not band.closed_form
-    assert (band.value, band.count) == explicit_band(iv, 0, 400.0)
-    # A band that takes the closed form, once its bound over the solved end
-    # roots (the second call; the first screens the inner interval) is NaN.
+    assert spectra1d.band_sum(iv, 0.01, 400.0) is None  # 0.01 lies below the ground state
+    # A band that takes the closed form, once its remainder bound is NaN.
     iv = RobinInterval(1.0, -2.5e4, -2.5e4)
-    n_below, lam = band_start(iv, 4e-5)
-    assert spectra1d.band_sum(iv, n_below, lam).closed_form
-    calls = []
-    remainder_bound = spectra1d._remainder_bound
-
-    def ends_fail(*args):
-        calls.append(args)
-        return remainder_bound(*args) if len(calls) == 1 else math.nan
-
-    monkeypatch.setattr(spectra1d, "_remainder_bound", ends_fail)
-    band = spectra1d.band_sum(iv, n_below, lam)
-    assert not band.closed_form and len(calls) == 2
-    assert (band.value, band.count) == explicit_band(iv, n_below, lam)
+    cut, lam = band_start(iv, 4e-5)
+    assert spectra1d.band_sum(iv, cut, lam) is not None
+    monkeypatch.setattr(spectra1d, "_remainder_bound", lambda *args: math.nan)
+    assert spectra1d.band_sum(iv, cut, lam) is None
 
 
 @pytest.mark.parametrize("c", [1e100, 1e200])
@@ -486,28 +478,26 @@ def test_band_sum_huge_coupling_takes_the_explicit_path(c):
     # (lam + c^2) arctan(k / c) - c k cancels to nothing at c = 1e100 and
     # overflows at c = 1e200, though the remainder bound is 0 for both.
     iv = RobinInterval(1.0, c, 0.0)
-    band = spectra1d.band_sum(iv, 0, 1e8)
-    assert not band.closed_form
-    assert (band.value, band.count) == explicit_band(iv, 0, 1e8)
-    k_a, k_n = spectra1d._phase_roots(iv, np.array([1, band.count]), 1e4).tolist()
+    assert spectra1d.band_sum(iv, 1.0, 1e8) is None  # 1.0 lies below the ground state
+    value, count = explicit_band(iv, 1.0, 1e8)
+    k_a, k_n = spectra1d._phase_roots(iv, np.array([1, count]), 1e4).tolist()
     assert spectra1d._remainder_bound(iv, k_a, k_n) == 0.0
     closed, rounding = spectra1d._closed_form_band(iv, k_a, k_n, 1e8)
-    assert not abs(closed - band.value) <= 1e-12 * band.value
+    assert not abs(closed - value) <= 1e-12 * value
 
 
 def test_band_sum_fails_loudly(monkeypatch):
     iv = RobinInterval(1.0, -20.0, -20.0)
-    n_below, lam = band_start(iv, 0.1)
+    cut, lam = band_start(iv, 0.1)
     with pytest.raises(ValueError):
-        spectra1d.band_sum(iv, 1, lam)  # below the two bound states
+        spectra1d.band_sum(iv, -500.0, lam)  # reaching down to the two bound states
     with pytest.raises(ValueError):
-        spectra1d.band_sum(iv, n_below, math.inf)
-    assert spectra1d.band_sum(iv, n_below, 50.0) == spectra1d.BandSum(0.0, 0, 0.0, False)
-    positive_eigenvalues = spectra1d._positive_eigenvalues
-    monkeypatch.setattr(spectra1d, "_positive_eigenvalues",
-                        lambda *args: positive_eigenvalues(*args)[1:])
+        spectra1d.band_sum(iv, cut, math.inf)
+    assert spectra1d.band_sum(iv, cut, 50.0) == spectra1d.BandSum(0.0, 0, 0.0)
+    # An end root that does not converge raises rather than returning a sum.
+    monkeypatch.setattr(spectra1d, "_NEWTON_MAX_ITER", 0)
     with pytest.raises(EnumerationError):
-        spectra1d.band_sum(iv, n_below, lam)
+        spectra1d.band_sum(iv, 1.0, 1e4)
 
 
 # Property tests on random intervals. Counts are taken a relative 1e-9 off
