@@ -133,9 +133,9 @@ def _cmd_coeff(args):
     b_list = _parse_floats(args.b, "--b")
     d = args.d
     columns = ("d", "b", "l1_d", "l1_dm1", "c_d", "l2", "abs_err")
+    cd = coeffs.c_d(d).value  # checks d against the coefficients' range first
     l1_d = coeffs.l1(d).value
     l1_dm1 = coeffs.l1(d - 1).value
-    cd = coeffs.c_d(d).value
     rows = []
     for b in b_list:
         val = coeffs.l2(d, b)

@@ -166,7 +166,7 @@ def riesz_mean(box, h):
     remainder is trace minus the Weyl term until a prediction fills it.
     """
     h = float(h)
-    if h <= 0.0:
+    if not h > 0.0:
         raise ValueError(f"need h > 0, got {h}")
     if h > min(box.sides) / 4.0:
         raise ValueError(

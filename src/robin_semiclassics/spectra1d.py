@@ -11,8 +11,9 @@ n-th eigenvalue is the one point where Phi - n pi turns from negative to
 positive, inside ((n - 2) pi / L, n pi / L), and each positive one is solved
 by safeguarded Newton steps on Phi. The negative ones, at most two, are the
 kappa where the two eigenvalue branches of the boundary form B(kappa) cross
-0 (lambda = -kappa^2); B(0) gives N(0+). The count is the completeness
-certificate, with no slack: N(0+) nonpositive eigenvalues and N(lam_max) in all.
+0 (lambda = -kappa^2), each solved by Brent's method; B(0) gives N(0+). The
+count is the completeness certificate, with no slack: N(0+) nonpositive
+eigenvalues and N(lam_max) in all.
 
 band_sum gives the sum of (lam - lambda_n)_+ over a band of high indices by
 Euler-Maclaurin summation over the phase index, from the band's two end
@@ -27,8 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.optimize import brentq
 
 from .errors import EnumerationError
 
@@ -49,6 +48,11 @@ _EM_REMAINDER = 2.0 * 1.2020569031595942 / (2.0 * math.pi) ** 3  # 2 zeta(3) / (
 # band far up the spectrum, where G(k_N) - G(k_a) cancels, or a huge positive
 # coupling c, where (lam + c^2) arctan(k / c) - c k does, exceeds it.
 _CLOSED_FORM_RTOL = 1e-12
+# Brent's method on the boundary form: a relative tolerance only, for shallow
+# states, and ~1000 steps reach 1e-300.
+_BRENT_XTOL = 1e-300
+_BRENT_RTOL = 1e-15
+_BRENT_MAX_ITER = 2000
 # Newton has needed 2-6 steps per block on sweep-sized spectra, and about a
 # dozen where a ground state lies far below its bracket (couplings near 1e-12,
 # the smallest the zero condition leaves). The cap only bounds a failure.
@@ -138,7 +142,8 @@ def negative_eigenvalues(iv):
     strictly from B(0) (see _nonpositive_count) to positive values at the
     depth bound, so N(0+) branches cross, less one for a zero state, which is
     not reported here even if it truly lies just below 0. Raises
-    EnumerationError if a branch that must cross shows no sign change.
+    EnumerationError, naming the branch and its bracket, if a branch that
+    must cross shows no sign change, turns NaN or does not converge.
     """
     n_branches = _nonpositive_count(iv) - int(_zero_eigenvalue_present(iv))
     # The lower end keeps kappa and kappa L normal, so B is accurate there.
@@ -154,13 +159,69 @@ def negative_eigenvalues(iv):
                 break
             ends = (ends[0], kappas[0]) if at > 0.0 else (kappas[0], ends[1])
         try:
-            # Relative tolerance only, for shallow states: ~1000 steps reach 1e-300.
-            kappas.append(brentq(_boundary_form_branch, *ends, args=(iv, upper),
-                                 xtol=1e-300, rtol=1e-15, maxiter=2000))
-        except ValueError as exc:  # no sign change on the bracket, or a NaN
+            kappas.append(_brent_root(_boundary_form_branch, *ends, args=(iv, upper)))
+        except EnumerationError as exc:
             raise EnumerationError(f"the {'upper' if upper else 'lower'} branch of the boundary "
                                    f"form of {iv} fails on {list(ends)}: {exc}") from exc
     return sorted(-k * k for k in kappas)
+
+
+def _brent_root(f, xa, xb, args=(), maxiter=_BRENT_MAX_ITER):
+    """A root of f(x, *args) on [xa, xb] by Brent's method (zeroin).
+
+    Brent, Algorithms for Minimization without Derivatives (1973), ch. 4, in
+    the form of scipy's brentq.c, step for step, so it returns the same
+    floats as scipy.optimize.brentq with xtol = _BRENT_XTOL and rtol =
+    _BRENT_RTOL. Raises EnumerationError if f has the same sign at both
+    ends, returns NaN, or has not converged after maxiter steps.
+    """
+
+    def value(x):
+        fx = f(x, *args)
+        if math.isnan(fx):
+            raise EnumerationError(f"the function is NaN at {x!r}")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise EnumerationError(f"f must have different signs at the ends, got {fpre!r} and {fcur!r}")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise EnumerationError(f"no convergence in {maxiter} steps, last iterate {xcur!r}")
 
 
 def _zero_eigenvalue_present(iv):
@@ -461,8 +522,11 @@ def fd_oracle(iv, n_grid, n_eigs):
 
     Ghost-point Robin discretization symmetrized onto a tridiagonal matrix
     (endpoint rows carry half cells, couplings sqrt(2)/delta^2), solved by
-    LAPACK Sturm-sequence bisection. Accuracy O(1/n_grid^2).
+    LAPACK Sturm-sequence bisection. Accuracy O(1/n_grid^2). It is the one
+    use of scipy, imported here so that the package itself loads without it.
     """
+    from scipy.linalg import eigvalsh_tridiagonal
+
     if n_grid < 100:
         raise ValueError(f"need n_grid >= 100, got {n_grid}")
     n_pts = n_grid + 1

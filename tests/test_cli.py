@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +51,45 @@ def test_coeff_empty_grid_usage_error(capsys):
     code, _, err = run_cli(["coeff", "--d", "2", "--b", ""], capsys)
     assert code == 2
     assert "non-empty" in err
+
+
+def test_coeff_d1_reports_the_coefficient_range(capsys):
+    # l1(d - 1) once checked d first and reported the range [1, 8] for d - 1 = 0.
+    code, out, err = run_cli(["coeff", "--d", "1", "--b", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "dimension must lie in [2, 8], got 1" in err
+
+
+@pytest.mark.parametrize("d", ["50", "-3"])
+def test_model_dimension_out_of_range_is_a_usage_error(capsys, d):
+    code, out, err = run_cli(["model", "--d", d, "--b", "1", "--t", "1"], capsys)
+    assert code == 2 and out == ""
+    assert f"dimension must lie in [2, 8], got {d}" in err
+
+
+def test_sweep_nan_h_is_a_usage_error(capsys):
+    code, out, err = run_cli(["sweep", "--regime", "fixed", "--b0", "1",
+                              "--h", "nan,0.01,0.02,0.03"], capsys)
+    assert code == 2 and out == ""
+    assert "need h > 0, got nan" in err
+
+
+def test_cli_runs_without_loading_scipy(tmp_path):
+    # scipy serves only the finite-difference test oracle; importing it
+    # would take most of a call's start-up time. b0 = -1 solves bound states.
+    script = (
+        "import sys\n"
+        "from robin_semiclassics import cli\n"
+        "code = cli.main(['sweep', '--regime', 'fixed', '--b0', '-1', '--h', '0.04,0.02,0.01,0.005',\n"
+        f"                 '--output', {str(tmp_path / 'sweep.csv')!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         check=False)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0", "[]"]
 
 
 def test_csv_cells_roundtrip(capsys):

@@ -147,6 +147,15 @@ def test_i_b_partial_matches_t_quadrature(d, b):
         assert abs(swapped.value - direct.value) <= 1e-10, big_t
 
 
+@pytest.mark.parametrize("d", [1, 9, 50, -3])
+def test_dimension_outside_the_coefficient_range_rejected(d):
+    # d = -3 once ran i_b to its 60,000-panel limit, and d = 50 returned a value.
+    with pytest.raises(ValueError, match=f"dimension must lie in \\[2, 8\\], got {d}"):
+        halfline.i_b(d, 1.0, 1.0)
+    with pytest.raises(ValueError, match=f"dimension must lie in \\[2, 8\\], got {d}"):
+        halfline.i_b_integral(d, 1.0)
+
+
 def test_bound_state_overlap():
     assert abs(halfline.bound_state_overlap(-1.0) - math.sqrt(2.0) / 2.0) < 1e-15
     assert halfline.bound_state_overlap(0.3) == 0.0

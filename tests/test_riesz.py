@@ -159,6 +159,11 @@ def test_h_guard():
         riesz_mean(box, -0.1)
 
 
+def test_nan_h_rejected_by_the_h_guard():
+    with pytest.raises(ValueError, match="need h > 0, got nan"):
+        riesz_mean(BoxDomain.uniform((1.0, 1.0), 0.0), math.nan)
+
+
 def test_negative_b_extends_partner_cutoff():
     # Deep wells push pair contributions past the naive h^-2 cutoff; the
     # brute-force oracle shares the extended spectra, so compare against a

@@ -281,7 +281,7 @@ def test_newton_step_cap_fails_loudly(monkeypatch):
 
 def test_branch_without_sign_change_fails_loudly(monkeypatch):
     # N(0+) = 2 says both branches of B(kappa) cross 0; one that stays
-    # positive on its bracket raises EnumerationError, not brentq's ValueError.
+    # positive on its bracket raises EnumerationError, naming the branch.
     iv = RobinInterval(1.0, -3.0, -2.0)
     assert len(negative_eigenvalues(iv)) == spectra1d._nonpositive_count(iv) == 2
     branch = spectra1d._boundary_form_branch
@@ -290,6 +290,63 @@ def test_branch_without_sign_change_fails_loudly(monkeypatch):
                             lambda k, iv, upper: branch(k, iv, upper) + (1e9 if upper == lifted else 0.0))
         with pytest.raises(EnumerationError, match="upper" if lifted else "lower"):
             enumerate_eigenvalues(iv, 100.0)
+
+
+BRENTQ = dict(xtol=1e-300, rtol=1e-15, maxiter=2000)
+signed_couplings = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from((-1.0, 1.0)), st.floats(-12.0, 8.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_length=st.floats(-3.0, 2.0), cl=signed_couplings, cr=signed_couplings,
+       pairing=st.sampled_from(("free", "symmetric", "antisymmetric")))
+@example(log_length=0.0, cl=-3.0, cr=-2.0, pairing="free")  # two bound states
+@example(log_length=0.0, cl=-3.0, cr=-3.0, pairing="free")  # an even and an odd state
+def test_brent_port_matches_scipy_brentq_bitwise(log_length, cl, cr, pairing):
+    # The brackets negative_eigenvalues searches: both branches on the full
+    # range, and the upper one on either side of the lower root.
+    cr = {"free": cr, "symmetric": cl, "antisymmetric": -cl}[pairing]
+    iv = RobinInterval(10.0**log_length, cl, cr)
+    lo, hi = 1e-300 * max(1.0, 1.0 / iv.length), spectra1d._kappa_upper_bound(iv)
+    brackets = [(False, lo, hi), (True, lo, hi)]
+    try:
+        k0 = brentq(spectra1d._boundary_form_branch, lo, hi, args=(iv, False), **BRENTQ)
+        brackets += [(True, lo, k0), (True, k0, hi)]
+    except ValueError:
+        pass
+    for upper, a, b in brackets:
+        try:
+            want = brentq(spectra1d._boundary_form_branch, a, b, args=(iv, upper), **BRENTQ)
+        except ValueError:
+            with pytest.raises(EnumerationError, match="different signs"):
+                spectra1d._brent_root(spectra1d._boundary_form_branch, a, b, args=(iv, upper))
+            continue
+        got = spectra1d._brent_root(spectra1d._boundary_form_branch, a, b, args=(iv, upper))
+        assert got.hex() == want.hex(), (iv, upper, a, b)
+
+
+def test_brent_root_fails_loudly():
+    # The first step interpolates to 0.75, where f is NaN.
+    with pytest.raises(EnumerationError, match="NaN at 0.75"):
+        spectra1d._brent_root(lambda x: math.nan if 0.1 < x < 0.9 else x - 0.75, 0.0, 1.0)
+    with pytest.raises(EnumerationError, match="no convergence in 3 steps"):
+        spectra1d._brent_root(lambda x: math.tan(x) - 1.0, 0.0, 1.5, maxiter=3)
+
+
+def test_bound_state_failures_name_the_branch(monkeypatch):
+    # A non-converging root once escaped as scipy's RuntimeError, past the CLI's exits.
+    iv = RobinInterval(1.0, -3.0, -2.0)
+    port = spectra1d._brent_root
+    monkeypatch.setattr(spectra1d, "_brent_root", lambda f, a, b, args: port(f, a, b, args, maxiter=3))
+    with pytest.raises(EnumerationError, match=r"lower branch .* fails on \[.*\]: no convergence"):
+        negative_eigenvalues(iv)
+    branch = spectra1d._boundary_form_branch
+    monkeypatch.setattr(spectra1d, "_brent_root", port)
+    monkeypatch.setattr(spectra1d, "_boundary_form_branch",
+                        lambda k, iv, upper: math.nan if upper and k < 1.0 else branch(k, iv, upper))
+    with pytest.raises(EnumerationError, match="upper branch .* is NaN"):
+        negative_eigenvalues(iv)
 
 
 EPS40 = mpmath.mpf(2) ** -52
