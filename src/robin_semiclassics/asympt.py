@@ -123,13 +123,18 @@ def _sweep_point(box, regime, h, l2_values):
 
 
 def run_sweep(box, regime, h_list):
-    """RieszReports over distinct h, sorted by descending h, with
+    """RieszReports over distinct h > 0, sorted by descending h, with
     regime-filled boundary terms and remainders trace - weyl - boundary.
 
-    Each report's ``seconds`` is the wall time of its own point. A boundary
-    density l2(d, b) is computed once per distinct realized b in the sweep.
+    Every h is checked before the sort, so a NaN gets the same message in
+    every regime. Each report's ``seconds`` is the wall time of its own
+    point. A boundary density l2(d, b) is computed once per distinct
+    realized b in the sweep.
     """
     items = [float(h) for h in h_list]
+    for h in items:
+        if not h > 0.0:
+            raise ValueError(f"need h > 0, got {h}")
     hs = sorted(set(items), reverse=True)
     if len(hs) != len(items):
         raise ValueError("sweep h values must be distinct")

@@ -128,8 +128,6 @@ def _write_output(path, fmt, config, columns, rows, trailer):
 
 
 def _cmd_coeff(args):
-    if args.b is None:
-        raise _UsageError("coeff requires --b with at least one value")
     b_list = _parse_floats(args.b, "--b")
     d = args.d
     columns = ("d", "b", "l1_d", "l1_dm1", "c_d", "l2", "abs_err")
@@ -144,24 +142,16 @@ def _cmd_coeff(args):
 
 
 def _cmd_model(args):
-    if args.b is None:
-        raise _UsageError("model requires --b")
-    if args.t is None:
-        raise _UsageError("model requires --t with at least one value")
     t_list = _parse_floats(args.t, "--t")
     columns = ("t", "psi", "psi_bound", "i_b")
     rows = []
     for t in t_list:
-        if t < 0.0:
-            raise _UsageError(f"--t values must be >= 0, got {t}")
         rows.append((t, halfline.psi(args.b, t), halfline.psi_bound(args.b, t),
                      halfline.i_b(args.d, args.b, t).value))
     return columns, rows, {}
 
 
 def _cmd_spectrum(args):
-    if args.L is None or args.Lambda is None:
-        raise _UsageError("spectrum requires --L and --Lambda")
     iv = spectra1d.RobinInterval(args.L, args.cl, args.cr)
     spectrum = spectra1d.enumerate_eigenvalues(iv, args.Lambda)
     rows = list(enumerate(spectrum.eigenvalues.tolist()))
@@ -182,10 +172,6 @@ def _parse_facets(text, d, option):
 def _cmd_sweep(args):
     sides = tuple(_parse_floats(args.sides, "--sides"))
     d = len(sides)
-    if args.regime is None:
-        raise _UsageError("sweep requires --regime {fixed,small,large}")
-    if args.b0 is None:
-        raise _UsageError("sweep requires --b0")
     facets = _parse_facets(args.b0, d, "--b0")
     exponent = {asympt.REGIME_SMALL: args.s, asympt.REGIME_LARGE: args.gamma}.get(args.regime, 0.0)
     if exponent is None:
@@ -193,8 +179,6 @@ def _cmd_sweep(args):
     regime = asympt.RegimeSpec(args.regime, facets, exponent)
     box = riesz.BoxDomain(sides, facets)
     h_list = _parse_floats(args.h, "--h")
-    if len(set(h_list)) != len(h_list):
-        raise _UsageError("--h values must be distinct")
     if len(h_list) < 4:
         raise _UsageError("sweep needs at least 4 h values for the remainder fit")
 
@@ -226,30 +210,31 @@ def _build_parser():
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, help):
+    def command(name, run, help, required):
+        # Not argparse's required=True, which would reject a value from --config.
         p = commands.add_parser(name, help=help)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, required=required)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", help="output path, '-' for stdout")
         p.add_argument("--config", help="key = value config file; flags win")
         return p
 
-    p = command("coeff", _cmd_coeff, "semiclassical coefficient table over a b grid")
+    p = command("coeff", _cmd_coeff, "semiclassical coefficient table over a b grid", ("b",))
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--b", help="comma-separated Robin coefficients")
 
-    p = command("model", _cmd_model, "half-line model-operator samples")
+    p = command("model", _cmd_model, "half-line model-operator samples", ("b", "t"))
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--b", type=float)
     p.add_argument("--t", help="comma-separated t values")
 
-    p = command("spectrum", _cmd_spectrum, "1-D Robin interval eigenvalues")
+    p = command("spectrum", _cmd_spectrum, "1-D Robin interval eigenvalues", ("L", "Lambda"))
     p.add_argument("--L", type=float)
     p.add_argument("--cl", type=float, default=0.0)
     p.add_argument("--cr", type=float, default=0.0)
     p.add_argument("--Lambda", type=float)
 
-    p = command("sweep", _cmd_sweep, "two-term regime sweep over an h list")
+    p = command("sweep", _cmd_sweep, "two-term regime sweep over an h list", ("regime", "b0"))
     p.add_argument("--sides", default="1,1.4142135623730951")
     p.add_argument("--b0")
     p.add_argument("--regime", choices=("fixed", "small", "large"))
@@ -269,9 +254,12 @@ def main(argv=None):
             command = commands[args.command]
             command.set_defaults(**_load_config(args.config, command))
             args = parser.parse_args(argv)
+        missing = [f"--{key}" for key in args.required if getattr(args, key) is None]
+        if missing:
+            raise _UsageError(f"{args.command} requires {' and '.join(missing)}")
         columns, rows, trailer = args.run(args)
         config = {key: value for key, value in vars(args).items()
-                  if key not in ("run", "output", "config") and value is not None}
+                  if key not in ("run", "required", "output", "config") and value is not None}
         _write_output(args.output, args.format, config, columns, rows, trailer)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

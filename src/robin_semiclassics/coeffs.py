@@ -32,7 +32,7 @@ class CoefficientValue:
     abs_error_estimate: float = 0.0
 
 
-def _check_dimension(d, minimum=MIN_DIMENSION):
+def check_dimension(d, minimum=MIN_DIMENSION):
     if not isinstance(d, (int, np.integer)) or isinstance(d, bool):
         raise TypeError(f"dimension must be an integer, got {d!r}")
     if d < minimum or d > MAX_DIMENSION:
@@ -57,7 +57,7 @@ def unit_ball_volume(d):
 
     Accepts d >= 1 so the (d-1)-dimensional constants remain available.
     """
-    d = _check_dimension(d, minimum=1)
+    d = check_dimension(d, minimum=1)
     return CoefficientValue(math.pi ** (d / 2.0) / gamma_half_integer(d + 2))
 
 
@@ -71,14 +71,14 @@ def sphere_surface(k):
 
 def l1(d):
     """Weyl constant: (2/(d+2)) * (2*pi)^(-d) * omega_d, defined for d >= 1."""
-    d = _check_dimension(d, minimum=1)
+    d = check_dimension(d, minimum=1)
     omega = unit_ball_volume(d).value
     return CoefficientValue((2.0 / (d + 2)) * (2.0 * math.pi) ** (-d) * omega)
 
 
 def c_d(d):
     """Prefactor of the boundary density: 4 |S^(d-2)| (2*pi)^(-d) / (d^2 - 1)."""
-    d = _check_dimension(d)
+    d = check_dimension(d)
     surf = sphere_surface(d - 2).value
     return CoefficientValue(4.0 * surf * (2.0 * math.pi) ** (-d) / (d * d - 1.0))
 
@@ -115,7 +115,7 @@ def l2(d, b, abs_tol=1e-13):
     b < 0:  c_d * (-pi/4 + I(b) + pi * (b^2 + 1)^((d+1)/2))
     with I(b) the p-integral evaluated by adaptive quadrature.
     """
-    d = _check_dimension(d)
+    d = check_dimension(d)
     b = float(b)
     if not math.isfinite(b):
         raise ValueError(f"Robin coefficient must be finite, got {b!r}")
@@ -131,7 +131,7 @@ def l2(d, b, abs_tol=1e-13):
 
 def l2_large_negative_leading(d, b):
     """Leading large-coupling density pi * c_d * (-b)^(d+1), for b < 0."""
-    d = _check_dimension(d)
+    d = check_dimension(d)
     b = float(b)
     if not b < 0.0:
         raise ValueError(f"leading form is defined for b < 0, got {b}")

@@ -28,12 +28,6 @@ def _check_t(t):
     return t
 
 
-def _check_d(d):
-    if not coeffs.MIN_DIMENSION <= d <= coeffs.MAX_DIMENSION:
-        raise ValueError(f"dimension must lie in [{coeffs.MIN_DIMENSION}, {coeffs.MAX_DIMENSION}], got {d}")
-    return d
-
-
 def _check_b(b):
     b = float(b)
     if not math.isfinite(b):
@@ -123,7 +117,7 @@ def i_b(d, b, t, abs_tol=1e-9):
     Computed in the arcsin substitution with panels aligned to the
     cos(2tp) oscillation; non-convergence raises rather than truncates.
     """
-    d, b, t = _check_d(d), _check_b(b), _check_t(t)
+    d, b, t = coeffs.check_dimension(d), _check_b(b), _check_t(t)
     mesh = _phi_mesh(b, t)
     res = adaptive_quadrature(_i_b_integrand(d, b, t), 0.0, _HALF_PI, abs_tol=abs_tol,
                               breakpoints=mesh[1:-1], max_panels=60000)
@@ -180,7 +174,7 @@ def i_b_integral(d, b, abs_tol=1e-7):
     (F(T) + F(T + pi/2)) / 2. Tail or quadrature-error budget failures raise
     QuadratureError.
     """
-    d, b = _check_d(d), _check_b(b)
+    d, b = coeffs.check_dimension(d), _check_b(b)
     # After the phase average the tail residual is O(T^(-(d+5)/2)); the
     # closing tolerance check below still guards the constant.
     t_need = max(200.0, (2.0 * math.pi / abs_tol) ** (2.0 / (d + 5)))

@@ -12,8 +12,8 @@ positive, inside ((n - 2) pi / L, n pi / L), and each positive one is solved
 by safeguarded Newton steps on Phi. The negative ones, at most two, are the
 kappa where the two eigenvalue branches of the boundary form B(kappa) cross
 0 (lambda = -kappa^2), each solved by Brent's method; B(0) gives N(0+). The
-count is the completeness certificate, with no slack: N(0+) nonpositive
-eigenvalues and N(lam_max) in all.
+two counts fix how many roots are solved, so the spectrum is complete
+wherever every solve converges; a solve that fails raises EnumerationError.
 
 band_sum gives the sum of (lam - lambda_n)_+ over a band of high indices by
 Euler-Maclaurin summation over the phase index, from the band's two end
@@ -84,13 +84,16 @@ class RobinInterval:
 class SpectrumCertificate:
     n_negative: int
     n_positive: int
-    bracket_count: int  # phase indices solved
+
+    @property
+    def bracket_count(self):
+        """Phase indices solved, one per positive eigenvalue."""
+        return self.n_positive
 
 
 @dataclass(frozen=True, eq=False)
 class Spectrum1D:
     eigenvalues: np.ndarray  # ascending, read-only float64
-    cutoff: float
     certificate: SpectrumCertificate
 
 
@@ -370,38 +373,30 @@ def _positive_eigenvalues(iv, n_low, n_high, lam_max):
 
 
 def enumerate_eigenvalues(iv, lam_max):
-    """All eigenvalues <= lam_max with a completeness certificate.
+    """All eigenvalues <= lam_max, ascending, with their counts.
 
-    Raises EnumerationError unless the nonpositive eigenvalues number
-    exactly N(0+) and, for lam_max > 0, all of them number exactly the phase
-    count N(lam_max) = floor(Phi(sqrt(lam_max)) / pi).
+    The N(0+) nonpositive ones come from negative_eigenvalues and the zero
+    condition; for lam_max > 0 the phase indices N(0+) + 1 .. N(lam_max),
+    N(lam_max) = floor(Phi(sqrt(lam_max)) / pi), give the positive ones. So
+    the counts are exact by construction, and the spectrum is complete
+    wherever every root converges: a Brent solve without a sign change, a
+    NaN or a step cap, or a Newton step cap, raises EnumerationError.
     """
     lam_max = float(lam_max)
     if not math.isfinite(lam_max):
         raise ValueError("cutoff must be finite")
     negatives = negative_eigenvalues(iv)
     nonpositive = negatives + ([0.0] if _zero_eigenvalue_present(iv) else [])
-    n_low = _nonpositive_count(iv)
-    if len(nonpositive) != n_low:
-        raise EnumerationError(
-            f"counting certificate failed for {iv}: {len(nonpositive)} nonpositive "
-            f"eigenvalues found, N(0+) = {n_low}"
-        )
     positives = np.empty(0)
     if lam_max > 0.0:
         # A state the zero condition places at 0 may truly lie just above it,
         # past a cutoff that small: hence the max.
-        n_total = max(_phase_count(iv, lam_max), n_low)
-        positives = _positive_eigenvalues(iv, n_low, n_total, lam_max)
+        n_total = max(_phase_count(iv, lam_max), len(nonpositive))
+        positives = _positive_eigenvalues(iv, len(nonpositive), n_total, lam_max)
     eigenvalues = np.concatenate(([lam for lam in nonpositive if lam <= lam_max], positives))
-    if lam_max > 0.0 and eigenvalues.size != n_total:
-        raise EnumerationError(
-            f"counting certificate failed for {iv} at cutoff {lam_max}: "
-            f"{eigenvalues.size} eigenvalues found, N = {n_total}"
-        )
     eigenvalues.flags.writeable = False
-    cert = SpectrumCertificate(sum(lam <= lam_max for lam in negatives), positives.size, positives.size)
-    return Spectrum1D(eigenvalues, lam_max, cert)
+    cert = SpectrumCertificate(sum(lam <= lam_max for lam in negatives), positives.size)
+    return Spectrum1D(eigenvalues, cert)
 
 
 @dataclass(frozen=True)

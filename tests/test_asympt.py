@@ -167,6 +167,18 @@ def test_run_sweep_deterministic_and_ordered():
     assert first == second
 
 
+@pytest.mark.parametrize("regime", [uniform_regime("fixed", 1.0), uniform_regime("small", 1.0, exponent=0.5),
+                                    uniform_regime("large", -1.0, exponent=0.25)],
+                         ids=["fixed", "small", "large"])
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -0.01])
+def test_run_sweep_checks_every_h_before_the_sort(regime, bad):
+    # A NaN once reached the small and large regimes' realized facets first,
+    # which named the facet coefficients instead of h.
+    box = BoxDomain.uniform((1.0, SQ2), regime.b0_facets[0][0])
+    with pytest.raises(ValueError, match=f"need h > 0, got {bad}"):
+        asympt.run_sweep(box, regime, [0.04, bad, 0.02, 0.01])
+
+
 def test_sweep_computes_each_density_once(monkeypatch):
     calls = []
     l2 = coeffs.l2

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from robin_semiclassics import cli, coeffs, halfline, spectra1d
+from robin_semiclassics import cli, coeffs, halfline, riesz, spectra1d
 
 
 def run_cli(args, capsys):
@@ -72,6 +72,69 @@ def test_sweep_nan_h_is_a_usage_error(capsys):
                               "--h", "nan,0.01,0.02,0.03"], capsys)
     assert code == 2 and out == ""
     assert "need h > 0, got nan" in err
+
+
+@pytest.mark.parametrize("regime", [["--regime", "small", "--b0", "1"],
+                                    ["--regime", "large", "--gamma", "0.25", "--b0", "-1"]],
+                         ids=["small", "large"])
+def test_sweep_nan_h_names_h_in_every_regime(capsys, regime):
+    # These regimes once realized the facets first and named them instead.
+    code, out, err = run_cli(["sweep", *regime, "--h", "nan,0.01,0.02,0.03"], capsys)
+    assert code == 2 and out == ""
+    assert "need h > 0, got nan" in err
+
+
+SWEEP = ["sweep", "--regime", "fixed", "--b0", "1", "--h", "0.2,0.1,0.05,0.025"]
+
+
+@pytest.mark.parametrize("args,config,code,message", [
+    (["coeff"], None, 2, "coeff requires --b"),
+    (["model", "--t", "1"], None, 2, "model requires --b"),
+    (["model"], "b = 1\n", 2, "model requires --t"),
+    (["model"], None, 2, "model requires --b and --t"),
+    (["spectrum", "--Lambda", "100"], None, 2, "spectrum requires --L"),
+    (["spectrum"], "L = 1\n", 2, "spectrum requires --Lambda"),
+    (["sweep"], "b0 = 1\n", 2, "sweep requires --regime"),
+    (["sweep", "--regime", "fixed"], None, 2, "sweep requires --b0"),
+    (["sweep", "--regime", "large", "--b0", "-1"], None, 2, "large regime requires --gamma"),
+    (["sweep", "--regime", "fixed", "--b0", "1,2,3"], None, 2, "--b0 needs 1 or 4 values"),
+    (["coeff", "--b", "1,one"], None, 2, "--b: could not convert"),
+    (["model", "--b", "1", "--t=-1"], None, 2, "t >= 0, got -1.0"),
+    (SWEEP[:-1] + ["0.2,0.1,0.05"], None, 2, "at least 4 h values"),
+    (["coeff", "--b", "0", "--config", "{tmp}/absent.cfg"], None, 2, "cannot read config file"),
+    (["coeff", "--b", "0"], "d 2\n", 2, "expected 'key = value'"),
+    (["coeff", "--b", "0", "--output", "{tmp}/absent/out.csv"], None, 2, "cannot write output"),
+    (SWEEP, None, 3, "Kroger lower bound violated"),
+], ids=["coeff-b", "model-b", "model-t-config", "model-both", "spectrum-L", "spectrum-Lambda-config",
+        "sweep-regime-config", "sweep-b0", "gamma", "b0-count", "non-float", "negative-t",
+        "three-h", "config-unreadable", "config-no-equals", "output-unwritable", "kroger"])
+def test_usage_errors_name_the_option(tmp_path, monkeypatch, capsys, args, config, code, message):
+    if code == 3:
+        monkeypatch.setattr(riesz, "kroger_check", lambda box, h, trace: False)
+    args = [a.replace("{tmp}", str(tmp_path)) for a in args]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        args += ["--config", str(tmp_path / "run.cfg")]
+    got, out, err = run_cli(args, capsys)
+    assert got == code
+    assert out == ""
+    assert message in err
+
+
+def test_python_m_entry_point():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "robin_semiclassics", *args], env=env,
+                              capture_output=True, text=True, check=False)
+
+    ok = run("coeff", "--d", "2", "--b", "1")
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.startswith("# robin-semiclassics")
+    usage = run("coeff")
+    assert usage.returncode == 2 and usage.stdout == ""
+    assert "coeff requires --b" in usage.stderr
 
 
 def test_cli_runs_without_loading_scipy(tmp_path):

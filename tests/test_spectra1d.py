@@ -499,7 +499,7 @@ def test_band_sum_closed_form_within_its_bound_of_mpmath(length, h):
     assert error <= band.error <= 1e-13 * band.value, (error, band.error)
 
 
-def test_band_sum_short_band_takes_the_explicit_path():
+def test_band_sum_short_band_is_not_certified():
     # h = 0.1, b = -2: the three-term Euler-Maclaurin sum over these four
     # roots is 7e-7 off, inside its remainder bound, so it is not certified.
     iv = RobinInterval(1.0, -20.0, -20.0)
@@ -515,7 +515,7 @@ def test_band_sum_short_band_takes_the_explicit_path():
     assert 1e-7 * value < abs(closed - value) <= bound + rounding
 
 
-def test_band_sum_uncertifiable_bound_takes_the_explicit_path(monkeypatch):
+def test_band_sum_uncertifiable_bound_is_not_certified(monkeypatch):
     # From the ground state at k = 0.336 on, Phi' = 1 + 3 / (k^2 + 9) - 0.7 / (k^2 + 0.49)
     # is bounded below only by 1 - 1.16 + 0.008 < 0, so no remainder bound exists.
     iv = RobinInterval(1.0, 3.0, -0.7)
@@ -531,7 +531,7 @@ def test_band_sum_uncertifiable_bound_takes_the_explicit_path(monkeypatch):
 
 
 @pytest.mark.parametrize("c", [1e100, 1e200])
-def test_band_sum_huge_coupling_takes_the_explicit_path(c):
+def test_band_sum_huge_coupling_is_not_certified(c):
     # (lam + c^2) arctan(k / c) - c k cancels to nothing at c = 1e100 and
     # overflows at c = 1e200, though the remainder bound is 0 for both.
     iv = RobinInterval(1.0, c, 0.0)
