@@ -221,7 +221,8 @@ def _build_parser():
 
     p = command("coeff", _cmd_coeff, "semiclassical coefficient table over a b grid", ("b",))
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--b", help="comma-separated Robin coefficients")
+    p.add_argument("--b", help="comma-separated Robin coefficients; a list that starts "
+                               "with a negative value needs the --b=-1,0,1 form")
 
     p = command("model", _cmd_model, "half-line model-operator samples", ("b", "t"))
     p.add_argument("--d", type=int, default=2)
@@ -236,7 +237,8 @@ def _build_parser():
 
     p = command("sweep", _cmd_sweep, "two-term regime sweep over an h list", ("regime", "b0"))
     p.add_argument("--sides", default="1,1.4142135623730951")
-    p.add_argument("--b0")
+    p.add_argument("--b0", help="reference coefficients b0, 1 or 2d comma-separated values; "
+                                "a list that starts with a negative value needs the --b0=-1,0,1,1 form")
     p.add_argument("--regime", choices=("fixed", "small", "large"))
     p.add_argument("--s", type=float, default=0.5, help="small-regime exponent in theta = h^s")
     p.add_argument("--gamma", type=float, help="large-regime exponent in Theta = h^-gamma")

@@ -40,6 +40,14 @@ def check_dimension(d, minimum=MIN_DIMENSION):
     return int(d)
 
 
+def check_coupling(b):
+    """A Robin coefficient as a float; it must be finite."""
+    b = float(b)
+    if not math.isfinite(b):
+        raise ValueError(f"Robin coefficient must be finite, got {b!r}")
+    return b
+
+
 def gamma_half_integer(n):
     """Gamma(n/2) for integer n >= 1 via the recursion from Gamma(1/2), Gamma(1)."""
     if not isinstance(n, (int, np.integer)) or n < 1:
@@ -115,10 +123,7 @@ def l2(d, b, abs_tol=1e-13):
     b < 0:  c_d * (-pi/4 + I(b) + pi * (b^2 + 1)^((d+1)/2))
     with I(b) the p-integral evaluated by adaptive quadrature.
     """
-    d = check_dimension(d)
-    b = float(b)
-    if not math.isfinite(b):
-        raise ValueError(f"Robin coefficient must be finite, got {b!r}")
+    d, b = check_dimension(d), check_coupling(b)
     cd = c_d(d).value
     if b == 0.0:
         return CoefficientValue(cd * math.pi / 4.0)

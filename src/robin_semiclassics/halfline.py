@@ -28,30 +28,23 @@ def _check_t(t):
     return t
 
 
-def _check_b(b):
-    b = float(b)
-    if not math.isfinite(b):
-        raise ValueError(f"Robin coefficient must be finite, got {b!r}")
-    return b
-
-
 def psi(b, t):
     """Generalized eigenfunction (cos t + b sin t) / sqrt(1 + b^2)."""
-    b, t = _check_b(b), _check_t(t)
+    b, t = coeffs.check_coupling(b), _check_t(t)
     norm = math.sqrt(1.0 + b * b)
     return (math.cos(t) + b * math.sin(t)) / norm
 
 
 def psi_derivative(b, t):
     """d/dt of psi; psi'(0) = b * psi(0) holds exactly."""
-    b, t = _check_b(b), _check_t(t)
+    b, t = coeffs.check_coupling(b), _check_t(t)
     norm = math.sqrt(1.0 + b * b)
     return (-math.sin(t) + b * math.cos(t)) / norm
 
 
 def psi_bound(b, t):
     """Bound state sqrt(-2b) e^(bt) for b < 0, identically 0 for b >= 0."""
-    b, t = _check_b(b), _check_t(t)
+    b, t = coeffs.check_coupling(b), _check_t(t)
     if b >= 0.0:
         return 0.0
     return math.sqrt(-2.0 * b) * math.exp(b * t)
@@ -117,7 +110,7 @@ def i_b(d, b, t, abs_tol=1e-9):
     Computed in the arcsin substitution with panels aligned to the
     cos(2tp) oscillation; non-convergence raises rather than truncates.
     """
-    d, b, t = coeffs.check_dimension(d), _check_b(b), _check_t(t)
+    d, b, t = coeffs.check_dimension(d), coeffs.check_coupling(b), _check_t(t)
     mesh = _phi_mesh(b, t)
     res = adaptive_quadrature(_i_b_integrand(d, b, t), 0.0, _HALF_PI, abs_tol=abs_tol,
                               breakpoints=mesh[1:-1], max_panels=60000)
@@ -174,7 +167,7 @@ def i_b_integral(d, b, abs_tol=1e-7):
     (F(T) + F(T + pi/2)) / 2. Tail or quadrature-error budget failures raise
     QuadratureError.
     """
-    d, b = coeffs.check_dimension(d), _check_b(b)
+    d, b = coeffs.check_dimension(d), coeffs.check_coupling(b)
     # After the phase average the tail residual is O(T^(-(d+5)/2)); the
     # closing tolerance check below still guards the constant.
     t_need = max(200.0, (2.0 * math.pi / abs_tol) ** (2.0 / (d + 5)))
@@ -204,7 +197,7 @@ def i_b_integral(d, b, abs_tol=1e-7):
 
 def bound_state_overlap(b):
     """<Psi_b, e^(-s)> = sqrt(-2b)/(1 - b) for b < 0; 0 otherwise."""
-    b = _check_b(b)
+    b = coeffs.check_coupling(b)
     if b >= 0.0:
         return 0.0
     return math.sqrt(-2.0 * b) / (1.0 - b)
@@ -219,7 +212,7 @@ def reconstruct(b, test_fn_id, t, abs_tol=1e-6):
     """
     if test_fn_id != "exp_decay":
         raise ValueError(f"unknown test function id {test_fn_id!r}")
-    b, t = _check_b(b), _check_t(t)
+    b, t = coeffs.check_coupling(b), _check_t(t)
     bound_part = psi_bound(b, t) * bound_state_overlap(b)
     if b == -1.0:
         # e^(-s) is proportional to the bound state; the continuum transform

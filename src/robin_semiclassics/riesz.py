@@ -3,15 +3,16 @@
 The operator is H(b) = -h^2 Delta - 1 on a box with per-facet Robin
 coefficients b (classical coefficients c = b/h). Its Riesz mean is the
 sum of (1 - h^2 lambda)_+ over tuples of per-axis interval eigenvalues,
-evaluated by sorted prefix sums so that no O(N^2) pass is needed. In 2-D
-the roots of an axis above h^-2 pair only with the other axis's bound
-states. Where spectra1d.band_sum certifies the closed form of every such
-band of an axis, the axis is enumerated only up to h^-2 and the bands are
-added; otherwise it is enumerated through its deepest band. For d >= 3 the axes
-split into halves 0..ceil(d/2)-1 and ceil(d/2)..d-1; each half folds into
-sorted partial sums below the cutoff, and the two sorted arrays are paired
-by the same prefix sums (meet in the middle), so no (d-1)-axis tuple array
-is built.
+evaluated by sorted prefix sums so that no O(N^2) pass is needed. It is
+assembled the same way in every dimension. Each axis's bound states give
+its floor, and each axis is enumerated once, to h^-2 less the other axes'
+floors (_axis_cutoff). In 2-D the roots of an axis above h^-2 pair only
+with the other axis's bound states; where spectra1d.band_sum certifies the
+closed form of every such band, the axis is cut at h^-2 and the bands are
+added. The axes split into halves 0..ceil(d/2)-1 and ceil(d/2)..d-1; each
+half folds into sorted partial sums below the cutoff (in 2-D a half is one
+axis), and the two sorted arrays are paired by the same prefix sums (meet
+in the middle), so no (d-1)-axis tuple array is built.
 """
 
 from __future__ import annotations
@@ -40,9 +41,7 @@ class BoxDomain:
         facets = tuple((float(lo), float(hi)) for lo, hi in self.facet_b)
         object.__setattr__(self, "sides", sides)
         object.__setattr__(self, "facet_b", facets)
-        d = len(sides)
-        if d < coeffs.MIN_DIMENSION or d > coeffs.MAX_DIMENSION:
-            raise ValueError(f"box dimension must lie in [2, {coeffs.MAX_DIMENSION}], got {d}")
+        d = coeffs.check_dimension(len(sides))
         if any(not (math.isfinite(s) and s > 0.0) for s in sides):
             raise ValueError(f"box sides must be positive, got {sides}")
         if len(facets) != d:
@@ -95,18 +94,24 @@ def _intervals(box, h):
     return [RobinInterval(side, lo / h, hi / h) for side, (lo, hi) in zip(box.sides, box.facet_b)]
 
 
+def _axis_cutoff(h, floors, i):
+    """How far axis i is enumerated: h^-2 less the other axes' floors.
+
+    A tuple below h^-2 puts at most h^-2 minus their floors on axis i. The
+    slack takes in a root that rounding in this difference or in the phase
+    count would put just past it; a root it takes in past the cut pairs
+    with nothing, since _pair_trace cuts every tuple at h^-2 exactly.
+    """
+    return (h**-2 - sum(f for j, f in enumerate(floors) if j != i)) * (1.0 + 1e-12)
+
+
 def axis_spectra(box, h):
     """Exhaustive per-axis spectra with cutoffs raised by the partner axes'
     negative parts, so no tuple below the total cutoff h^-2 is missed."""
     intervals = _intervals(box, h)
-    neg_floors = [min(negative_eigenvalues(iv), default=0.0) for iv in intervals]
-    cutoff_total = h**-2
-    spectra = []
-    for i, iv in enumerate(intervals):
-        allowance = sum(neg_floors[j] for j in range(len(intervals)) if j != i)
-        lam_max = (cutoff_total - allowance) * (1.0 + 1e-12)
-        spectra.append(enumerate_eigenvalues(iv, lam_max).eigenvalues)
-    return spectra
+    floors = [min(negative_eigenvalues(iv), default=0.0) for iv in intervals]
+    return [enumerate_eigenvalues(iv, _axis_cutoff(h, floors, i)).eigenvalues
+            for i, iv in enumerate(intervals)]
 
 
 def _pair_trace(sorted_axis, other_axis, h):
@@ -121,34 +126,6 @@ def _pair_trace(sorted_axis, other_axis, h):
         counts, other_axis = counts[:empty[0]], other_axis[:empty[0]]
     terms = counts * (1.0 - h2 * other_axis) - h2 * prefix[counts]
     return math.fsum(terms), int(counts.sum())
-
-
-def _band_trace(box, h):
-    """Trace and tuple count of a 2-D box, each axis enumerated once.
-
-    A root x above h^-2 pairs only with a partner's bound state y < 0 (at
-    most two per axis), adding h^2 (h^-2 - y - x). If spectra1d.band_sum
-    certifies the closed form of every such band of an axis, that axis is
-    cut at h^-2 (1 + 1e-12) and the bands are added. Otherwise it is
-    enumerated through its deepest band, to (h^-2 - y_min) (1 + 1e-12) as
-    in axis_spectra, and _pair_trace counts every tuple.
-    """
-    intervals = _intervals(box, h)
-    bound_states = [negative_eigenvalues(iv) for iv in intervals]
-    cutoff = h**-2
-    cut = cutoff * (1.0 + 1e-12)
-    spectra, parts, count = [], [], 0
-    for iv, partner_states in zip(intervals, bound_states[::-1]):
-        bands = [band_sum(iv, cut, cutoff - y) for y in partner_states]
-        if any(band is None for band in bands):
-            lam_max = (cutoff - min(partner_states)) * (1.0 + 1e-12)
-        else:
-            lam_max = cut
-            parts += [h * h * band.value for band in bands]
-            count += sum(band.count for band in bands)
-        spectra.append(enumerate_eigenvalues(iv, lam_max).eigenvalues)
-    trace, pairs = _pair_trace(spectra[0], spectra[1], h)
-    return math.fsum([trace, *parts]), count + pairs
 
 
 def _reduce_pair(a, b, cutoff):
@@ -172,22 +149,35 @@ def riesz_mean(box, h):
         raise ValueError(
             f"h = {h} violates the h <= min(sides)/4 = {min(box.sides) / 4.0} guard"
         )
-    if box.d == 2:
-        trace, count = _band_trace(box, h)
-    else:
-        # A tuple can have two axes above h^-2 here, so the spectra stay exhaustive.
-        # Each half folds into sorted partial sums, cut at h^-2 less the floors of
-        # every axis not yet summed, and _pair_trace pairs the two halves.
-        spectra = axis_spectra(box, h)
-        floors = [min(0.0, float(spec.min())) for spec in spectra]
-        halves = []
-        for axes in (range((box.d + 1) // 2), range((box.d + 1) // 2, box.d)):
-            combined = spectra[axes[0]]
-            for i in axes[1:]:
-                allowance = sum(f for j, f in enumerate(floors) if j not in axes or j > i)
-                combined = _reduce_pair(combined, spectra[i], h**-2 - allowance)
-            halves.append(combined)
-        trace, count = _pair_trace(*halves, h)
+    intervals = _intervals(box, h)
+    bound_states = [negative_eigenvalues(iv) for iv in intervals]
+    floors = [min(states, default=0.0) for states in bound_states]
+    spectra, parts, count = [], [], 0
+    for i, iv in enumerate(intervals):
+        lam_max = _axis_cutoff(h, floors, i)
+        if box.d == 2:
+            # A root x above h^-2 pairs only with a partner bound state y,
+            # adding h^2 (h^-2 - y - x), so the bands are summed in closed
+            # form where every one of them is certified. For d >= 3 a tuple
+            # can have two axes above h^-2, so the spectra stay exhaustive.
+            cut = _axis_cutoff(h, (), i)
+            bands = [band_sum(iv, cut, h**-2 - y) for y in bound_states[1 - i]]
+            if not any(band is None for band in bands):
+                lam_max = cut
+                parts += [h * h * band.value for band in bands]
+                count += sum(band.count for band in bands)
+        spectra.append(enumerate_eigenvalues(iv, lam_max).eigenvalues)
+    halves = []
+    for axes in (range((box.d + 1) // 2), range((box.d + 1) // 2, box.d)):
+        # Each half folds into sorted partial sums, cut at h^-2 less the
+        # floors of every axis not yet summed.
+        combined = spectra[axes[0]]
+        for i in axes[1:]:
+            allowance = sum(f for j, f in enumerate(floors) if j not in axes or j > i)
+            combined = _reduce_pair(combined, spectra[i], h**-2 - allowance)
+        halves.append(combined)
+    trace, pairs = _pair_trace(*halves, h)
+    trace, count = math.fsum([trace, *parts]), count + pairs
     weyl = weyl_term(box, h)
     return RieszReport(
         h=h,

@@ -250,9 +250,14 @@ def _nonpositive_count(iv):
 
 
 def _phase_count(iv, lam):
-    """floor(Phi(sqrt(lam)) / pi), the number of eigenvalues <= lam, for lam > 0."""
+    """floor(Phi(sqrt(lam)) / pi), the number of eigenvalues <= lam, for lam > 0.
+
+    It is at least N(0+): a state the zero condition places at 0 may truly
+    lie just above it, past a cutoff that small.
+    """
     k = math.sqrt(lam)
-    return math.floor((k * iv.length + math.atan2(k, iv.c_left) + math.atan2(k, iv.c_right)) / math.pi)
+    phase = k * iv.length + math.atan2(k, iv.c_left) + math.atan2(k, iv.c_right)
+    return max(math.floor(phase / math.pi), _nonpositive_count(iv))
 
 
 def _phase_offset(iv, k, n):
@@ -389,10 +394,7 @@ def enumerate_eigenvalues(iv, lam_max):
     nonpositive = negatives + ([0.0] if _zero_eigenvalue_present(iv) else [])
     positives = np.empty(0)
     if lam_max > 0.0:
-        # A state the zero condition places at 0 may truly lie just above it,
-        # past a cutoff that small: hence the max.
-        n_total = max(_phase_count(iv, lam_max), len(nonpositive))
-        positives = _positive_eigenvalues(iv, len(nonpositive), n_total, lam_max)
+        positives = _positive_eigenvalues(iv, len(nonpositive), _phase_count(iv, lam_max), lam_max)
     eigenvalues = np.concatenate(([lam for lam in nonpositive if lam <= lam_max], positives))
     eigenvalues.flags.writeable = False
     cert = SpectrumCertificate(sum(lam <= lam_max for lam in negatives), positives.size)
@@ -432,7 +434,7 @@ def band_sum(iv, lam_low, lam):
     if not (math.isfinite(lam_low) and lam_low > 0.0):
         raise ValueError(f"the band must start above the nonpositive eigenvalues of {iv}, "
                          f"got lam_low = {lam_low!r}")
-    n_below = max(_phase_count(iv, lam_low), _nonpositive_count(iv))
+    n_below = _phase_count(iv, lam_low)
     n_top = _phase_count(iv, lam)
     if n_top <= n_below:
         return BandSum(0.0, 0, 0.0)

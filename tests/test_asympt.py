@@ -93,6 +93,12 @@ def test_predict_linear_in_facet_areas():
     assert abs(got - 2.0 * 1.0 * rho / h) < 1e-12 * abs(rho / h)
 
 
+def test_predict_rejects_a_regime_of_another_dimension():
+    box = BoxDomain.uniform((1.0, 1.0), 1.0)
+    with pytest.raises(ValueError, match="regime carries 3 facet pairs for a 2-d box"):
+        predict(box, uniform_regime("fixed", 1.0, d=3), 0.05)
+
+
 def test_remainder_definition():
     from robin_semiclassics import riesz
 
@@ -147,6 +153,15 @@ def test_fit_sweep_requires_four_points():
     regime = uniform_regime("fixed", 0.0)
     with pytest.raises(ValueError):
         fit_sweep(box, regime, synthetic_reports(-0.5)[:3])
+
+
+def test_fit_sweep_requires_distinct_h():
+    box = BoxDomain.uniform((1.0, 1.0), 0.0)
+    regime = uniform_regime("fixed", 0.0)
+    reports = synthetic_reports(-0.5)
+    reports[1] = replace(reports[1], h=reports[0].h)
+    with pytest.raises(ValueError, match="sweep h values must be distinct"):
+        fit_sweep(box, regime, reports)
 
 
 def test_normalized_remainder_large_regime():

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,18 @@ def parse_csv(text):
         else:
             rows.append(line.split(","))
     return comments, columns, rows
+
+
+def test_readme_cli_examples_run(capsys):
+    # A list that starts with a negative value must be written --b=-1,0,1:
+    # argparse reads a separate -1,0,1 as a flag.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [line for line in block.splitlines() if line.startswith("robin-semiclassics ")]
+    assert len(examples) == 5
+    for line in examples:
+        code, _, err = run_cli(shlex.split(line)[1:], capsys)
+        assert code == 0, (line, err)
 
 
 def test_coeff_row_values(capsys):

@@ -108,6 +108,14 @@ def test_i_b_integral_tail_tolerance_failure():
         halfline.i_b_integral(2, 0.3, abs_tol=1e-14)
 
 
+def test_i_b_integral_tail_amplitude_failure(monkeypatch):
+    # The phase average's closing check: a tail amplitude of 1 on [T, T + pi/2]
+    # bounds the residual tail by about pi / T, far past the tolerance.
+    monkeypatch.setattr(halfline, "_max_abs_i_b", lambda *args: 1.0)
+    with pytest.raises(QuadratureError, match="tail estimate"):
+        halfline.i_b_integral(2, -0.5)
+
+
 def test_i_b_abs_integral_bounded_and_decaying():
     # int_0^T |I_b| dt stays under an empirical envelope, uniformly on a b grid,
     # and |I_b(t)| decays like t^(-(d+3)/2): t^(5/2) |I_b(t)| <= 1 for t >= 5

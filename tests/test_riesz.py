@@ -281,6 +281,28 @@ def test_no_phase_index_is_solved_twice(monkeypatch):
     assert sum(solved) <= sum(enumerated) + 2 * len(bands)
 
 
+@pytest.mark.parametrize("sides", [(1.0, SQ2), (1.0, SQ2, 1.3), (1.0, SQ2, 1.3, 0.9)])
+def test_each_axis_solved_once_at_the_top_level(monkeypatch, sides):
+    # The benchmark's span counts rest on this: riesz_mean asks for each
+    # axis's bound states once and enumerates each axis once, in any d.
+    calls = []
+
+    def counted(name):
+        original = getattr(riesz, name)
+
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+
+        return call
+
+    for name in ("negative_eigenvalues", "enumerate_eigenvalues"):
+        monkeypatch.setattr(riesz, name, counted(name))
+    riesz_mean(BoxDomain.uniform(sides, -1.0), 0.05)
+    assert calls.count("negative_eigenvalues") == len(sides)
+    assert calls.count("enumerate_eigenvalues") == len(sides)
+
+
 def _longdouble_trace(box, h):
     """Trace and count from the two halves' full pair sums, all in long double."""
     spectra = [spec.astype(np.longdouble) for spec in axis_spectra(box, h)]
