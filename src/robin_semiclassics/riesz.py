@@ -12,7 +12,11 @@ closed form of every such band, the axis is cut at h^-2 and the bands are
 added. The axes split into halves 0..ceil(d/2)-1 and ceil(d/2)..d-1; each
 half folds into sorted partial sums below the cutoff (in 2-D a half is one
 axis), and the two sorted arrays are paired by the same prefix sums (meet
-in the middle), so no (d-1)-axis tuple array is built.
+in the middle), so no (d-1)-axis tuple array is built. The longer half is
+prefix-summed and the shorter one searched. The trace is of order h^-d
+while the remainder checked against the paper is O(1), so the pairing is
+compensated: the prefix carries the TwoSum errors of its steps in a low
+part, and the row terms are added by a vectorized TwoSum tree.
 """
 
 from __future__ import annotations
@@ -114,18 +118,70 @@ def axis_spectra(box, h):
             for i, iv in enumerate(intervals)]
 
 
+def _two_sum_error(a, b, s):
+    """The error of s = fl(a + b), exactly: a + b = s + error (Knuth's TwoSum).
+
+    (a - (s - bb)) + (b - bb) with bb = s - a, written in place: on the
+    prefix arrays a fresh temporary costs more than the arithmetic.
+    """
+    bb = s - a
+    error = s - bb
+    np.subtract(a, error, out=error)
+    np.subtract(b, bb, out=bb)
+    error += bb
+    return error
+
+
+def _tree_sum(values):
+    """Compensated sum of a float array.
+
+    Pairwise levels of vectorized TwoSum; each level's errors are summed
+    into one float, and the last value, the levels' error sums and the
+    values left over at odd levels are added exactly by math.fsum. The
+    result is within about one ulp of the exact sum (Ogita, Rump & Oishi
+    2005), at numpy speed rather than fsum's one Python scalar at a time.
+    """
+    rest = []
+    while values.size > 1:
+        if values.size % 2:
+            rest.append(float(values[-1]))
+            values = values[:-1]
+        a, b = values[0::2], values[1::2]
+        values = a + b
+        rest.append(float(_two_sum_error(a, b, values).sum()))
+    return math.fsum([*values.tolist(), *rest])
+
+
 def _pair_trace(sorted_axis, other_axis, h):
-    """Sum of (1 - h^2 (x + y))_+ over the product spectrum via prefix sums."""
+    """Sum of (1 - h^2 (x + y))_+ over x in sorted_axis, y in other_axis.
+
+    Each y searches sorted_axis, which must be ascending, for the count k
+    of x with x + y < h^-2 in exact arithmetic, and adds the row term
+    k (1 - h^2 y) - h^2 (x_0 + ... + x_{k-1}) from a prefix sum. The count
+    and the sum are the same with the arguments swapped, so riesz_mean
+    prefix-sums the longer half and searches the shorter. The prefix is
+    compensated: the TwoSum error of each np.cumsum step is prefix-summed
+    into a low part, and each row term subtracts h^2 times it. That needs
+    np.cumsum to add strictly in order, s_k = fl(s_{k-1} + x_k), as
+    np.add.accumulate does. The row terms are added by _tree_sum. What
+    rounding is left comes from the products in each row term; on the
+    4-D box at h = 1.5e-3 it is 2e-8 on a trace of 1.1e9. Returns
+    (trace, count).
+    """
     cutoff = h**-2
     h2 = h * h
-    prefix = np.concatenate(([0.0], np.cumsum(sorted_axis)))
-    counts = np.searchsorted(sorted_axis, cutoff - other_axis, side="left")
-    empty = np.flatnonzero(counts == 0)
-    if empty.size:
-        # other_axis ascending, so entries past the first empty row contribute nothing
-        counts, other_axis = counts[:empty[0]], other_axis[:empty[0]]
-    terms = counts * (1.0 - h2 * other_axis) - h2 * prefix[counts]
-    return math.fsum(terms), int(counts.sum())
+    prefix = np.zeros(sorted_axis.size + 1)
+    np.cumsum(sorted_axis, out=prefix[1:])
+    low = np.zeros_like(prefix)
+    np.cumsum(_two_sum_error(prefix[:-1], sorted_axis, prefix[1:]), out=low[1:])
+    # x < cutoff - y exactly: below the rounded key, or equal to it where
+    # the key was rounded down.
+    keys = cutoff - other_axis
+    rounded_down = _two_sum_error(cutoff, -other_axis, keys) > 0.0
+    np.nextafter(keys, np.inf, out=keys, where=rounded_down)
+    counts = np.searchsorted(sorted_axis, keys, side="left")
+    terms = counts * (1.0 - h2 * other_axis) - h2 * prefix[counts] - h2 * low[counts]
+    return _tree_sum(terms), int(counts.sum())
 
 
 def _reduce_pair(a, b, cutoff):
@@ -176,7 +232,8 @@ def riesz_mean(box, h):
             allowance = sum(f for j, f in enumerate(floors) if j not in axes or j > i)
             combined = _reduce_pair(combined, spectra[i], h**-2 - allowance)
         halves.append(combined)
-    trace, pairs = _pair_trace(*halves, h)
+    # The longer half is prefix-summed and the shorter one searched: fewer keys.
+    trace, pairs = _pair_trace(*sorted(halves, key=len, reverse=True), h)
     trace, count = math.fsum([trace, *parts]), count + pairs
     weyl = weyl_term(box, h)
     return RieszReport(

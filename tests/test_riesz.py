@@ -1,13 +1,18 @@
+import bisect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from robin_semiclassics import coeffs, riesz, spectra1d
 from robin_semiclassics.riesz import (
     BoxDomain,
     _pair_trace,
     _reduce_pair,
+    _tree_sum,
     axis_spectra,
     kroger_check,
     riesz_mean,
@@ -180,7 +185,7 @@ def test_negative_b_extends_partner_cutoff():
 
 
 def pair_trace_loop(sorted_axis, other_axis, h):
-    """The per-eigenvalue searchsorted loop that _pair_trace vectorizes."""
+    """The per-eigenvalue searchsorted loop over a plain prefix, summed by fsum."""
     cutoff = h**-2
     h2 = h * h
     prefix = np.concatenate(([0.0], np.cumsum(sorted_axis)))
@@ -195,15 +200,36 @@ def pair_trace_loop(sorted_axis, other_axis, h):
     return math.fsum(terms), count
 
 
+def exact_pair_trace(sorted_axis, other_axis, h):
+    """(trace, count, scale) of _pair_trace in rational arithmetic from the same floats.
+
+    scale is the sum of 1 + h^2 (|x| + |y|) over the counted pairs, the
+    size of the row terms' rounding.
+    """
+    xs = [Fraction(x) for x in sorted_axis.tolist()]
+    prefix, abs_prefix = [Fraction(0)], [Fraction(0)]
+    for x in xs:
+        prefix.append(prefix[-1] + x)
+        abs_prefix.append(abs_prefix[-1] + abs(x))
+    cutoff, h2 = Fraction(h**-2), Fraction(h * h)
+    trace, count, scale = Fraction(0), 0, Fraction(0)
+    for y in map(Fraction, other_axis.tolist()):
+        k = bisect.bisect_left(xs, cutoff - y)
+        trace += k * (1 - h2 * y) - h2 * prefix[k]
+        count += k
+        scale += k * (1 + h2 * abs(y)) + h2 * abs_prefix[k]
+    return trace, count, scale
+
+
 @pytest.mark.parametrize("box,h,exits_early", [
     (BoxDomain.uniform((1.0, SQ2), 1.0), 2e-3, False),
     (BoxDomain.uniform((1.0, SQ2), -1.0), 2e-3, False),
     (BoxDomain((1.0, 1.3, 0.9), ((-1.0, 0.0), (0.5, 0.5), (-0.5, 2.0))), 0.02, False),
     (BoxDomain.uniform((1.0, 1.3, 0.9), 0.5), 0.02, True),
 ])
-def test_pair_trace_bit_identical_to_loop(box, h, exits_early):
-    # fsum is correctly rounded and the terms are the same floats, so the
-    # vectorized form must reproduce the loop exactly.
+def test_pair_trace_near_exact_rational(box, h, exits_early):
+    # The compensated trace against a rational recomputation from the same
+    # sorted arrays, and no further from it than the plain loop's fsum.
     spectra = axis_spectra(box, h)
     combined = spectra[0]
     for axis in range(1, box.d - 1):
@@ -211,7 +237,67 @@ def test_pair_trace_bit_identical_to_loop(box, h, exits_early):
         combined = _reduce_pair(combined, spectra[axis], h**-2 - allowance)
     # Whether the last partner eigenvalue passes the cutoff, i.e. the loop breaks.
     assert (combined[0] + spectra[-1][-1] >= h**-2) == exits_early
-    assert _pair_trace(combined, spectra[-1], h) == pair_trace_loop(combined, spectra[-1], h)
+    trace, count = _pair_trace(combined, spectra[-1], h)
+    plain, loop_count = pair_trace_loop(combined, spectra[-1], h)
+    exact, exact_count, _ = exact_pair_trace(combined, spectra[-1], h)
+    assert count == loop_count == exact_count
+    error = abs(Fraction(trace) - exact)
+    assert error <= 1e-7
+    assert error <= abs(Fraction(plain) - exact)
+
+
+def test_cumsum_adds_in_order():
+    # _pair_trace's low part rests on np.cumsum rounding each step in turn.
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal(100_000) * 10.0 ** rng.integers(-8, 9, 100_000)
+    steps = np.cumsum(x)
+    assert np.array_equal(steps[1:], steps[:-1] + x[1:])
+
+
+finite = st.floats(-1e200, 1e200, allow_nan=False)
+
+
+@st.composite
+def cancelling(draw):
+    """Values and their negatives, nudged and shuffled, with a few small ones."""
+    big = draw(st.lists(finite, max_size=40))
+    nudged = [-v * (1.0 + draw(st.sampled_from((0.0, 2.0**-52, -(2.0**-40))))) for v in big]
+    small = draw(st.lists(st.floats(-1.0, 1.0), max_size=5))
+    return draw(st.permutations(big + nudged + small))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.one_of(st.lists(finite, max_size=1), st.lists(finite, max_size=65), cancelling()))
+@example(values=[])
+@example(values=[3.5])
+@example(values=[1e16, 1.0, -1e16])
+@example(values=[1.0, 1e100, 1.0, -1e100])
+def test_tree_sum_matches_fsum(values):
+    # Within one ulp of the correctly rounded sum, plus the rounding of the
+    # levels' error sums, second order in eps.
+    reference = math.fsum(values)
+    size = max(len(values), 1)
+    bound = math.ulp(reference) + size**2 * 2.0**-104 * math.fsum(map(abs, values))
+    assert abs(_tree_sum(np.array(values, dtype=float)) - reference) <= bound
+
+
+spectrum_like = st.lists(st.floats(-300.0, 3e4), max_size=60).map(lambda v: np.array(sorted(v)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=spectrum_like, b=spectrum_like, h=st.floats(0.01, 0.5))
+@example(a=np.array([0.1]), b=np.array([3.9]), h=0.5)  # 0.1 + 3.9 < 4, fl(4 - 0.1) = 3.9
+@example(a=np.array([50.0, 60.0]), b=np.array([70.0]), h=0.2)  # no pair below h^-2 = 25
+def test_pair_trace_is_symmetric(a, b, h):
+    exact, exact_count, scale = exact_pair_trace(a, b, h)
+    # Each row term rounds a few times at the size of its pairs; the tree, once.
+    bound = 8.0 * 2.0**-53 * float(scale) + math.ulp(float(exact))
+    for first, second in ((a, b), (b, a)):
+        trace, count = _pair_trace(first, second, h)
+        assert count == exact_count
+        assert abs(Fraction(trace) - exact) <= bound
+    if exact_count == 0:
+        assert _pair_trace(a, b, h) == _pair_trace(b, a, h) == (0.0, 0)
 
 
 @pytest.mark.parametrize("box,h,paths", [
