@@ -2,11 +2,12 @@
 
 Three coupling regimes for b = scale(h) * b0: fixed (scale 1, boundary
 density l2(d, b0)), small (scale h^s -> 0, Neumann density l1(d-1)/4),
-and large (scale h^(-gamma) -> infinity). A large regime with a negative
-b0 on some facet uses the exact density l2(d, b) at the realized b for
-every |b|, which is dominated by the negative part pi c_d b_-^(d+1); with
-every b0 >= 0 it uses the limits -l1(d-1)/4 (b0 > 0) and +l1(d-1)/4
-(b0 = 0). Whether a regime has a negative part is read off its b0.
+and large (scale h^(-gamma) -> infinity). The box owns the reference
+coefficients: its facet_b is b0, and a RegimeSpec is only the kind of
+scale and its exponent. A large regime with a negative b0 on some facet
+uses the exact density l2(d, b) at the realized b for every |b|, which is
+dominated by the negative part pi c_d b_-^(d+1); with every b0 >= 0 it
+uses the limits -l1(d-1)/4 (b0 > 0) and +l1(d-1)/4 (b0 = 0).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ REGIME_LARGE = "large"
 
 @dataclass(frozen=True)
 class RegimeSpec:
-    """Coupling regime with per-facet reference coefficients b0.
+    """Coupling regime: b = scale(h) * b0, with b0 the box's facet_b.
 
     ``exponent`` is s > 0 for the small regime (scale h^s) and
     0 < gamma < 1 for the large regime (scale h^(-gamma)); the fixed
@@ -34,12 +35,10 @@ class RegimeSpec:
     """
 
     kind: str
-    b0_facets: tuple
     exponent: float = 0.0
 
     def __post_init__(self):
-        facets = tuple((float(lo), float(hi)) for lo, hi in self.b0_facets)
-        object.__setattr__(self, "b0_facets", facets)
+        object.__setattr__(self, "exponent", float(self.exponent))
         if self.kind not in (REGIME_FIXED, REGIME_SMALL, REGIME_LARGE):
             raise ValueError(f"unknown regime kind {self.kind!r}")
         if self.kind == REGIME_SMALL and not self.exponent > 0.0:
@@ -50,11 +49,6 @@ class RegimeSpec:
                 f"beyond gamma = 1 no two-term expansion is available), got {self.exponent}"
             )
 
-    @property
-    def has_negative_part(self):
-        """True when some facet has b0 < 0."""
-        return any(b < 0.0 for pair in self.b0_facets for b in pair)
-
     def scale(self, h):
         if self.kind == REGIME_FIXED:
             return 1.0
@@ -62,9 +56,15 @@ class RegimeSpec:
             return h**self.exponent
         return h**-self.exponent
 
-    def realized_facets(self, h):
-        s = self.scale(h)
-        return tuple((s * lo, s * hi) for lo, hi in self.b0_facets)
+
+def _realized_box(box, regime, h):
+    """The box with b = scale(h) * b0 on every facet."""
+    s = regime.scale(h)
+    return replace(box, facet_b=tuple((s * lo, s * hi) for lo, hi in box.facet_b))
+
+
+def _has_negative_b0(box):
+    return any(b < 0.0 for pair in box.facet_b for b in pair)
 
 
 @dataclass(frozen=True)
@@ -80,31 +80,28 @@ class CrossoverRecord:
     ratio: float
 
 
-def _facet_densities(d, regime, h, l2_values):
+def _facet_densities(box, regime, h, l2_values):
     """Per-facet boundary densities; l2_values maps each realized b to l2(d, b).value.
 
     The dict lives for one sweep, so a fixed regime computes each distinct b
     once per sweep, and every sweep pays for its own quadratures.
     """
-    quarter = 0.25 * coeffs.l1(d - 1).value
+    quarter = 0.25 * coeffs.l1(box.d - 1).value
     if regime.kind == REGIME_SMALL:
-        return [(quarter, quarter) for _ in regime.b0_facets]
-    if regime.kind == REGIME_FIXED or regime.has_negative_part:
-        realized = regime.realized_facets(h)
+        return [(quarter, quarter) for _ in box.facet_b]
+    if regime.kind == REGIME_FIXED or _has_negative_b0(box):
+        realized = _realized_box(box, regime, h).facet_b
         for b in {b for pair in realized for b in pair} - l2_values.keys():
-            l2_values[b] = coeffs.l2(d, b).value
+            l2_values[b] = coeffs.l2(box.d, b).value
         return [(l2_values[lo], l2_values[hi]) for lo, hi in realized]
     return [(-quarter if lo > 0.0 else quarter, -quarter if hi > 0.0 else quarter)
-            for lo, hi in regime.b0_facets]
+            for lo, hi in box.facet_b]
 
 
 def _boundary_term(box, regime, h, l2_values):
-    d = box.d
-    if len(regime.b0_facets) != d:
-        raise ValueError(f"regime carries {len(regime.b0_facets)} facet pairs for a {d}-d box")
-    densities = _facet_densities(d, regime, h, l2_values)
+    densities = _facet_densities(box, regime, h, l2_values)
     boundary = sum(box.facet_area(i) * (lo + hi) for i, (lo, hi) in enumerate(densities))
-    return boundary * h ** (1 - d)
+    return boundary * h ** (1 - box.d)
 
 
 def predict(box, regime, h):
@@ -115,8 +112,7 @@ def predict(box, regime, h):
 
 def _sweep_point(box, regime, h, l2_values):
     start = time.perf_counter()
-    realized = replace(box, facet_b=regime.realized_facets(h))
-    rep = riesz.riesz_mean(realized, h)
+    rep = riesz.riesz_mean(_realized_box(box, regime, h), h)
     boundary = _boundary_term(box, regime, h, l2_values)
     return replace(rep, boundary_term=boundary, remainder=rep.trace - rep.weyl_term - boundary,
                    seconds=time.perf_counter() - start)
@@ -142,11 +138,12 @@ def run_sweep(box, regime, h_list):
     return [_sweep_point(box, regime, h, l2_values) for h in hs]
 
 
-def normalized_remainder(regime, report, d):
+def normalized_remainder(box, regime, report):
     """|R_h| h^(d-1), additionally scaled by Theta(h)^-(d+1) in the
     large/negative regime, whose remainder scale is o(Theta^(d+1) h^(-d+1))."""
+    d = box.d
     y = abs(report.remainder) * report.h ** (d - 1)
-    if regime.kind == REGIME_LARGE and regime.has_negative_part:
+    if regime.kind == REGIME_LARGE and _has_negative_b0(box):
         y *= regime.scale(report.h) ** (-(d + 1))
     return y
 
@@ -176,8 +173,7 @@ def fit_sweep(box, regime, reports):
     hs = [r.h for r in reports]
     if len(set(hs)) != len(hs):
         raise ValueError("sweep h values must be distinct")
-    d = box.d
-    points = tuple((r.h, normalized_remainder(regime, r, d)) for r in reports)
+    points = tuple((r.h, normalized_remainder(box, regime, r)) for r in reports)
     signs = {math.copysign(1.0, r.remainder) for r in reports if r.remainder != 0.0}
     log_h = np.log([p[0] for p in points])
     log_y = np.log([max(p[1], 1e-300) for p in points])
@@ -194,8 +190,8 @@ def fit_sweep(box, regime, reports):
 def crossover_demo(box, gamma, h):
     """Boundary/Weyl ratio in the large regime; the ratio scales as
     h^(1 - gamma (d+1)), so gamma = 1/(d+1) is the crossover."""
-    regime = RegimeSpec(REGIME_LARGE, box.facet_b, gamma)
-    if not regime.has_negative_part:
+    regime = RegimeSpec(REGIME_LARGE, gamma)
+    if not _has_negative_b0(box):
         raise ValueError("crossover_demo needs a facet with negative b0")
     pred = predict(box, regime, h)
     return CrossoverRecord(weyl=pred.weyl, boundary=pred.boundary,

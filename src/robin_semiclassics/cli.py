@@ -171,12 +171,11 @@ def _parse_facets(text, d, option):
 
 def _cmd_sweep(args):
     sides = tuple(_parse_floats(args.sides, "--sides"))
-    d = len(sides)
-    facets = _parse_facets(args.b0, d, "--b0")
+    facets = _parse_facets(args.b0, len(sides), "--b0")
     exponent = {asympt.REGIME_SMALL: args.s, asympt.REGIME_LARGE: args.gamma}.get(args.regime, 0.0)
     if exponent is None:
         raise _UsageError("large regime requires --gamma")
-    regime = asympt.RegimeSpec(args.regime, facets, exponent)
+    regime = asympt.RegimeSpec(args.regime, exponent)
     box = riesz.BoxDomain(sides, facets)
     h_list = _parse_floats(args.h, "--h")
     if len(h_list) < 4:
@@ -195,7 +194,7 @@ def _cmd_sweep(args):
     rows = []
     for rep in reports:
         row = [rep.h, rep.trace, rep.weyl_term, rep.boundary_term, rep.remainder,
-               asympt.normalized_remainder(regime, rep, d), rep.eig_count, rep.kroger_ok]
+               asympt.normalized_remainder(box, regime, rep), rep.eig_count, rep.kroger_ok]
         if args.timings:
             row.append(round(rep.seconds, 3))
         rows.append(tuple(row))

@@ -520,7 +520,9 @@ def fd_oracle(iv, n_grid, n_eigs):
     Ghost-point Robin discretization symmetrized onto a tridiagonal matrix
     (endpoint rows carry half cells, couplings sqrt(2)/delta^2), solved by
     LAPACK Sturm-sequence bisection. Accuracy O(1/n_grid^2). It is the one
-    use of scipy, imported here so that the package itself loads without it.
+    use of scipy, which the package does not install (it comes with the
+    ``test`` extra, ``pip install -e ".[test]"``); it is imported here so
+    that the package itself loads without it.
     """
     from scipy.linalg import eigvalsh_tridiagonal
 

@@ -54,20 +54,20 @@ def timed_sweep(box, regime, hs):
 
 @pytest.fixture(scope="module")
 def sweep_fixed(box):
-    regime = RegimeSpec("fixed", box.facet_b)
+    regime = RegimeSpec("fixed")
     return (regime, *timed_sweep(box, regime, H_SWEEP))
 
 
 @pytest.fixture(scope="module")
 def sweep_small(box):
-    regime = RegimeSpec("small", box.facet_b, exponent=0.5)
+    regime = RegimeSpec("small", exponent=0.5)
     return (regime, *timed_sweep(box, regime, H_SWEEP_SMALL))
 
 
 @pytest.fixture(scope="module")
 def sweep_large():
     box_neg = BoxDomain.uniform((1.0, SQ2), -1.0)
-    regime = RegimeSpec("large", box_neg.facet_b, exponent=0.25)
+    regime = RegimeSpec("large", exponent=0.25)
     return (box_neg, regime, *timed_sweep(box_neg, regime, H_SWEEP))
 
 
@@ -211,7 +211,7 @@ def test_criterion_07_large_regime(sweep_large):
     gamma = regime.exponent
     # Extra clause: the decrease goes on at h = 1e-4 and 1e-5 (4.5e-5 and 2.6e-6).
     reports = list(reports) + run_sweep(box_neg, regime, H_LARGE_EXTRA)
-    norms = [asympt.normalized_remainder(regime, rep, 2) for rep in reports]
+    norms = [asympt.normalized_remainder(box_neg, regime, rep) for rep in reports]
     decreasing = all(b < a for a, b in zip(norms[:-1], norms[1:]))
     ratios = [crossover_demo(box_neg, gamma, h).ratio for h in H_SWEEP]
     target = 2.0 ** -(1.0 - 3.0 * gamma)

@@ -118,9 +118,14 @@ SWEEP = ["sweep", "--regime", "fixed", "--b0", "1", "--h", "0.2,0.1,0.05,0.025"]
     (["coeff", "--b", "0"], "d 2\n", 2, "expected 'key = value'"),
     (["coeff", "--b", "0", "--output", "{tmp}/absent/out.csv"], None, 2, "cannot write output"),
     (SWEEP, None, 3, "Kroger lower bound violated"),
+    # The box is the one check on b0, in every regime.
+    (["sweep", "--regime", "fixed", "--b0", "nan"], None, 2, "facet Robin coefficients must be finite"),
+    (["sweep", "--regime", "large", "--gamma", "0.25", "--b0", "1,1,inf,1"], None, 2,
+     "facet Robin coefficients must be finite"),
 ], ids=["coeff-b", "model-b", "model-t-config", "model-both", "spectrum-L", "spectrum-Lambda-config",
         "sweep-regime-config", "sweep-b0", "gamma", "b0-count", "non-float", "negative-t",
-        "three-h", "config-unreadable", "config-no-equals", "output-unwritable", "kroger"])
+        "three-h", "config-unreadable", "config-no-equals", "output-unwritable", "kroger",
+        "b0-nan", "b0-inf"])
 def test_usage_errors_name_the_option(tmp_path, monkeypatch, capsys, args, config, code, message):
     if code == 3:
         monkeypatch.setattr(riesz, "kroger_check", lambda box, h, trace: False)
@@ -332,6 +337,19 @@ def test_config_boolean_parsing(tmp_path, capsys):
     assert code == 0
     _, columns, _ = parse_csv(out)
     assert "seconds" not in columns
+
+
+@pytest.mark.parametrize("text,timed", [
+    ("# a comment line\n\ntimings = yes\n", True),
+    ("timings = off\n", False),
+], ids=["comment-blank-yes", "off"])
+def test_config_timings_switch(tmp_path, capsys, text, timed):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + "regime = fixed\nb0 = 0\nh = 0.2,0.1,0.05,0.025\n")
+    code, out, _ = run_cli(["sweep", "--config", str(cfg)], capsys)
+    assert code == 0
+    _, columns, _ = parse_csv(out)
+    assert ("seconds" in columns) == timed
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):

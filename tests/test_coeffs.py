@@ -41,6 +41,15 @@ def test_unit_ball_volumes():
     assert abs(coeffs.unit_ball_volume(4).value - math.pi**2 / 2.0) < 1e-15
 
 
+def test_index_checks():
+    for k in (-1, 9):
+        with pytest.raises(ValueError, match="sphere index must lie in"):
+            coeffs.sphere_surface(k)
+    for n in (0, 2.5):
+        with pytest.raises(ValueError, match="positive integer half-count"):
+            coeffs.gamma_half_integer(n)
+
+
 def test_sphere_surfaces():
     assert coeffs.sphere_surface(0).value == 2.0
     assert abs(coeffs.sphere_surface(1).value - 2.0 * math.pi) < 1e-15

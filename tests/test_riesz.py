@@ -41,6 +41,14 @@ def test_box_validation():
         BoxDomain((1.0, 1.0), ((0.0, 0.0),))
 
 
+@pytest.mark.parametrize("facets", [((math.nan, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, -math.inf))],
+                         ids=["nan", "-inf"])
+def test_box_rejects_non_finite_b(facets):
+    # The box is the one owner of b0, so this is the only check on it.
+    with pytest.raises(ValueError, match="facet Robin coefficients must be finite"):
+        BoxDomain((1.0, 1.0), facets)
+
+
 def test_neumann_unit_square_reference():
     # Reference value from the explicit lattice sum over pi^2 (m^2 + n^2).
     box = BoxDomain.uniform((1.0, 1.0), 0.0)
