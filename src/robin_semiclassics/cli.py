@@ -147,7 +147,7 @@ def _cmd_model(args):
     rows = []
     for t in t_list:
         rows.append((t, halfline.psi(args.b, t), halfline.psi_bound(args.b, t),
-                     halfline.i_b(args.d, args.b, t).value))
+                     halfline.i_b(args.d, args.b, t)))
     return columns, rows, {}
 
 

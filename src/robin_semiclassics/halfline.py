@@ -3,12 +3,16 @@
 Generalized eigenfunctions psi_b, the bound state Psi_b (b < 0 only),
 the kernel I_b(t) and its integral over the half-line, and an
 eigenfunction-expansion reconstruction used as a completeness check.
+
+The integral is defined for every finite b. It is truncated at one point T
+for every b and d; the bound state's pole, the one part of I_b that does not
+oscillate, is integrated past T in closed form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 
 import numpy as np
 
@@ -19,6 +23,9 @@ from .quadrature import adaptive_quadrature, panel_rule
 _HALF_PI = 0.5 * math.pi
 _PHI_SPACING = math.pi / 16.0  # widest phi panel, whatever t is
 _TAIL_PANELS = 1024  # bounds the (t, phi node) arrays of one tail block to about 120 kB each
+_INTEGRAL_TOL = 1e-7  # absolute tolerance of i_b_integral
+_QUARTER_PI = 0.25 * math.pi
+_T_QUARTERS = math.ceil(200.0 / _QUARTER_PI)  # i_b_integral's T = 200 rounded up to a multiple of pi/4
 
 
 def _check_t(t):
@@ -55,12 +62,6 @@ def psi_bound_derivative(b, t):
     return b * psi_bound(b, t)
 
 
-@dataclass(frozen=True)
-class KernelSample:
-    t: float
-    value: float
-
-
 def _kernel_factors(d, b, sin_phi, cos_phi):
     """t-independent factors of the I_b integrand in the phi = arcsin(p) variable.
 
@@ -76,18 +77,20 @@ def _kernel_factors(d, b, sin_phi, cos_phi):
 
 
 def _phi_mesh(b, t_max):
-    """Panel cut points on [0, pi/2]: oscillation-sized plus a cluster at arcsin|b|."""
+    """Panel cut points on [0, pi/2]: oscillation-sized plus a cluster at arcsin|b|.
+
+    A cluster cut whose square is not a normal float is left out: near it
+    sin^2 + b^2 may round to 0. The spike at arcsin|b| below the kept cuts
+    integrates to O(|b|).
+    """
     spacing = _PHI_SPACING
     if t_max > 0.0:
         spacing = min(spacing, math.pi / (4.0 * t_max))
     cuts = set(np.arange(0.0, _HALF_PI, spacing).tolist())
     cuts.add(_HALF_PI)
-    if 0.0 < abs(b) < 1.0:
-        phi_b = math.asin(abs(b))
-        for j in range(-8, 9):
-            q = phi_b * 2.0**j
-            if 0.0 < q < _HALF_PI:
-                cuts.add(q)
+    if abs(b) < 1.0:
+        q = math.asin(abs(b)) * 2.0 ** np.arange(-8, 9)
+        cuts.update(q[(q * q >= sys.float_info.min) & (q < _HALF_PI)].tolist())
     return np.array(sorted(cuts))
 
 
@@ -114,11 +117,23 @@ def i_b(d, b, t, abs_tol=1e-9):
     mesh = _phi_mesh(b, t)
     res = adaptive_quadrature(_i_b_integrand(d, b, t), 0.0, _HALF_PI, abs_tol=abs_tol,
                               breakpoints=mesh[1:-1], max_panels=60000)
-    return KernelSample(t=t, value=res.value)
+    return res.value
+
+
+def _pole_tail(d, b, s):
+    """int_s^infty P_b(t) dt = -pi (1 + b^2)^((d+1)/2) e^(-2|b| s) for b < 0, else 0.
+
+    P_b(t) = -2 pi |b| (1 + b^2)^((d+1)/2) e^(-2|b| t), 2|b| times this tail,
+    is the bound state's pole: the one part of I_b that does not oscillate.
+    ``s`` is an array.
+    """
+    if b >= 0.0:
+        return np.zeros_like(s)
+    return -math.pi * (1.0 + b * b) ** (0.5 * (d + 1)) * np.exp(2.0 * b * s)
 
 
 def _max_abs_i_b(d, b, ts, abs_tol=1e-9):
-    """max |I_b(t)| over ``ts``, evaluated on the one mesh i_b uses at max(ts).
+    """max |I_b(t) - P_b(t)| over ``ts``, I_b evaluated on the one mesh i_b uses at max(ts).
 
     That mesh resolves the oscillation of every smaller t. The t values go
     through panel_rule in blocks of at most _TAIL_PANELS t-panel pairs; a t
@@ -133,7 +148,8 @@ def _max_abs_i_b(d, b, ts, abs_tol=1e-9):
         kron, err = panel_rule(_i_b_integrand(d, b, block[:, None]), mesh[:-1], mesh[1:])
         values = kron.sum(axis=-1)
         for k in np.flatnonzero(err.sum(axis=-1) > abs_tol):
-            values[k] = i_b(d, b, block[k], abs_tol).value
+            values[k] = i_b(d, b, block[k], abs_tol)
+        values -= 2.0 * abs(b) * _pole_tail(d, b, block)
         amp = max(amp, float(np.abs(values).max()))
     return amp
 
@@ -156,41 +172,33 @@ def _i_b_partial(d, b, big_t, abs_tol):
                                breakpoints=mesh[1:-1], max_panels=60000)
 
 
-def i_b_integral(d, b, abs_tol=1e-7):
+def i_b_integral(d, b):
     """int_0^infty I_b(t) dt from two closed-form partial integrals and a phase average.
 
-    The truncation point T is max(200, 50/|b|, the value forced by the
-    |I_b(t)| <= C t^(-(d+3)/2) decay at the requested tolerance), rounded
-    up to a multiple of pi/4. Each partial integral F(T) = int_0^T I_b is one
-    certified phi-quadrature (the t-integral is closed form), and the
-    O(t^(-(d+3)/2)) oscillatory tail is cancelled by returning the average
-    (F(T) + F(T + pi/2)) / 2. Tail or quadrature-error budget failures raise
-    QuadratureError.
+    The truncation point T is 200 rounded up to a multiple of pi/4, for every
+    b and d. Each partial integral F(s) = int_0^s I_b, s = T and T + pi/2, is
+    one certified phi-quadrature (the t-integral is closed form). For b < 0
+    the pole's tail int_s^infty P_b (_pole_tail) is added to F(s) in closed
+    form, so what is left past s is oscillatory, O(s^(-(d+3)/2)), whatever b
+    is. Returning the average of the two sums cancels that oscillation to
+    first order. The closing check bounds the residual tail by the sums'
+    difference and by |I_b - P_b| sampled on [T, T + pi/2]; it and the
+    quadratures raise QuadratureError past the absolute tolerance
+    _INTEGRAL_TOL.
     """
     d, b = coeffs.check_dimension(d), coeffs.check_coupling(b)
-    # After the phase average the tail residual is O(T^(-(d+5)/2)); the
-    # closing tolerance check below still guards the constant.
-    t_need = max(200.0, (2.0 * math.pi / abs_tol) ** (2.0 / (d + 5)))
-    if b != 0.0:
-        t_need = max(t_need, 50.0 / abs(b))
-    if t_need > 3000.0:
-        raise QuadratureError(
-            f"i_b_integral(d={d}, b={b}): tolerance {abs_tol:.3e} requires truncation "
-            f"T ~ {t_need:.0f}, beyond the desk-scale cap of 3000"
-        )
-    n_quarter = math.ceil(t_need / (0.25 * math.pi))
-    big_t, t_end = 0.25 * math.pi * n_quarter, 0.25 * math.pi * (n_quarter + 2)
-    head = _i_b_partial(d, b, big_t, 0.25 * abs_tol)
-    full = _i_b_partial(d, b, t_end, 0.25 * abs_tol)
-    value = 0.5 * (head.value + full.value)
-    extra = full.value - head.value
+    ends = _QUARTER_PI * np.array([_T_QUARTERS, _T_QUARTERS + 2])  # T and T + pi/2
+    head, full = (_i_b_partial(d, b, s, 0.25 * _INTEGRAL_TOL) for s in ends.tolist())
+    head_value, full_value = (np.array([head.value, full.value]) + _pole_tail(d, b, ends)).tolist()
+    value = 0.5 * (head_value + full_value)
+    extra = full_value - head_value
     quad_err = head.error_estimate + full.error_estimate
-    last_amp = _max_abs_i_b(d, b, np.linspace(big_t, t_end, 31))
-    tail_estimate = max(abs(extra), last_amp * 0.25 * math.pi) * (4.0 / big_t)
-    if tail_estimate + quad_err > abs_tol:
+    last_amp = _max_abs_i_b(d, b, np.linspace(*ends, 31))
+    tail_estimate = max(abs(extra), last_amp * _QUARTER_PI) * (4.0 / ends[0])
+    if tail_estimate + quad_err > _INTEGRAL_TOL:
         raise QuadratureError(
             f"i_b_integral(d={d}, b={b}): tail estimate {tail_estimate:.3e} plus "
-            f"panel error {quad_err:.3e} exceeds tolerance {abs_tol:.3e}"
+            f"panel error {quad_err:.3e} exceeds tolerance {_INTEGRAL_TOL:.3e}"
         )
     return value
 

@@ -80,7 +80,8 @@ def adaptive_quadrature(f, a, b, abs_tol=1e-12, breakpoints=(), max_panels=20000
     ``breakpoints`` seeds the initial panel decomposition (interval
     splits at known kinks, oscillation periods, near-singular points).
     Panels whose error exceeds their share of the budget are bisected;
-    exceeding ``max_panels`` raises QuadratureError.
+    exceeding ``max_panels`` raises QuadratureError, and so does an error
+    estimate that is not finite (an integrand returning NaN or inf).
     """
     a = float(a)
     b = float(b)
@@ -92,6 +93,8 @@ def adaptive_quadrature(f, a, b, abs_tol=1e-12, breakpoints=(), max_panels=20000
     val, err = panel_rule(f, lo, hi)
     for _ in range(64):
         total_err = float(err.sum())
+        if not np.isfinite(total_err):
+            raise QuadratureError(f"quadrature on [{a}, {b}]: error estimate {total_err} is not finite")
         if total_err <= abs_tol:
             return QuadResult(float(val.sum()), total_err, int(lo.size))
         # Local acceptance: a panel keeps its width-proportional share.

@@ -245,6 +245,14 @@ def test_model_bound_state(capsys):
     assert abs(float(cell["psi"]) - 1.0 / math.sqrt(2.0)) < 1e-12
 
 
+def test_model_tiny_b_is_the_b_zero_kernel(capsys):
+    # --b 1e-300 once exited 3: the quadrature saw 0/0 at the cluster cuts.
+    code, out, err = run_cli(["model", "--b", "1e-300", "--t", "1"], capsys)
+    assert code == 0, err
+    _, columns, rows = parse_csv(out)
+    assert abs(float(dict(zip(columns, rows[0]))["i_b"]) - halfline.i_b(2, 0.0, 1.0)) <= 1e-9
+
+
 def test_model_requires_t(capsys):
     code, _, err = run_cli(["model", "--b", "1"], capsys)
     assert code == 2

@@ -63,17 +63,17 @@ def test_psi_bound_branches_and_norm():
 
 
 def test_i_b_closed_values():
-    assert abs(halfline.i_b(2, 0.0, 0.0).value - 3.0 * math.pi / 16.0) <= 1e-9
+    assert abs(halfline.i_b(2, 0.0, 0.0) - 3.0 * math.pi / 16.0) <= 1e-9
     # int (1-p^2)^(3/2) (p^2-1)/(p^2+1) dp = pi (43/16 - 2 sqrt(2))
     closed = math.pi * (43.0 / 16.0 - 2.0 * math.sqrt(2.0))
-    assert abs(halfline.i_b(2, 1.0, 0.0).value - closed) <= 1e-9
+    assert abs(halfline.i_b(2, 1.0, 0.0) - closed) <= 1e-9
 
 
 def test_i_b_riemann_oracle():
     # brute-force midpoint rule, 10^6 nodes, for (d, b, t) = (2, 1, 0)
     p = (np.arange(1_000_000) + 0.5) / 1_000_000
     brute = float(np.mean((1 - p * p) ** 1.5 * (p * p - 1) / (p * p + 1)))
-    assert abs(halfline.i_b(2, 1.0, 0.0).value - brute) <= 5e-9
+    assert abs(halfline.i_b(2, 1.0, 0.0) - brute) <= 5e-9
 
 
 @pytest.mark.parametrize("b,t", [(-2.0, 0.0), (-0.5, 0.9), (0.7, 0.9), (3.0, 4.0), (-2.0, 4.0), (0.7, 0.0)])
@@ -88,7 +88,7 @@ def test_i_b_psi_identity(b, t):
     spacing = min(0.2, math.pi / (2.0 * t) if t > 0 else 0.2)
     res = adaptive_quadrature(integrand, 0.0, 1.0, abs_tol=1e-9,
                               breakpoints=np.arange(spacing, 1.0, spacing))
-    assert abs(halfline.i_b(2, b, t).value - res.value) <= 1e-9
+    assert abs(halfline.i_b(2, b, t) - res.value) <= 1e-9
 
 
 def test_i_b_integral_values():
@@ -103,9 +103,10 @@ def test_i_b_integral_matches_l2_rearranged():
     assert abs(halfline.i_b_integral(2, b) - target) <= 1e-6
 
 
-def test_i_b_integral_tail_tolerance_failure():
-    with pytest.raises(QuadratureError):
-        halfline.i_b_integral(2, 0.3, abs_tol=1e-14)
+def test_i_b_integral_tail_tolerance_failure(monkeypatch):
+    monkeypatch.setattr(halfline, "_INTEGRAL_TOL", 1e-14)
+    with pytest.raises(QuadratureError, match="tail estimate"):
+        halfline.i_b_integral(2, 0.3)
 
 
 def test_i_b_integral_tail_amplitude_failure(monkeypatch):
@@ -122,17 +123,18 @@ def test_i_b_abs_integral_bounded_and_decaying():
     # (measured maximum 0.85).
     ts = np.linspace(0.0, 60.0, 1201)
     for b in (-5.0, -1.0, 0.0, 2.0, 5.0):
-        vals = np.abs([halfline.i_b(2, b, t).value for t in ts])
+        vals = np.abs([halfline.i_b(2, b, t) for t in ts])
         partial = np.cumsum((vals[1:] + vals[:-1]) * 0.5 * (ts[1] - ts[0]))
         assert partial[-1] < 10.0
         tail = ts >= 5.0
         assert np.all(ts[tail] ** 2.5 * vals[tail] <= 1.0), b
 
 
-@pytest.mark.parametrize("b", [-2.0, -0.5, 0.5, 2.0, -0.1])
+@pytest.mark.parametrize("b", [-2.0, -0.5, 0.5, 2.0, -0.1, -0.05, 0.05, -0.01, 0.01, -1e-4, 1e-4])
 def test_l2_via_i_b_integral(b):
     # l2 is the reference (mpmath-certified to 1e-13); the gap is held to the
-    # documented abs_tol = 1e-7 of i_b_integral in every dimension.
+    # absolute tolerance 1e-7 of i_b_integral in every dimension. Small |b|
+    # once needed a truncation point of 50/|b|, past a cap of 3000.
     for d in (2, 3, 5, 8):
         lhs = halfline.i_b_integral(d, b)
         if b < 0.0:
@@ -146,7 +148,7 @@ def test_i_b_partial_matches_t_quadrature(d, b):
     # The closed-form t-integral against quadrature in t of I_b itself; T is
     # not a multiple of pi/4, so no phase average can hide an error.
     def kernel(ts):
-        return np.array([halfline.i_b(d, b, t, abs_tol=1e-12).value for t in ts])
+        return np.array([halfline.i_b(d, b, t, abs_tol=1e-12) for t in ts])
 
     for big_t in (3.3, 17.0):
         swapped = halfline._i_b_partial(d, b, big_t, 1e-11)
@@ -200,28 +202,29 @@ def test_negative_t_rejected():
                 call()
 
 
-def _tail_points(d, b):
-    # The 31 points of [T, T + pi/2] at which i_b_integral samples |I_b|.
-    t_need = max(200.0, (2.0 * math.pi / 1e-7) ** (2.0 / (d + 5)))
-    if b != 0.0:
-        t_need = max(t_need, 50.0 / abs(b))
-    n_quarter = math.ceil(t_need / (0.25 * math.pi))
-    return np.linspace(0.25 * math.pi * n_quarter, 0.25 * math.pi * (n_quarter + 2), 31)
+# The 31 points of [T, T + pi/2] at which i_b_integral samples |I_b - P_b|,
+# with T = 200 rounded up to a multiple of pi/4.
+TAIL_POINTS = np.linspace(0.25 * math.pi * 255, 0.25 * math.pi * 257, 31)
+
+
+def pole(d, b, t):
+    """The bound state's pole P_b(t) of I_b(t), 0 for b >= 0."""
+    if b >= 0.0:
+        return 0.0
+    return -2.0 * math.pi * abs(b) * (1.0 + b * b) ** (0.5 * (d + 1)) * math.exp(-2.0 * abs(b) * t)
 
 
 @pytest.mark.parametrize("d", [2, 5])
-@pytest.mark.parametrize("b", [-2.0, -0.5, -0.1, 0.0, 0.5, 2.0])
+@pytest.mark.parametrize("b", [-2.0, -0.5, -0.1, 0.0, 0.5, 2.0, -0.01])
 def test_shared_mesh_tail_amplitude_matches_per_t_i_b(d, b):
-    ts = _tail_points(d, b)
-    per_t = max(abs(halfline.i_b(d, b, t).value) for t in ts)
-    assert abs(halfline._max_abs_i_b(d, b, ts) - per_t) <= 1e-9
+    per_t = max(abs(halfline.i_b(d, b, t) - pole(d, b, t)) for t in TAIL_POINTS)
+    assert abs(halfline._max_abs_i_b(d, b, TAIL_POINTS) - per_t) <= 1e-9
 
 
 def test_shared_mesh_tail_amplitude_falls_back_per_t(monkeypatch):
     # Rows whose error estimate misses the tolerance are recomputed by i_b,
     # so a wrong value on such a row cannot reach the maximum.
     d, b = 2, -0.5
-    ts = _tail_points(d, b)
     panel_rule = halfline.panel_rule
 
     def failing_rows(f, lo, hi):
@@ -230,5 +233,39 @@ def test_shared_mesh_tail_amplitude_falls_back_per_t(monkeypatch):
         return kron, err
 
     monkeypatch.setattr(halfline, "panel_rule", failing_rows)
-    per_t = max(abs(halfline.i_b(d, b, t).value) for t in ts)
-    assert abs(halfline._max_abs_i_b(d, b, ts) - per_t) <= 1e-9
+    per_t = max(abs(halfline.i_b(d, b, t) - pole(d, b, t)) for t in TAIL_POINTS)
+    assert abs(halfline._max_abs_i_b(d, b, TAIL_POINTS) - per_t) <= 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 5, 8])
+@pytest.mark.parametrize("b", [-1e-4, -0.01, -0.05])
+def test_pole_is_the_part_of_i_b_that_does_not_oscillate(d, b):
+    # Past the pole, I_b is an oscillation from p = 1 of amplitude about
+    # Gamma((d+3)/2) / (2 t^((d+3)/2)); at t = 50 the pole is far larger.
+    for t in (50.0, 200.0):
+        envelope = math.gamma(0.5 * (d + 3)) / (2.0 * t ** (0.5 * (d + 3)))
+        rest = max(abs(halfline.i_b(d, b, s) - pole(d, b, s)) for s in np.linspace(t, t + math.pi, 17))
+        assert rest <= 1.5 * envelope, t
+        if t == 50.0:
+            assert abs(pole(d, b, t)) > 10.0 * envelope
+    # The pole's closed-form tail, and P_b = 2|b| times it.
+    tail = halfline._pole_tail(d, b, np.array([0.0, 200.0]))
+    assert tail[0] == -math.pi * (1.0 + b * b) ** (0.5 * (d + 1))
+    assert math.isclose(2.0 * abs(b) * tail[1], pole(d, b, 200.0), rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("b", [1e-300, -1e-300, 1e-200, -1e-200, 5e-324])
+def test_i_b_for_tiny_b_is_i_b_at_zero(b):
+    # The cluster cuts at arcsin|b| 2^j once made sin^2 + b^2 round to 0 there.
+    for d in (2, 8):
+        for t in (0.0, 1.0, 200.0):
+            assert abs(halfline.i_b(d, b, t) - halfline.i_b(d, 0.0, t)) <= 1e-9, (d, t)
+
+
+@pytest.mark.parametrize("b", [1e-300, -1e-300, 1e-200, -5e-324, 1e-160, -1e-100])
+def test_i_b_integral_for_tiny_b(b):
+    # l2 is continuous at b = 0, and the bound-state term tends to pi, so
+    # int I_b tends to int I_0 from above and to int I_0 - pi from below.
+    for d in (2, 5, 8):
+        want = halfline.i_b_integral(d, 0.0) - (math.pi if b < 0.0 else 0.0)
+        assert abs(halfline.i_b_integral(d, b) - want) <= 1e-7, d

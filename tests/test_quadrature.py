@@ -44,6 +44,20 @@ def test_refinement_limit_raises():
                             0.0, 1.0, abs_tol=1e-14, max_panels=8)
 
 
+def test_nan_integrand_raises_at_once():
+    # A NaN error estimate selects no panel to bisect; the loop once spun
+    # through its round limit before it raised.
+    calls = []
+
+    def integrand(x):
+        calls.append(x.size)
+        return np.where(x < 0.5, math.nan, x)
+
+    with pytest.raises(QuadratureError, match="error estimate nan is not finite"):
+        adaptive_quadrature(integrand, 0.0, 1.0, breakpoints=(0.25, 0.75))
+    assert len(calls) == 1
+
+
 def test_empty_interval_rejected():
     with pytest.raises(ValueError):
         adaptive_quadrature(lambda x: x, 1.0, 1.0)

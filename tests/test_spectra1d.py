@@ -543,6 +543,23 @@ def test_band_sum_huge_coupling_is_not_certified(c):
     assert not abs(closed - value) <= 1e-12 * value
 
 
+def test_band_sum_drops_a_top_root_at_the_cutoff():
+    # Neumann interval, lam the 301st eigenvalue (300 pi)^2 itself: the top
+    # root has lam - k_N^2 <= 0 in floating point, so it is not counted, and
+    # its term is taken out of the closed form.
+    iv = RobinInterval(1.0, 0.0, 0.0)
+    eigenvalues = enumerate_eigenvalues(iv, 1e6).eigenvalues
+    cut, lam = float(np.nextafter(eigenvalues[100], math.inf)), float(eigenvalues[300])
+    n_below, n_top = spectra1d._phase_count(iv, cut), spectra1d._phase_count(iv, lam)
+    k_n = spectra1d._phase_roots(iv, np.array([n_top]), math.sqrt(lam))[0]
+    assert lam - k_n * k_n <= 0.0
+    band = spectra1d.band_sum(iv, cut, lam)
+    assert band is not None
+    value, count = explicit_band(iv, cut, lam)
+    assert band.count == count == n_top - n_below - 1 == 199
+    assert abs(band.value - value) <= band.error
+
+
 def test_band_sum_fails_loudly(monkeypatch):
     iv = RobinInterval(1.0, -20.0, -20.0)
     cut, lam = band_start(iv, 0.1)
