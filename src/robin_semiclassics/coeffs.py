@@ -99,8 +99,12 @@ def _l2_integral(d, b, abs_tol):
     adaptive quadrature. That rest turns from ~ -k p^2 / b to ~ -k b across
     p ~ |b|, a turn one panel [|b|, 1] misses by up to ~k b^2 unseen by its
     error estimate, so the interval is split at every |b| * 16^j below 1.
+    Where k |b| <= abs_tol the rest is not integrated (at |b| <~ 1e-200 its
+    b^2 + p^2 underflows): it is reported as 0 with error k |b|.
     """
     k = 0.5 * (d + 1)
+    if k * abs(b) <= abs_tol:
+        return math.atan(1.0 / b), k * abs(b)
     b2 = b * b
 
     def rest(p):

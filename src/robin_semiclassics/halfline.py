@@ -4,9 +4,12 @@ Generalized eigenfunctions psi_b, the bound state Psi_b (b < 0 only),
 the kernel I_b(t) and its integral over the half-line, and an
 eigenfunction-expansion reconstruction used as a completeness check.
 
-The integral is defined for every finite b. It is truncated at one point T
-for every b and d; the bound state's pole, the one part of I_b that does not
-oscillate, is integrated past T in closed form.
+The integral is defined for every finite b whose pole integral
+-pi (1 + b^2)^((d+1)/2) is a float. It is truncated at one point T for every
+b and d; the bound state's pole, the one part of I_b that does not
+oscillate, is integrated past T in closed form. The tail check past T
+samples I_b on one node set, rotating each node's phase from one t to the
+next.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ import numpy as np
 
 from . import coeffs
 from .errors import QuadratureError
-from .quadrature import adaptive_quadrature, panel_rule
+from .quadrature import adaptive_quadrature, panel_nodes, panel_sums
 
 _HALF_PI = 0.5 * math.pi
 _PHI_SPACING = math.pi / 16.0  # widest phi panel, whatever t is
-_TAIL_PANELS = 1024  # bounds the (t, phi node) arrays of one tail block to about 120 kB each
+_ROTATION_ULPS = 8.0  # per-step relative rounding of _max_abs_i_b's phase rotation, in eps
 _INTEGRAL_TOL = 1e-7  # absolute tolerance of i_b_integral
 _QUARTER_PI = 0.25 * math.pi
 _T_QUARTERS = math.ceil(200.0 / _QUARTER_PI)  # i_b_integral's T = 200 rounded up to a multiple of pi/4
@@ -35,18 +38,22 @@ def _check_t(t):
     return t
 
 
+def _psi_norm(b):
+    """sqrt(1 + b^2); where b * b overflows, |b|, the same float."""
+    b2 = b * b
+    return abs(b) if math.isinf(b2) else math.sqrt(1.0 + b2)
+
+
 def psi(b, t):
     """Generalized eigenfunction (cos t + b sin t) / sqrt(1 + b^2)."""
     b, t = coeffs.check_coupling(b), _check_t(t)
-    norm = math.sqrt(1.0 + b * b)
-    return (math.cos(t) + b * math.sin(t)) / norm
+    return (math.cos(t) + b * math.sin(t)) / _psi_norm(b)
 
 
 def psi_derivative(b, t):
     """d/dt of psi; psi'(0) = b * psi(0) holds exactly."""
     b, t = coeffs.check_coupling(b), _check_t(t)
-    norm = math.sqrt(1.0 + b * b)
-    return (-math.sin(t) + b * math.cos(t)) / norm
+    return (-math.sin(t) + b * math.cos(t)) / _psi_norm(b)
 
 
 def psi_bound(b, t):
@@ -71,6 +78,11 @@ def _kernel_factors(d, b, sin_phi, cos_phi):
     weight = cos_phi ** (d + 2)
     if b == 0.0:
         return weight, np.zeros_like(weight)
+    if math.isinf(b * b):
+        # The same factors over b^2, in r = sin(phi) / b.
+        r = sin_phi / b
+        denom = r * r + 1.0
+        return weight * (r * r - 1.0) / denom, weight * (2.0 * r) / denom
     s2 = sin_phi * sin_phi
     denom = s2 + b * b
     return weight * (s2 - b * b) / denom, weight * (2.0 * b * sin_phi) / denom
@@ -95,7 +107,7 @@ def _phi_mesh(b, t_max):
 
 
 def _i_b_integrand(d, b, t):
-    """The I_b(t) integrand in phi; a column of t values gives one row per t."""
+    """The I_b(t) integrand in phi."""
 
     def integrand(phi):
         sin_phi = np.sin(phi)
@@ -120,6 +132,22 @@ def i_b(d, b, t, abs_tol=1e-9):
     return res.value
 
 
+def _pole_integral(d, b):
+    """int_0^infty P_b(t) dt = -pi (1 + b^2)^((d+1)/2), for b < 0.
+
+    Raises ValueError where it overflows a float: i_b_integral could not be
+    added to it to give l2 / c_d there.
+    """
+    try:
+        value = -math.pi * (1.0 + b * b) ** (0.5 * (d + 1))
+    except OverflowError:
+        value = -math.inf
+    if math.isinf(value):
+        raise ValueError(f"i_b_integral(d={d}, b={b}): the pole integral "
+                         f"-pi (1 + b^2)^((d+1)/2) overflows a float")
+    return value
+
+
 def _pole_tail(d, b, s):
     """int_s^infty P_b(t) dt = -pi (1 + b^2)^((d+1)/2) e^(-2|b| s) for b < 0, else 0.
 
@@ -129,28 +157,46 @@ def _pole_tail(d, b, s):
     """
     if b >= 0.0:
         return np.zeros_like(s)
-    return -math.pi * (1.0 + b * b) ** (0.5 * (d + 1)) * np.exp(2.0 * b * s)
+    return _pole_integral(d, b) * np.exp(2.0 * b * s)
 
 
-def _max_abs_i_b(d, b, ts, abs_tol=1e-9):
-    """max |I_b(t) - P_b(t)| over ``ts``, I_b evaluated on the one mesh i_b uses at max(ts).
+def _max_abs_i_b(d, b, t0, delta, count, abs_tol=1e-9):
+    """max |I_b(t) - P_b(t)| over t_j = t0 + j delta, j < count, each plus its rounding bound.
 
-    That mesh resolves the oscillation of every smaller t. The t values go
-    through panel_rule in blocks of at most _TAIL_PANELS t-panel pairs; a t
-    whose summed Gauss-Kronrod error exceeds abs_tol falls back to its own
+    I_b is the Gauss-Kronrod sum on the one mesh i_b uses at the last t; that
+    mesh resolves the oscillation of every smaller t. The nodes are evaluated
+    once: with the kernel factors f_c, f_s and s = sin(phi) at each node,
+    u = (f_c - i f_s) e^(2i t0 s) has the t0 integrand as its real part, and
+    each next row multiplies u by z = e^(2i delta s). Against the exact rule at
+    t_j, each node of row j is off by at most rho_j |u|, with
+    rho_j = (3 t_j + _ROTATION_ULPS (j + 1)) eps: the rounded phase arguments
+    give t_j eps, the rounded t grid 2 t_j eps, and each row's complex product
+    and rounded e^(i theta) at most _ROTATION_ULPS eps. Both rules' weights
+    sum to 2 on a panel, so rho_j times 4 sum(half width * max |u|) over the
+    panels bounds the rounding of row j's Kronrod and Gauss sums. That bound
+    is added to the row's summed Gauss-Kronrod error and to its
+    |I_b - P_b|. A row whose error exceeds abs_tol falls back to its own
     adaptive i_b.
     """
-    mesh = _phi_mesh(b, float(ts.max()))
-    rows = max(1, _TAIL_PANELS // (mesh.size - 1))
+    ts = t0 + delta * np.arange(count)
+    mesh = _phi_mesh(b, float(ts[-1]))
+    phi, half = panel_nodes(mesh[:-1], mesh[1:])
+    sin_phi = np.sin(phi)
+    fc, fs = _kernel_factors(d, b, sin_phi, np.cos(phi))
+    u = (fc - 1j * fs) * np.exp(2j * t0 * sin_phi)
+    z = np.exp(2j * delta * sin_phi)
+    mass = 4.0 * float((half * np.abs(u).max(axis=-1)).sum())  # >= the Kronrod plus the Gauss sum of |u|
+    rho = (3.0 * ts + _ROTATION_ULPS * np.arange(1, count + 1)) * np.finfo(float).eps
+    poles = 2.0 * abs(b) * _pole_tail(d, b, ts)
     amp = 0.0
-    for start in range(0, ts.size, rows):
-        block = ts[start:start + rows]
-        kron, err = panel_rule(_i_b_integrand(d, b, block[:, None]), mesh[:-1], mesh[1:])
-        values = kron.sum(axis=-1)
-        for k in np.flatnonzero(err.sum(axis=-1) > abs_tol):
-            values[k] = i_b(d, b, block[k], abs_tol)
-        values -= 2.0 * abs(b) * _pole_tail(d, b, block)
-        amp = max(amp, float(np.abs(values).max()))
+    for j in range(count):
+        if j:
+            u *= z
+        kron, err = panel_sums(u.real, half)
+        value, bound = float(kron.sum()), float(rho[j]) * mass
+        if float(err.sum()) + bound > abs_tol:
+            value, bound = i_b(d, b, ts[j], abs_tol), 0.0
+        amp = max(amp, abs(value - poles[j]) + bound)
     return amp
 
 
@@ -182,18 +228,20 @@ def i_b_integral(d, b):
     form, so what is left past s is oscillatory, O(s^(-(d+3)/2)), whatever b
     is. Returning the average of the two sums cancels that oscillation to
     first order. The closing check bounds the residual tail by the sums'
-    difference and by |I_b - P_b| sampled on [T, T + pi/2]; it and the
-    quadratures raise QuadratureError past the absolute tolerance
-    _INTEGRAL_TOL.
+    difference and by |I_b - P_b| sampled at 31 points of [T, T + pi/2]
+    (_max_abs_i_b); it and the quadratures raise QuadratureError past the
+    absolute tolerance _INTEGRAL_TOL. A b < 0 whose pole integral
+    -pi (1 + b^2)^((d+1)/2) overflows a float raises ValueError.
     """
     d, b = coeffs.check_dimension(d), coeffs.check_coupling(b)
     ends = _QUARTER_PI * np.array([_T_QUARTERS, _T_QUARTERS + 2])  # T and T + pi/2
+    tails = _pole_tail(d, b, ends)
     head, full = (_i_b_partial(d, b, s, 0.25 * _INTEGRAL_TOL) for s in ends.tolist())
-    head_value, full_value = (np.array([head.value, full.value]) + _pole_tail(d, b, ends)).tolist()
+    head_value, full_value = (np.array([head.value, full.value]) + tails).tolist()
     value = 0.5 * (head_value + full_value)
     extra = full_value - head_value
     quad_err = head.error_estimate + full.error_estimate
-    last_amp = _max_abs_i_b(d, b, np.linspace(*ends, 31))
+    last_amp = _max_abs_i_b(d, b, ends[0], (ends[1] - ends[0]) / 30.0, 31)
     tail_estimate = max(abs(extra), last_amp * _QUARTER_PI) * (4.0 / ends[0])
     if tail_estimate + quad_err > _INTEGRAL_TOL:
         raise QuadratureError(

@@ -253,6 +253,22 @@ def test_model_tiny_b_is_the_b_zero_kernel(capsys):
     assert abs(float(dict(zip(columns, rows[0]))["i_b"]) - halfline.i_b(2, 0.0, 1.0)) <= 1e-9
 
 
+def test_model_huge_b_is_minus_the_b_zero_kernel(capsys):
+    # --b=1e200 once exited 3: b * b overflowed in the kernel factors.
+    code, out, err = run_cli(["model", "--b=1e200", "--t", "1"], capsys)
+    assert code == 0, err
+    _, columns, rows = parse_csv(out)
+    assert abs(float(dict(zip(columns, rows[0]))["i_b"]) + halfline.i_b(2, 0.0, 1.0)) <= 1e-12
+
+
+def test_coeff_tiny_b_is_the_b_zero_coefficient(capsys):
+    # --b=1e-300 once exited 3: the rest integral saw 0/0.
+    code, out, err = run_cli(["coeff", "--d", "2", "--b=1e-300"], capsys)
+    assert code == 0, err
+    _, columns, rows = parse_csv(out)
+    assert float(dict(zip(columns, rows[0]))["l2"]) == coeffs.l2(2, 0.0).value
+
+
 def test_model_requires_t(capsys):
     code, _, err = run_cli(["model", "--b", "1"], capsys)
     assert code == 2

@@ -129,6 +129,16 @@ def test_branch_continuity():
         assert abs(coeffs.l2(d, -1e-6).value - base) <= 1e-4
 
 
+@pytest.mark.parametrize("b", [1e-200, -1e-200, 1e-300, -1e-300, 5e-324, -5e-324])
+def test_l2_for_tiny_b_is_l2_at_zero(b):
+    # The rest integral is bounded by k |b| and is not integrated where that
+    # is below the tolerance; once b^2 + p^2 underflowed there, giving 0/0.
+    for d in range(2, 9):
+        val = coeffs.l2(d, b)
+        assert val.value == coeffs.l2(d, 0.0).value, d
+        assert val.abs_error_estimate == coeffs.c_d(d).value * (0.5 * (d + 1) * abs(b)), d
+
+
 def test_symmetric_limits():
     for d in (2, 3):
         quarter = 0.25 * coeffs.l1(d - 1).value

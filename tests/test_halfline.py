@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from robin_semiclassics import coeffs, halfline
 from robin_semiclassics.errors import QuadratureError
-from robin_semiclassics.quadrature import adaptive_quadrature
+from robin_semiclassics.quadrature import adaptive_quadrature, panel_rule
 
 B_GRID = [-3.0, -1.0, -0.4, 0.0, 0.5, 1.0, 2.0, 5.0]
 T_GRID = [0.0, 0.2, 0.7, 1.5, 3.0, 8.0]
@@ -29,6 +31,14 @@ def test_psi_double_angle_identity():
             lhs = halfline.psi(b, t) ** 2
             rhs = 0.5 + ((1 - b * b) * math.cos(2 * t) + 2 * b * math.sin(2 * t)) / (2 * (1 + b * b))
             assert abs(lhs - rhs) <= 1e-14
+
+
+@pytest.mark.parametrize("b", [1e200, -1e200, 1.7e308])
+def test_psi_for_huge_b(b):
+    # sqrt(1 + b^2) once overflowed to inf past |b| ~ 1.3e154, giving psi = 0.
+    sign = math.copysign(1.0, b)
+    assert abs(halfline.psi(b, 1.0) - sign * math.sin(1.0)) <= 1e-15
+    assert abs(halfline.psi_derivative(b, 1.0) - sign * math.cos(1.0)) <= 1e-15
 
 
 def test_boundary_conditions_exact():
@@ -202,9 +212,11 @@ def test_negative_t_rejected():
                 call()
 
 
-# The 31 points of [T, T + pi/2] at which i_b_integral samples |I_b - P_b|,
-# with T = 200 rounded up to a multiple of pi/4.
-TAIL_POINTS = np.linspace(0.25 * math.pi * 255, 0.25 * math.pi * 257, 31)
+# The 31 points t0 + j delta of [T, T + pi/2] at which i_b_integral samples
+# |I_b - P_b|, with T = 200 rounded up to a multiple of pi/4.
+T0 = 0.25 * math.pi * 255
+DELTA = (0.25 * math.pi * 257 - T0) / 30.0
+TAIL_POINTS = T0 + DELTA * np.arange(31)
 
 
 def pole(d, b, t):
@@ -214,27 +226,82 @@ def pole(d, b, t):
     return -2.0 * math.pi * abs(b) * (1.0 + b * b) ** (0.5 * (d + 1)) * math.exp(-2.0 * abs(b) * t)
 
 
+def direct_max_abs_i_b(d, b, ts, abs_tol=1e-9):
+    """The tail amplitude evaluated directly: a fresh cos and sin at every (t, node) pair.
+
+    The same mesh and Gauss-Kronrod rule as _max_abs_i_b, and the same
+    fallback to i_b for a t whose summed error exceeds abs_tol.
+    """
+    mesh = halfline._phi_mesh(b, float(ts[-1]))
+    amp = 0.0
+    for t in ts:
+        kron, err = panel_rule(halfline._i_b_integrand(d, b, t), mesh[:-1], mesh[1:])
+        value = kron.sum() if err.sum() <= abs_tol else halfline.i_b(d, b, t, abs_tol)
+        amp = max(amp, abs(value - pole(d, b, t)))
+    return amp
+
+
+def rotation_bound(ts):
+    """An a-priori form of _max_abs_i_b's largest row rounding bound rho_j * 4 sum(half * max |u|).
+
+    |u| <= 1, and the half widths sum to pi/4.
+    """
+    eps = np.finfo(float).eps
+    return math.pi * (3.0 * ts[-1] + halfline._ROTATION_ULPS * ts.size) * eps
+
+
 @pytest.mark.parametrize("d", [2, 5])
 @pytest.mark.parametrize("b", [-2.0, -0.5, -0.1, 0.0, 0.5, 2.0, -0.01])
 def test_shared_mesh_tail_amplitude_matches_per_t_i_b(d, b):
     per_t = max(abs(halfline.i_b(d, b, t) - pole(d, b, t)) for t in TAIL_POINTS)
-    assert abs(halfline._max_abs_i_b(d, b, TAIL_POINTS) - per_t) <= 1e-9
+    assert abs(halfline._max_abs_i_b(d, b, T0, DELTA, 31) - per_t) <= 1e-9
 
 
 def test_shared_mesh_tail_amplitude_falls_back_per_t(monkeypatch):
     # Rows whose error estimate misses the tolerance are recomputed by i_b,
     # so a wrong value on such a row cannot reach the maximum.
     d, b = 2, -0.5
-    panel_rule = halfline.panel_rule
+    per_t = max(abs(halfline.i_b(d, b, t) - pole(d, b, t)) for t in TAIL_POINTS)
+    panel_sums = halfline.panel_sums
+    rows = []
 
-    def failing_rows(f, lo, hi):
-        kron, err = panel_rule(f, lo, hi)
-        kron[::10], err[::10] = 1.0, 1.0
+    def failing_rows(y, half):
+        kron, err = panel_sums(y, half)
+        if len(rows) % 2 == 0:
+            kron[:], err[:] = 1.0, 1.0
+        rows.append(None)
         return kron, err
 
-    monkeypatch.setattr(halfline, "panel_rule", failing_rows)
-    per_t = max(abs(halfline.i_b(d, b, t) - pole(d, b, t)) for t in TAIL_POINTS)
-    assert abs(halfline._max_abs_i_b(d, b, TAIL_POINTS) - per_t) <= 1e-9
+    monkeypatch.setattr(halfline, "panel_sums", failing_rows)
+    assert abs(halfline._max_abs_i_b(d, b, T0, DELTA, 31) - per_t) <= 1e-9
+    assert len(rows) == 31
+    # The rounding bound is part of a row's error: past abs_tol it alone sends
+    # every row to i_b, whose values carry no such bound.
+    monkeypatch.setattr(halfline, "panel_sums", panel_sums)
+    monkeypatch.setattr(halfline, "_ROTATION_ULPS", 1e12)
+    i_b, calls = halfline.i_b, []
+    monkeypatch.setattr(halfline, "i_b", lambda *args: calls.append(args) or i_b(*args))
+    assert abs(halfline._max_abs_i_b(d, b, T0, DELTA, 31) - per_t) <= 1e-12
+    assert [args[2] for args in calls] == TAIL_POINTS.tolist()
+
+
+couplings = st.one_of(st.just(0.0), st.builds(lambda sign, exponent: sign * 10.0**exponent,
+                                              st.sampled_from((1.0, -1.0)), st.floats(-323.0, 5.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(2, 8), b=couplings)
+@example(d=2, b=-0.1)
+@example(d=8, b=-1e5)
+@example(d=2, b=5e-324)
+def test_rotated_tail_amplitude_matches_direct_evaluation(d, b):
+    # Each row of _max_abs_i_b is off from the exact rule by at most its
+    # rounding bound B, which it adds; the direct evaluation is off by at
+    # most B too. So new - direct lies in [-B, 3B].
+    new = halfline._max_abs_i_b(d, b, T0, DELTA, 31)
+    direct = direct_max_abs_i_b(d, b, TAIL_POINTS)
+    bound = rotation_bound(TAIL_POINTS)
+    assert -bound <= new - direct <= 3.0 * bound
 
 
 @pytest.mark.parametrize("d", [2, 5, 8])
@@ -269,3 +336,21 @@ def test_i_b_integral_for_tiny_b(b):
     for d in (2, 5, 8):
         want = halfline.i_b_integral(d, 0.0) - (math.pi if b < 0.0 else 0.0)
         assert abs(halfline.i_b_integral(d, b) - want) <= 1e-7, d
+
+
+@pytest.mark.parametrize("b", [1e200, -1e200, 1.4e154, -1e160, 1.7e308])
+def test_i_b_for_huge_b_is_minus_i_b_at_zero(b):
+    # b * b overflows past |b| ~ 1.3e154; the kernel then scales by sin(phi) / b.
+    for d in (2, 8):
+        for t in (0.0, 1.0, 200.0):
+            assert abs(halfline.i_b(d, b, t) + halfline.i_b(d, 0.0, t)) <= 1e-12, (d, t)
+
+
+def test_i_b_integral_for_huge_b():
+    # The kernel tends to -I_0, and so does its integral for b -> +infinity.
+    assert abs(halfline.i_b_integral(2, 1e200) + halfline.i_b_integral(2, 0.0)) <= 1e-7
+    # For b < 0 the pole integral -pi (1 + b^2)^((d+1)/2) leaves the floats
+    # at |b| ~ 1.3e154 for every d, and earlier for larger d.
+    for d, b in ((2, -1e200), (8, -1e50)):
+        with pytest.raises(ValueError, match="pole integral .* overflows"):
+            halfline.i_b_integral(d, b)

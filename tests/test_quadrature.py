@@ -68,8 +68,3 @@ def test_panel_rule_batch_shape():
     assert kron.shape == (2,)
     assert abs(kron.sum() - 1.0 / 3.0) < 1e-15
     assert np.all(err >= 0.0)
-    # A family of integrands on the same nodes keeps its leading axis.
-    powers = np.array([[1.0], [2.0], [3.0]])
-    kron, err = panel_rule(lambda x: x ** powers, np.array([0.0, 0.5]), np.array([0.5, 1.0]))
-    assert kron.shape == err.shape == (3, 2)
-    assert np.allclose(kron.sum(axis=-1), [1.0 / 2.0, 1.0 / 3.0, 1.0 / 4.0], rtol=0.0, atol=1e-15)
