@@ -18,6 +18,7 @@ from .quadrature import adaptive_quadrature
 
 MIN_DIMENSION = 2
 MAX_DIMENSION = 8  # desk-scale guard
+_L2_TOL = 1e-13  # absolute tolerance of l2's quadrature
 
 
 @dataclass(frozen=True)
@@ -119,22 +120,38 @@ def _l2_integral(d, b, abs_tol):
     return math.atan(1.0 / b) + res.value, res.error_estimate
 
 
-def l2(d, b, abs_tol=1e-13):
+def bound_state_mass(d, b):
+    """pi (1 + b^2)^((d+1)/2), the bound state's term of l2(d, b) / c_d for b < 0.
+
+    Raises ValueError where it overflows a float.
+    """
+    try:
+        value = math.pi * (1.0 + b * b) ** (0.5 * (d + 1))
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise ValueError(f"d={d}, b={b}: the bound-state mass pi (1 + b^2)^((d+1)/2) overflows a float")
+    return value
+
+
+def l2(d, b):
     """Boundary-density coefficient l2(d, b), three-branch form.
 
     b > 0:  c_d * (-pi/4 + I(b))
     b = 0:  c_d * pi/4
     b < 0:  c_d * (-pi/4 + I(b) + pi * (b^2 + 1)^((d+1)/2))
-    with I(b) the p-integral evaluated by adaptive quadrature.
+    with I(b) the p-integral evaluated by adaptive quadrature. Where the
+    bound-state term overflows a float (below about b = -3.9e102 for d = 2,
+    -1.6e34 for d = 8), bound_state_mass raises ValueError.
     """
     d, b = check_dimension(d), check_coupling(b)
     cd = c_d(d).value
     if b == 0.0:
         return CoefficientValue(cd * math.pi / 4.0)
-    integral, quad_err = _l2_integral(d, b, abs_tol)
+    integral, quad_err = _l2_integral(d, b, _L2_TOL)
     value = -math.pi / 4.0 + integral
     if b < 0.0:
-        value += math.pi * (b * b + 1.0) ** (0.5 * (d + 1))
+        value += bound_state_mass(d, b)
     return CoefficientValue(cd * value, cd * quad_err)
 
 

@@ -8,8 +8,8 @@ The integral is defined for every finite b whose pole integral
 -pi (1 + b^2)^((d+1)/2) is a float. It is truncated at one point T for every
 b and d; the bound state's pole, the one part of I_b that does not
 oscillate, is integrated past T in closed form. The tail check past T
-samples I_b on one node set, rotating each node's phase from one t to the
-next.
+measures the amplitude of I_b's oscillation from a third partial integral,
+a quarter period past T.
 """
 
 from __future__ import annotations
@@ -21,12 +21,13 @@ import numpy as np
 
 from . import coeffs
 from .errors import QuadratureError
-from .quadrature import adaptive_quadrature, panel_nodes, panel_sums
+from .quadrature import adaptive_quadrature
 
 _HALF_PI = 0.5 * math.pi
 _PHI_SPACING = math.pi / 16.0  # widest phi panel, whatever t is
-_ROTATION_ULPS = 8.0  # per-step relative rounding of _max_abs_i_b's phase rotation, in eps
+_KERNEL_TOL = 1e-9  # absolute tolerance of i_b
 _INTEGRAL_TOL = 1e-7  # absolute tolerance of i_b_integral
+_RECONSTRUCT_TOL = 1e-6  # absolute tolerance of reconstruct
 _QUARTER_PI = 0.25 * math.pi
 _T_QUARTERS = math.ceil(200.0 / _QUARTER_PI)  # i_b_integral's T = 200 rounded up to a multiple of pi/4
 
@@ -119,7 +120,7 @@ def _i_b_integrand(d, b, t):
     return integrand
 
 
-def i_b(d, b, t, abs_tol=1e-9):
+def i_b(d, b, t):
     """Kernel I_b(t): the p-integral over [0, 1] of the oscillatory model density.
 
     Computed in the arcsin substitution with panels aligned to the
@@ -127,25 +128,9 @@ def i_b(d, b, t, abs_tol=1e-9):
     """
     d, b, t = coeffs.check_dimension(d), coeffs.check_coupling(b), _check_t(t)
     mesh = _phi_mesh(b, t)
-    res = adaptive_quadrature(_i_b_integrand(d, b, t), 0.0, _HALF_PI, abs_tol=abs_tol,
+    res = adaptive_quadrature(_i_b_integrand(d, b, t), 0.0, _HALF_PI, abs_tol=_KERNEL_TOL,
                               breakpoints=mesh[1:-1], max_panels=60000)
     return res.value
-
-
-def _pole_integral(d, b):
-    """int_0^infty P_b(t) dt = -pi (1 + b^2)^((d+1)/2), for b < 0.
-
-    Raises ValueError where it overflows a float: i_b_integral could not be
-    added to it to give l2 / c_d there.
-    """
-    try:
-        value = -math.pi * (1.0 + b * b) ** (0.5 * (d + 1))
-    except OverflowError:
-        value = -math.inf
-    if math.isinf(value):
-        raise ValueError(f"i_b_integral(d={d}, b={b}): the pole integral "
-                         f"-pi (1 + b^2)^((d+1)/2) overflows a float")
-    return value
 
 
 def _pole_tail(d, b, s):
@@ -153,51 +138,12 @@ def _pole_tail(d, b, s):
 
     P_b(t) = -2 pi |b| (1 + b^2)^((d+1)/2) e^(-2|b| t), 2|b| times this tail,
     is the bound state's pole: the one part of I_b that does not oscillate.
-    ``s`` is an array.
+    Its integral over [0, infty) is minus coeffs.bound_state_mass, which
+    raises ValueError where it overflows a float. ``s`` is an array.
     """
     if b >= 0.0:
         return np.zeros_like(s)
-    return _pole_integral(d, b) * np.exp(2.0 * b * s)
-
-
-def _max_abs_i_b(d, b, t0, delta, count, abs_tol=1e-9):
-    """max |I_b(t) - P_b(t)| over t_j = t0 + j delta, j < count, each plus its rounding bound.
-
-    I_b is the Gauss-Kronrod sum on the one mesh i_b uses at the last t; that
-    mesh resolves the oscillation of every smaller t. The nodes are evaluated
-    once: with the kernel factors f_c, f_s and s = sin(phi) at each node,
-    u = (f_c - i f_s) e^(2i t0 s) has the t0 integrand as its real part, and
-    each next row multiplies u by z = e^(2i delta s). Against the exact rule at
-    t_j, each node of row j is off by at most rho_j |u|, with
-    rho_j = (3 t_j + _ROTATION_ULPS (j + 1)) eps: the rounded phase arguments
-    give t_j eps, the rounded t grid 2 t_j eps, and each row's complex product
-    and rounded e^(i theta) at most _ROTATION_ULPS eps. Both rules' weights
-    sum to 2 on a panel, so rho_j times 4 sum(half width * max |u|) over the
-    panels bounds the rounding of row j's Kronrod and Gauss sums. That bound
-    is added to the row's summed Gauss-Kronrod error and to its
-    |I_b - P_b|. A row whose error exceeds abs_tol falls back to its own
-    adaptive i_b.
-    """
-    ts = t0 + delta * np.arange(count)
-    mesh = _phi_mesh(b, float(ts[-1]))
-    phi, half = panel_nodes(mesh[:-1], mesh[1:])
-    sin_phi = np.sin(phi)
-    fc, fs = _kernel_factors(d, b, sin_phi, np.cos(phi))
-    u = (fc - 1j * fs) * np.exp(2j * t0 * sin_phi)
-    z = np.exp(2j * delta * sin_phi)
-    mass = 4.0 * float((half * np.abs(u).max(axis=-1)).sum())  # >= the Kronrod plus the Gauss sum of |u|
-    rho = (3.0 * ts + _ROTATION_ULPS * np.arange(1, count + 1)) * np.finfo(float).eps
-    poles = 2.0 * abs(b) * _pole_tail(d, b, ts)
-    amp = 0.0
-    for j in range(count):
-        if j:
-            u *= z
-        kron, err = panel_sums(u.real, half)
-        value, bound = float(kron.sum()), float(rho[j]) * mass
-        if float(err.sum()) + bound > abs_tol:
-            value, bound = i_b(d, b, ts[j], abs_tol), 0.0
-        amp = max(amp, abs(value - poles[j]) + bound)
-    return amp
+    return -coeffs.bound_state_mass(d, b) * np.exp(2.0 * b * s)
 
 
 def _i_b_partial(d, b, big_t, abs_tol):
@@ -218,30 +164,44 @@ def _i_b_partial(d, b, big_t, abs_tol):
                                breakpoints=mesh[1:-1], max_panels=60000)
 
 
+def _tail_amplitude(head, mid, full, err):
+    """max |I_b - P_b| on [T, T + pi/2] from the partial integrals F at T, T + pi/4 and T + pi/2.
+
+    Past the pole, R(s) = F(infty) - F(s) oscillates at frequency 2 only
+    (the p = 1 endpoint of I_b), with half the amplitude of I_b - P_b. So
+    full - head is about 2 R(T), and mid minus the phase average
+    (head + full) / 2 is about -R(T + pi/4), a quarter period on. ``err``,
+    the partial integrals' summed error estimates, is added: a loose
+    quadrature can only raise the amplitude.
+    """
+    return 2.0 * math.hypot(0.5 * (full - head), mid - 0.5 * (head + full)) + err
+
+
 def i_b_integral(d, b):
-    """int_0^infty I_b(t) dt from two closed-form partial integrals and a phase average.
+    """int_0^infty I_b(t) dt from closed-form partial integrals and a phase average.
 
     The truncation point T is 200 rounded up to a multiple of pi/4, for every
-    b and d. Each partial integral F(s) = int_0^s I_b, s = T and T + pi/2, is
-    one certified phi-quadrature (the t-integral is closed form). For b < 0
-    the pole's tail int_s^infty P_b (_pole_tail) is added to F(s) in closed
-    form, so what is left past s is oscillatory, O(s^(-(d+3)/2)), whatever b
-    is. Returning the average of the two sums cancels that oscillation to
-    first order. The closing check bounds the residual tail by the sums'
-    difference and by |I_b - P_b| sampled at 31 points of [T, T + pi/2]
-    (_max_abs_i_b); it and the quadratures raise QuadratureError past the
+    b and d. Each partial integral F(s) = int_0^s I_b, s = T, T + pi/4 and
+    T + pi/2, is one certified phi-quadrature (the t-integral is closed form).
+    For b < 0 the pole's tail int_s^infty P_b (_pole_tail) is added to F(s)
+    in closed form, so what is left past s is oscillatory,
+    O(s^(-(d+3)/2)), whatever b is. Returning the average of F(T) and
+    F(T + pi/2) cancels that oscillation to first order. The closing check
+    bounds the residual tail by their difference and by the amplitude of
+    I_b - P_b on [T, T + pi/2] that the three partial integrals measure
+    (_tail_amplitude); it and the quadratures raise QuadratureError past the
     absolute tolerance _INTEGRAL_TOL. A b < 0 whose pole integral
     -pi (1 + b^2)^((d+1)/2) overflows a float raises ValueError.
     """
     d, b = coeffs.check_dimension(d), coeffs.check_coupling(b)
-    ends = _QUARTER_PI * np.array([_T_QUARTERS, _T_QUARTERS + 2])  # T and T + pi/2
+    ends = _QUARTER_PI * np.array([_T_QUARTERS, _T_QUARTERS + 1, _T_QUARTERS + 2])  # T, T + pi/4, T + pi/2
     tails = _pole_tail(d, b, ends)
-    head, full = (_i_b_partial(d, b, s, 0.25 * _INTEGRAL_TOL) for s in ends.tolist())
-    head_value, full_value = (np.array([head.value, full.value]) + tails).tolist()
+    head, mid, full = (_i_b_partial(d, b, s, 0.25 * _INTEGRAL_TOL) for s in ends.tolist())
+    head_value, mid_value, full_value = (np.array([head.value, mid.value, full.value]) + tails).tolist()
     value = 0.5 * (head_value + full_value)
     extra = full_value - head_value
     quad_err = head.error_estimate + full.error_estimate
-    last_amp = _max_abs_i_b(d, b, ends[0], (ends[1] - ends[0]) / 30.0, 31)
+    last_amp = _tail_amplitude(head_value, mid_value, full_value, quad_err + mid.error_estimate)
     tail_estimate = max(abs(extra), last_amp * _QUARTER_PI) * (4.0 / ends[0])
     if tail_estimate + quad_err > _INTEGRAL_TOL:
         raise QuadratureError(
@@ -259,7 +219,7 @@ def bound_state_overlap(b):
     return math.sqrt(-2.0 * b) / (1.0 - b)
 
 
-def reconstruct(b, test_fn_id, t, abs_tol=1e-6):
+def reconstruct(b, test_fn_id, t):
     """Reconstruct v(t) for v(s) = e^(-s) from the generalized eigenfunctions.
 
     Uses the closed-form transforms int e^(-s) cos(sp) ds = 1/(1+p^2) and
@@ -279,12 +239,14 @@ def reconstruct(b, test_fn_id, t, abs_tol=1e-6):
         p2 = p * p
         return (1.0 + b) * p * (p * np.cos(t * p) + b * np.sin(t * p)) / ((1.0 + p2) * (p2 + b * b))
 
-    static = t < 4e-4
-    p_max = 300.0 if static else max(300.0, 12.0 / t)
+    # The tail expansions past p_max assume p_max >> |b|, the static one t p_max << 1 too.
+    scale = max(1.0, abs(b))
+    static = t * scale < 4e-4
+    p_max = 300.0 * scale if static else max(300.0 * scale, 12.0 / t)
     spacing = min(0.25 if t <= 1.0 else math.pi / (4.0 * t), 1.0)
     spacing = max(spacing, p_max / 4000.0)
     breaks = np.arange(spacing, p_max, spacing)
-    res = adaptive_quadrature(integrand, 0.0, p_max, abs_tol=abs_tol / 4.0,
+    res = adaptive_quadrature(integrand, 0.0, p_max, abs_tol=_RECONSTRUCT_TOL / 4.0,
                               breakpoints=breaks, max_panels=80000)
     if static:
         tail = (1.0 + b) / p_max

@@ -55,29 +55,20 @@ class QuadResult:
     panels: int
 
 
-def panel_nodes(lo, hi):
-    """The 15 Gauss-Kronrod nodes of each panel [lo, hi], one row per panel, and the half widths."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    return mid[:, None] + half[:, None] * _GK_NODES[None, :], half
-
-
-def panel_sums(y, half):
-    """Kronrod values and Gauss-Kronrod error estimates from values ``y`` at panel_nodes."""
-    kron = (y * _GK_WEIGHTS).sum(axis=-1) * half
-    gauss = (y[:, _GAUSS_INDEX] * _GAUSS_WEIGHTS).sum(axis=-1) * half
-    return kron, np.abs(kron - gauss)
-
-
 def panel_rule(f, lo, hi):
     """Kronrod values and Gauss-Kronrod error estimates on a batch of panels.
 
     ``f`` must accept a flat ndarray and return values elementwise.
     """
-    x, half = panel_nodes(lo, hi)
-    return panel_sums(np.asarray(f(x.ravel()), dtype=float).reshape(x.shape), half)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    x = mid[:, None] + half[:, None] * _GK_NODES[None, :]
+    y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    kron = (y * _GK_WEIGHTS).sum(axis=-1) * half
+    gauss = (y[:, _GAUSS_INDEX] * _GAUSS_WEIGHTS).sum(axis=-1) * half
+    return kron, np.abs(kron - gauss)
 
 
 def adaptive_quadrature(f, a, b, abs_tol=1e-12, breakpoints=(), max_panels=20000):

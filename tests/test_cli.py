@@ -269,6 +269,14 @@ def test_coeff_tiny_b_is_the_b_zero_coefficient(capsys):
     assert float(dict(zip(columns, rows[0]))["l2"]) == coeffs.l2(2, 0.0).value
 
 
+@pytest.mark.parametrize("b", ["-1e120", "-1e200"])
+def test_coeff_bound_state_overflow_usage_error(b, capsys):
+    # --b=-1e120 once ended in an OverflowError traceback, --b=-1e200 printed l2 = inf.
+    code, out, err = run_cli(["coeff", "--d", "2", f"--b={b}"], capsys)
+    assert code == 2
+    assert "bound-state mass" in err and "overflows" in err
+
+
 def test_model_requires_t(capsys):
     code, _, err = run_cli(["model", "--b", "1"], capsys)
     assert code == 2

@@ -184,11 +184,23 @@ def test_large_negative_leading():
     assert gaps[1] < gaps[0] < 0.01
 
 
-def test_l2_quadrature_failure_is_loud():
+def test_l2_quadrature_failure_is_loud(monkeypatch):
     from robin_semiclassics.errors import QuadratureError
 
+    monkeypatch.setattr(coeffs, "_L2_TOL", 1e-30)
     with pytest.raises(QuadratureError):
-        coeffs.l2(2, 0.5, abs_tol=1e-30)
+        coeffs.l2(2, 0.5)
+
+
+def test_l2_bound_state_overflow_raises():
+    # pi (1 + b^2)^((d+1)/2) once raised OverflowError from the float power
+    # (b = -1e120) or, where b * b is already inf, gave l2 = inf (b = -1e200).
+    # It overflows below about b = -3.85e102 at d = 2 and -1.57e34 at d = 8.
+    for d, b in ((2, -1e120), (2, -1e200), (8, -1e50)):
+        with pytest.raises(ValueError, match="bound-state mass .* overflows"):
+            coeffs.l2(d, b)
+    for d, b in ((2, -3.8e102), (8, -1.5e34)):
+        assert 0.0 < coeffs.l2(d, b).value < math.inf, d
 
 
 def test_validation():

@@ -2,12 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from robin_semiclassics import coeffs, halfline
 from robin_semiclassics.errors import QuadratureError
-from robin_semiclassics.quadrature import adaptive_quadrature, panel_rule
+from robin_semiclassics.quadrature import QuadResult, adaptive_quadrature
 
 B_GRID = [-3.0, -1.0, -0.4, 0.0, 0.5, 1.0, 2.0, 5.0]
 T_GRID = [0.0, 0.2, 0.7, 1.5, 3.0, 8.0]
@@ -120,11 +118,22 @@ def test_i_b_integral_tail_tolerance_failure(monkeypatch):
 
 
 def test_i_b_integral_tail_amplitude_failure(monkeypatch):
-    # The phase average's closing check: a tail amplitude of 1 on [T, T + pi/2]
-    # bounds the residual tail by about pi / T, far past the tolerance.
-    monkeypatch.setattr(halfline, "_max_abs_i_b", lambda *args: 1.0)
-    with pytest.raises(QuadratureError, match="tail estimate"):
-        halfline.i_b_integral(2, -0.5)
+    # The closing check reads the tail amplitude from the partial integral at
+    # T + pi/4. Shifted by 1, it gives an amplitude of about 2 and bounds the
+    # residual tail by about 2 pi / T, far past the tolerance; so does an
+    # error estimate of 1 on that partial integral alone.
+    partial = halfline._i_b_partial
+    mid = 0.25 * math.pi * (halfline._T_QUARTERS + 1)
+    for shift, error in ((1.0, 0.0), (0.0, 1.0)):
+        def corrupt_mid(d, b, big_t, abs_tol):
+            res = partial(d, b, big_t, abs_tol)
+            if big_t != mid:
+                return res
+            return QuadResult(res.value + shift, res.error_estimate + error, res.panels)
+
+        monkeypatch.setattr(halfline, "_i_b_partial", corrupt_mid)
+        with pytest.raises(QuadratureError, match="tail estimate"):
+            halfline.i_b_integral(2, -0.5)
 
 
 def test_i_b_abs_integral_bounded_and_decaying():
@@ -154,11 +163,13 @@ def test_l2_via_i_b_integral(b):
 
 @pytest.mark.parametrize("d", [2, 5])
 @pytest.mark.parametrize("b", [-2.0, -0.1, 0.0, 0.5])
-def test_i_b_partial_matches_t_quadrature(d, b):
+def test_i_b_partial_matches_t_quadrature(d, b, monkeypatch):
     # The closed-form t-integral against quadrature in t of I_b itself; T is
     # not a multiple of pi/4, so no phase average can hide an error.
+    monkeypatch.setattr(halfline, "_KERNEL_TOL", 1e-12)
+
     def kernel(ts):
-        return np.array([halfline.i_b(d, b, t, abs_tol=1e-12) for t in ts])
+        return np.array([halfline.i_b(d, b, t) for t in ts])
 
     for big_t in (3.3, 17.0):
         swapped = halfline._i_b_partial(d, b, big_t, 1e-11)
@@ -182,11 +193,17 @@ def test_bound_state_overlap():
 
 
 def test_reconstruct_cases():
-    assert abs(halfline.reconstruct(0.0, "exp_decay", 1.0) - math.exp(-1.0)) <= 1e-4
-    assert abs(halfline.reconstruct(-1.0, "exp_decay", 0.5) - math.exp(-0.5)) <= 1e-4
-    assert abs(halfline.reconstruct(2.0, "exp_decay", 2.0) - math.exp(-2.0)) <= 1e-4
-    # mixed bound + continuum contribution
-    assert abs(halfline.reconstruct(-0.4, "exp_decay", 1.0) - math.exp(-1.0)) <= 1e-4
+    # (-0.4, 1) mixes the bound state and the continuum. |b| >= 10 once
+    # returned values off by 2.4e-7 (b = 10) to 0.04 (b = 1e3): the tail
+    # past p_max = 300 assumed p_max >> |b|.
+    cases = [(0.0, 1.0), (-1.0, 0.5), (2.0, 2.0), (-0.4, 1.0)]
+    cases += [(b, t) for b in (10.0, -10.0, 30.0, -30.0, 300.0, -300.0, 1e3) for t in (0.5, 2.0)]
+    for b, t in cases:
+        assert abs(halfline.reconstruct(b, "exp_decay", t) - math.exp(-t)) <= 1e-6, (b, t)
+    # At b = 1e5 (once off by 331), p_max = 3e7: the oscillation at t = 0.5
+    # needs more panels than the budget, and reconstruct raises.
+    with pytest.raises(QuadratureError, match="panels"):
+        halfline.reconstruct(1e5, "exp_decay", 0.5)
 
 
 def test_reconstruct_rejects_unknown_fn():
@@ -212,11 +229,9 @@ def test_negative_t_rejected():
                 call()
 
 
-# The 31 points t0 + j delta of [T, T + pi/2] at which i_b_integral samples
-# |I_b - P_b|, with T = 200 rounded up to a multiple of pi/4.
-T0 = 0.25 * math.pi * 255
-DELTA = (0.25 * math.pi * 257 - T0) / 30.0
-TAIL_POINTS = T0 + DELTA * np.arange(31)
+# 31 evenly spaced points of [T, T + pi/2], with T = 200 rounded up to a
+# multiple of pi/4 as in i_b_integral.
+TAIL_POINTS = np.linspace(0.25 * math.pi * 255, 0.25 * math.pi * 257, 31)
 
 
 def pole(d, b, t):
@@ -226,82 +241,22 @@ def pole(d, b, t):
     return -2.0 * math.pi * abs(b) * (1.0 + b * b) ** (0.5 * (d + 1)) * math.exp(-2.0 * abs(b) * t)
 
 
-def direct_max_abs_i_b(d, b, ts, abs_tol=1e-9):
-    """The tail amplitude evaluated directly: a fresh cos and sin at every (t, node) pair.
+@pytest.mark.parametrize("d", [2, 5, 8])
+@pytest.mark.parametrize("b", [-2.0, -0.5, -0.1, -0.01, 0.0, 0.5, 2.0, 1e5])
+def test_tail_amplitude_matches_per_t_i_b(d, b, monkeypatch):
+    # The amplitude of I_b - P_b that the closing check reads from three
+    # partial integrals, against its maximum over the 31 points, each t
+    # evaluated by i_b.
+    amplitude, amplitudes = halfline._tail_amplitude, []
 
-    The same mesh and Gauss-Kronrod rule as _max_abs_i_b, and the same
-    fallback to i_b for a t whose summed error exceeds abs_tol.
-    """
-    mesh = halfline._phi_mesh(b, float(ts[-1]))
-    amp = 0.0
-    for t in ts:
-        kron, err = panel_rule(halfline._i_b_integrand(d, b, t), mesh[:-1], mesh[1:])
-        value = kron.sum() if err.sum() <= abs_tol else halfline.i_b(d, b, t, abs_tol)
-        amp = max(amp, abs(value - pole(d, b, t)))
-    return amp
+    def record(*args):
+        amplitudes.append(amplitude(*args))
+        return amplitudes[-1]
 
-
-def rotation_bound(ts):
-    """An a-priori form of _max_abs_i_b's largest row rounding bound rho_j * 4 sum(half * max |u|).
-
-    |u| <= 1, and the half widths sum to pi/4.
-    """
-    eps = np.finfo(float).eps
-    return math.pi * (3.0 * ts[-1] + halfline._ROTATION_ULPS * ts.size) * eps
-
-
-@pytest.mark.parametrize("d", [2, 5])
-@pytest.mark.parametrize("b", [-2.0, -0.5, -0.1, 0.0, 0.5, 2.0, -0.01])
-def test_shared_mesh_tail_amplitude_matches_per_t_i_b(d, b):
+    monkeypatch.setattr(halfline, "_tail_amplitude", record)
+    halfline.i_b_integral(d, b)
     per_t = max(abs(halfline.i_b(d, b, t) - pole(d, b, t)) for t in TAIL_POINTS)
-    assert abs(halfline._max_abs_i_b(d, b, T0, DELTA, 31) - per_t) <= 1e-9
-
-
-def test_shared_mesh_tail_amplitude_falls_back_per_t(monkeypatch):
-    # Rows whose error estimate misses the tolerance are recomputed by i_b,
-    # so a wrong value on such a row cannot reach the maximum.
-    d, b = 2, -0.5
-    per_t = max(abs(halfline.i_b(d, b, t) - pole(d, b, t)) for t in TAIL_POINTS)
-    panel_sums = halfline.panel_sums
-    rows = []
-
-    def failing_rows(y, half):
-        kron, err = panel_sums(y, half)
-        if len(rows) % 2 == 0:
-            kron[:], err[:] = 1.0, 1.0
-        rows.append(None)
-        return kron, err
-
-    monkeypatch.setattr(halfline, "panel_sums", failing_rows)
-    assert abs(halfline._max_abs_i_b(d, b, T0, DELTA, 31) - per_t) <= 1e-9
-    assert len(rows) == 31
-    # The rounding bound is part of a row's error: past abs_tol it alone sends
-    # every row to i_b, whose values carry no such bound.
-    monkeypatch.setattr(halfline, "panel_sums", panel_sums)
-    monkeypatch.setattr(halfline, "_ROTATION_ULPS", 1e12)
-    i_b, calls = halfline.i_b, []
-    monkeypatch.setattr(halfline, "i_b", lambda *args: calls.append(args) or i_b(*args))
-    assert abs(halfline._max_abs_i_b(d, b, T0, DELTA, 31) - per_t) <= 1e-12
-    assert [args[2] for args in calls] == TAIL_POINTS.tolist()
-
-
-couplings = st.one_of(st.just(0.0), st.builds(lambda sign, exponent: sign * 10.0**exponent,
-                                              st.sampled_from((1.0, -1.0)), st.floats(-323.0, 5.0)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(d=st.integers(2, 8), b=couplings)
-@example(d=2, b=-0.1)
-@example(d=8, b=-1e5)
-@example(d=2, b=5e-324)
-def test_rotated_tail_amplitude_matches_direct_evaluation(d, b):
-    # Each row of _max_abs_i_b is off from the exact rule by at most its
-    # rounding bound B, which it adds; the direct evaluation is off by at
-    # most B too. So new - direct lies in [-B, 3B].
-    new = halfline._max_abs_i_b(d, b, T0, DELTA, 31)
-    direct = direct_max_abs_i_b(d, b, TAIL_POINTS)
-    bound = rotation_bound(TAIL_POINTS)
-    assert -bound <= new - direct <= 3.0 * bound
+    assert 0.95 <= amplitudes[0] / per_t <= 1.05
 
 
 @pytest.mark.parametrize("d", [2, 5, 8])
@@ -352,5 +307,5 @@ def test_i_b_integral_for_huge_b():
     # For b < 0 the pole integral -pi (1 + b^2)^((d+1)/2) leaves the floats
     # at |b| ~ 1.3e154 for every d, and earlier for larger d.
     for d, b in ((2, -1e200), (8, -1e50)):
-        with pytest.raises(ValueError, match="pole integral .* overflows"):
+        with pytest.raises(ValueError, match="bound-state mass .* overflows"):
             halfline.i_b_integral(d, b)
