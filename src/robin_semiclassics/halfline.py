@@ -28,6 +28,9 @@ _PHI_SPACING = math.pi / 16.0  # widest phi panel, whatever t is
 _KERNEL_TOL = 1e-9  # absolute tolerance of i_b
 _INTEGRAL_TOL = 1e-7  # absolute tolerance of i_b_integral
 _RECONSTRUCT_TOL = 1e-6  # absolute tolerance of reconstruct
+# reconstruct takes cos(tp) as 1 past p_max where |1 + b| t is at most this:
+# that moves its result by at most (2 / pi) 2 |1 + b| t = 1.3e-8.
+_STATIC_TAIL = 1e-8
 _QUARTER_PI = 0.25 * math.pi
 _T_QUARTERS = math.ceil(200.0 / _QUARTER_PI)  # i_b_integral's T = 200 rounded up to a multiple of pi/4
 
@@ -224,11 +227,30 @@ def reconstruct(b, test_fn_id, t):
 
     Uses the closed-form transforms int e^(-s) cos(sp) ds = 1/(1+p^2) and
     int e^(-s) sin(sp) ds = p/(1+p^2), so only the completeness integral
-    itself is evaluated numerically.
+    itself is evaluated numerically, on [0, p_max]. Past p_max the integrand
+    is (1 + b) (cos(tp) / p^2 + b sin(tp) / p^3) + O(p^-4), integrated in
+    closed form. Where |1 + b| t <= _STATIC_TAIL (t = 0 among them) the tail
+    takes cos(tp) as 1, with p_max = 300 max(1, |b|). Elsewhere it is
+    integrated by parts to order p^-3; the terms it drops add up to at most
+    2 |1 + b| (6 / t^2 + 3 |b| / t + 1 + b^2) / (t p_max^4), and p_max is the
+    largest of 300 max(1, |b|), 12 / t and the point past which that, times
+    2 / pi, stays below a quarter of the tolerance. Raises ValueError where
+    the integrand's (1 + p^2)(p^2 + b^2) overflows a float on [0, p_max], as
+    it does once b * b does.
     """
     if test_fn_id != "exp_decay":
         raise ValueError(f"unknown test function id {test_fn_id!r}")
     b, t = coeffs.check_coupling(b), _check_t(t)
+    # Both tails assume p_max >> |b|.
+    p_max = 300.0 * max(1.0, abs(b))
+    static = abs(1.0 + b) * t <= _STATIC_TAIL
+    if not static:
+        dropped = abs(1.0 + b) * ((6.0 / t + 3.0 * abs(b)) / t + 1.0 + b * b) / t
+        p_max = max(p_max, 12.0 / t, (16.0 * dropped / (math.pi * _RECONSTRUCT_TOL)) ** 0.25)
+    p2 = p_max * p_max
+    if math.isinf((1.0 + p2) * (p2 + b * b)):
+        raise ValueError(f"reconstruct(b={b}, t={t}): (1 + p^2)(p^2 + b^2) overflows a float "
+                         f"below p_max = {p_max:.3e}")
     bound_part = psi_bound(b, t) * bound_state_overlap(b)
     if b == -1.0:
         # e^(-s) is proportional to the bound state; the continuum transform
@@ -239,10 +261,6 @@ def reconstruct(b, test_fn_id, t):
         p2 = p * p
         return (1.0 + b) * p * (p * np.cos(t * p) + b * np.sin(t * p)) / ((1.0 + p2) * (p2 + b * b))
 
-    # The tail expansions past p_max assume p_max >> |b|, the static one t p_max << 1 too.
-    scale = max(1.0, abs(b))
-    static = t * scale < 4e-4
-    p_max = 300.0 * scale if static else max(300.0 * scale, 12.0 / t)
     spacing = min(0.25 if t <= 1.0 else math.pi / (4.0 * t), 1.0)
     spacing = max(spacing, p_max / 4000.0)
     breaks = np.arange(spacing, p_max, spacing)

@@ -9,7 +9,10 @@ counts the spectrum exactly: floor(Phi(k) / pi) eigenvalues lie at or below
 k^2 > 0 (Pryce, Numerical Solution of Sturm-Liouville Problems, 1993). So the
 n-th eigenvalue is the one point where Phi - n pi turns from negative to
 positive, inside ((n - 2) pi / L, n pi / L), and each positive one is solved
-by safeguarded Newton steps on Phi. The negative ones, at most two, are the
+by safeguarded Newton steps on Phi. Phi - n pi is the plain sum for
+k L >= 64 and an angle below, where the sum cancels; a Newton iterate is
+accepted without a further step where a Kantorovich bound, which counts the
+offset's rounding, proves it. The negative ones, at most two, are the
 kappa where the two eigenvalue branches of the boundary form B(kappa) cross
 0 (lambda = -kappa^2), each solved by Brent's method; B(0) gives N(0+). The
 two counts fix how many roots are solved, so the spectrum is complete
@@ -39,6 +42,21 @@ _BRACKET_BLOCK = 4096
 _EPS = float(np.finfo(float).eps)
 # A root counts as solved once its last step is below this times k (four ulps).
 _ROOT_RTOL = 4.0 * _EPS
+# From k L = 64 on, _phase_offset takes the plain sum, whose arctan2 terms
+# of size pi round by a few eps, against the eps k L / 2 >= 32 eps that
+# fl(k L) may carry in either form. Phi' then lies within L / 64 of L (each coupling adds c / (k^2 + c^2), at
+# most 1 / (2k) in magnitude), so an offset rounding of _OFFSET_ROUNDING
+# eps (k L + 2 pi) moves a root by 2.3 eps k at most, inside _ROOT_RTOL.
+# Below it the plain sum cancels, and the angle form keeps small offsets
+# accurate.
+_PLAIN_KL = 64.0
+# pi = _PI_HI + _PI_LO to 1.3e-24, _PI_HI of 26 bits: n _PI_HI is exact for
+# n < 2^27, and so is k L - n _PI_HI in the bracket ((n - 2) pi, n pi),
+# within a factor 2 of n pi once k L >= 64 (Sterbenz).
+_PI_HI = 3.1415926814079285
+_PI_LO = -2.7818135228334233e-08
+# The evaluated offset lies within this times eps (k L + 2 pi) of Phi(k) - n pi.
+_OFFSET_ROUNDING = 2.0
 # Bound on |P_3(x)| / 3! for the periodic Bernoulli function: the
 # Euler-Maclaurin remainder after the g' term is at most this times
 # the integral of |g'''|.
@@ -263,27 +281,49 @@ def _phase_count(iv, lam):
 def _phase_offset(iv, k, n):
     """Phi(k) - n pi and Phi'(k) for arrays k > 0 and integers n.
 
-    The offset is the angle of (cos Phi, sin Phi) turned by n pi, each
-    arccot(c / k) entering through its unit vector (c, k) / |k + ic|. That
-    keeps the offset accurate near a root, where the plain sum
-    k L + arccot(c_l / k) + arccot(c_r / k) - n pi cancels (the ground state
-    of c = (1.03e-8, 0) loses three digits to it); the plain sum only picks
-    the whole turn.
+    Two forms give the offset. Where k L >= _PLAIN_KL it is the plain sum
+    (k L - n pi_hi) + arccot(c_l / k) + arccot(c_r / k) - n pi_lo, pi split
+    so that the first difference is exact. Below, that sum cancels near a
+    root (the ground state of c = (1.03e-8, 0) would lose three digits), and
+    the offset is the angle of (cos Phi, sin Phi) turned by n pi
+    (_angle_offset). For k in its root's bracket either form lies within
+    rounding = _OFFSET_ROUNDING eps (k L + 2 pi) of Phi(k) - n pi: fl(k L)
+    rounds by eps k L / 2 in both, and the terms of size pi (each arctan2,
+    and the angle form's hypot, sin and cos) by a few ulps of pi.
+    Phi' = L + sum_c 1 / (c + k^2 / c) is one expression for the whole block,
+    finite for every finite c and k > 0.
     """
     length, cl, cr = iv.length, iv.c_left, iv.c_right
+    slope = np.full_like(k, length)
+    with np.errstate(over="ignore"):  # k^2 / c may overflow; its term is then 0
+        for c in (cl, cr):
+            if c != 0.0:
+                slope += 1.0 / (c + k * (k / c))
+    kl = k * length
+    offset = (kl - n * _PI_HI) + np.arctan2(k, cl) + np.arctan2(k, cr) - n * _PI_LO
+    low = np.flatnonzero(kl < _PLAIN_KL)
+    if low.size:
+        offset[low] = _angle_offset(iv, k[low], n[low], offset[low])
+    return offset, slope
+
+
+def _angle_offset(iv, k, n, plain):
+    """Phi(k) - n pi as the angle of (cos Phi, sin Phi) turned by n pi.
+
+    Each arccot(c / k) enters through its unit vector (c, k) / |k + ic|, so
+    the offset keeps its relative accuracy near a root; ``plain``, the plain
+    sum, only picks the whole turn.
+    """
+    cl, cr = iv.c_left, iv.c_right
     rl, rr = np.hypot(k, cl), np.hypot(k, cr)
     cos_l, sin_l, cos_r, sin_r = cl / rl, k / rl, cr / rr, k / rr
     cos_b = cos_l * cos_r - sin_l * sin_r
     sin_b = sin_l * cos_r + cos_l * sin_r
-    kl = k * length
+    kl = k * iv.length
     s, c = np.sin(kl), np.cos(kl)
     turn = 1.0 - 2.0 * (n % 2)
     offset = np.arctan2(turn * (s * cos_b + c * sin_b), turn * (c * cos_b - s * sin_b))
-    # arccot(c_l / k) + arccot(c_r / k) lies in (0, 2 pi).
-    both = np.arctan2(sin_b, cos_b)
-    plain = kl + np.where(both > 0.0, both, both + 2.0 * math.pi) - n * math.pi
-    offset += 2.0 * math.pi * np.round((plain - offset) / (2.0 * math.pi))
-    return offset, length + cos_l / rl + cos_r / rr
+    return offset + 2.0 * math.pi * np.round((plain - offset) / (2.0 * math.pi))
 
 
 def _phase_roots(iv, n, k_max):
@@ -301,7 +341,8 @@ def _phase_roots(iv, n, k_max):
     a ground state, where the phase goes as -c / k, Newton only doubles k.
     An index leaves the active set once its step is below _ROOT_RTOL * k, or
     once _newton_certified proves its Newton iterate, which on sweep spectra
-    takes one phase evaluation per root. Raises EnumerationError if any
+    takes one phase evaluation per root; only the indices still open after a
+    phase evaluation update their brackets. Raises EnumerationError if any
     index is still open after _NEWTON_MAX_ITER steps.
     """
     node_step = math.pi / iv.length
@@ -315,28 +356,38 @@ def _phase_roots(iv, n, k_max):
     active = np.arange(n.size)
     for _ in range(_NEWTON_MAX_ITER):
         offset, slope = _phase_offset(iv, k, n)
-        lo = np.where(offset < 0.0, k, lo)
-        hi = np.where(offset > 0.0, k, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
             dk = offset / slope
         newton = k - dk
         # A converged step may round onto k, which is now an end of the bracket.
         converged = (np.abs(dk) <= _ROOT_RTOL * k) | _newton_certified(iv, k, offset, dk, newton)
+        if converged.any():
+            # On sweep spectra nearly every index leaves at its first phase
+            # point, so only the rest update their brackets. They are written
+            # here too, and overwritten when they finish.
+            roots[active] = newton
+            live = np.flatnonzero(~converged)
+            if live.size == 0:
+                return roots
+            active, n, k, lo, hi, last, before, offset, dk, newton = (
+                a[live] for a in (active, n, k, lo, hi, last, before, offset, dk, newton))
+        lo = np.where(offset < 0.0, k, lo)
+        hi = np.where(offset > 0.0, k, hi)
         # The initial ends are bounds, not evaluated points: a root within
         # rounding of one is reached by stepping onto it.
         inside = (lo <= newton) & (newton <= hi) & (newton > 0.0)
-        take = converged | (inside & (np.abs(dk) <= np.minimum(0.5 * before, last)))
+        take = inside & (np.abs(dk) <= np.minimum(0.5 * before, last))
         middle = np.where(lo > 0.0, np.sqrt(lo) * np.sqrt(hi), 0.5 * (lo + hi))
         new = np.where(take, newton, middle)
         last, before = np.abs(new - k), last
-        done = converged | (last <= _ROOT_RTOL * new)
+        done = last <= _ROOT_RTOL * new
         if done.any():
             roots[active[done]] = new[done]
-            live = ~done
+            live = np.flatnonzero(~done)
+            if live.size == 0:
+                return roots
             active, n, lo, hi, last, before, new = (
                 a[live] for a in (active, n, lo, hi, last, before, new))
-            if active.size == 0:
-                return roots
         k = new
     raise EnumerationError(
         f"{active.size} phase indices did not converge in {_NEWTON_MAX_ITER} Newton steps for {iv}"
@@ -348,21 +399,27 @@ def _newton_certified(iv, k, offset, dk, newton):
 
     On I = [k - 2|dk|, k + 2|dk|], cut at 0, m = L + sum_c min p bounds Phi'
     below and M = sum_c 2 |c| k_hi / (k_lo^2 + c^2)^2 bounds |Phi''| above,
-    with p = c / (k^2 + c^2) monotone in k. If m > 0 and e = |offset| / m is
-    at most 2|dk|, the root lies in I within e of k, and Newton's error is at
-    most M e^2 / (2 m) (Kantorovich), accepted up to _ROOT_RTOL * k. A
-    bound that is not finite, as for tiny couplings at tiny k, compares False.
+    with p = c / (k^2 + c^2) monotone in k. The evaluated offset is within
+    rounding = _OFFSET_ROUNDING eps (k L + 2 pi) of Phi(k) - n pi, so with
+    e = (|offset| + rounding) / m at most 2|dk| and m > 0 the root lies in I
+    within e of k, and Newton's error is at most M e^2 / (2 m) (Kantorovich),
+    accepted up to _ROOT_RTOL * k. The iterate itself then lies within
+    _ROOT_RTOL * k + rounding / Phi'(k) of the root. A bound that is not
+    finite, as for tiny couplings at tiny k, compares False.
     """
+    rounding = _OFFSET_ROUNDING * _EPS * (k * iv.length + 2.0 * math.pi)
     step = 2.0 * np.abs(dk)
     k_lo, k_hi = np.maximum(k - step, 0.0), k + step
+    lo2, hi2 = k_lo * k_lo, k_hi * k_hi
     slope_min, curve_max = iv.length, 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for c in (iv.c_left, iv.c_right):
             if c != 0.0:
-                r_lo = k_lo * k_lo + c * c
-                slope_min = slope_min + np.minimum(c / r_lo, c / (k_hi * k_hi + c * c))
+                r_lo = lo2 + c * c
+                # min p is p(k_hi) for c > 0 and p(k_lo) for c < 0, rounded too.
+                slope_min = slope_min + c / (hi2 + c * c if c > 0.0 else r_lo)
                 curve_max = curve_max + 2.0 * abs(c) * k_hi / (r_lo * r_lo)
-        e = np.abs(offset) / slope_min
+        e = (np.abs(offset) + rounding) / slope_min
         return ((slope_min > 0.0) & (e <= step)
                 & (curve_max * e * e <= 2.0 * _ROOT_RTOL * slope_min * newton))
 

@@ -198,12 +198,27 @@ def test_reconstruct_cases():
     # past p_max = 300 assumed p_max >> |b|.
     cases = [(0.0, 1.0), (-1.0, 0.5), (2.0, 2.0), (-0.4, 1.0)]
     cases += [(b, t) for b in (10.0, -10.0, 30.0, -30.0, 300.0, -300.0, 1e3) for t in (0.5, 2.0)]
+    # Small t: a tail that took cos(tp) as 1 for t max(1, |b|) < 4e-4 was
+    # off by about t (1e-4 at b = 0, t = 1e-4; 2.9e-4 at b = 2).
+    cases += [(b, t) for b in (0.0, -0.4, 2.0, 10.0, -10.0) for t in (1e-6, 1e-5, 1e-4, 3e-4)]
+    cases += [(b, t) for b in (0.0, 2.0, -10.0) for t in (0.0, 1e-30, 1e-9)]
+    # t p_max near 12, where the tail's dropped p^-4 terms once reached 6e-6.
+    cases += [(10.0, 4e-3), (-10.0, 4e-3), (10.0, 1e-3), (0.0, 0.04), (2.0, 0.013), (300.0, 1.3e-4),
+              (1e3, 4e-5)]
     for b, t in cases:
         assert abs(halfline.reconstruct(b, "exp_decay", t) - math.exp(-t)) <= 1e-6, (b, t)
     # At b = 1e5 (once off by 331), p_max = 3e7: the oscillation at t = 0.5
     # needs more panels than the budget, and reconstruct raises.
     with pytest.raises(QuadratureError, match="panels"):
         halfline.reconstruct(1e5, "exp_decay", 0.5)
+
+
+@pytest.mark.parametrize("b", [1e200, -1e200, 1e100])
+def test_reconstruct_names_an_overflowing_integrand(b):
+    # (1 + p^2)(p^2 + b^2) overflows once b * b does, and before it at
+    # p_max = 300 |b|; no RuntimeWarning comes first (they are errors here).
+    with pytest.raises(ValueError, match="overflows"):
+        halfline.reconstruct(b, "exp_decay", 1.0)
 
 
 def test_reconstruct_rejects_unknown_fn():

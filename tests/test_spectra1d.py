@@ -420,6 +420,36 @@ def test_lowest_positive_root_matches_mpmath(length, cl, cr):
         assert abs(lam - exact) <= tol * exact, (lam, exact, tol)
 
 
+@pytest.mark.parametrize("length,cl,cr", [
+    (math.sqrt(2.0), 5e4, 5e4),  # c = 1/h at h = 2e-5
+    (1.0, -5e4, -5e4),  # c = -1/h
+    (1.0, 1.5e4, -1.5e4),  # c = 0.3/h, one side negative
+    (math.sqrt(2.0), 1e-8, 1e-8),  # tiny couplings
+    (math.sqrt(2.0), 670.0, 670.0),  # c near k, as on the 4-D box at h = 1.5e-3
+    (1.0, -670.0, 1e-8),
+])
+def test_high_roots_match_mpmath(length, cl, cr):
+    # Roots on both sides of the switch to the plain sum at k L = 64 and up
+    # to k L = 1e5, within _ROOT_RTOL k of the 40-digit root of Phi = n pi.
+    iv = RobinInterval(length, cl, cr)
+    eigenvalues = enumerate_eigenvalues(iv, (1e5 / length) ** 2).eigenvalues
+    # Positive eigenvalue i (from 0, bound states first) has phase index i + 1.
+    ks = np.where(eigenvalues > 0.0, np.sqrt(np.maximum(eigenvalues, 0.0)), 0.0)
+    switch = np.flatnonzero((ks * length >= 60.0) & (ks * length <= 70.0))
+    near_c = np.flatnonzero(np.abs(ks - abs(cl)) <= 3.0 * math.pi / length)
+    spread = np.unique(np.geomspace(switch[-1], ks.size - 1, 25).astype(int))
+    picked = np.concatenate([switch, near_c, spread])
+    assert ks[switch[0]] * length < spectra1d._PLAIN_KL < ks[switch[-1]] * length
+    with mpmath.workdps(40):
+        L, a, b = mpmath.mpf(length), mpmath.mpf(cl), mpmath.mpf(cr)
+        for i in picked.tolist():
+            k = float(ks[i])
+            exact = mpmath.findroot(
+                lambda x: x * L + mpmath.atan2(x, a) + mpmath.atan2(x, b) - (i + 1) * mpmath.pi,
+                mpmath.mpf(k))
+            assert abs(k - exact) <= spectra1d._ROOT_RTOL * exact, (i + 1, k, exact)
+
+
 @pytest.mark.parametrize("cl,cr", [(1e200, 1e200), (-1e200, -1e200), (-1e200, 0.0)])
 def test_overflowing_couplings_rejected(cl, cr):
     # c_l c_r L or the squared bound-state depth bound overflows.
@@ -685,8 +715,8 @@ stop_couplings = st.one_of(couplings, st.floats(-3e3, 3e3), st.floats(1e-13, 1e-
 @example(length=1.4142135623730951, cl=1e5, cr=-3e4, rank=40, log_gap=-8.0, below=True)
 def test_property_kantorovich_stop_within_tolerance_of_mpmath(length, cl, cr, rank, log_gap, below):
     # A Newton iterate the bound accepts lies within _ROOT_RTOL of the
-    # 30-digit root of Phi(k) = n pi, plus the offset's rounding, about
-    # eps (k L + 2 pi) in phase, as a shift of the root.
+    # 30-digit root of Phi(k) = n pi, plus the offset's rounding,
+    # _OFFSET_ROUNDING eps (k L + 2 pi) in phase, as a shift of the root.
     iv = RobinInterval(length, cl, cr)
     n = spectra1d._nonpositive_count(iv) + rank
     start = spectra1d._phase_roots(iv, np.array([n]), n * math.pi / length)[0]
@@ -704,9 +734,37 @@ def test_property_kantorovich_stop_within_tolerance_of_mpmath(length, cl, cr, ra
     if slope[0] <= 0.0:
         assert not certified
     if certified:
-        rounding = 4.0 * spectra1d._EPS * (k[0] * length + 2.0 * math.pi) / slope[0]
+        rounding = spectra1d._OFFSET_ROUNDING * spectra1d._EPS * (k[0] * length + 2.0 * math.pi) / slope[0]
         assert abs(newton[0] - exact) <= spectra1d._ROOT_RTOL * exact + rounding, (newton[0], exact)
 
+
+
+@settings(max_examples=300, deadline=None)
+@given(length=lengths, cl=signed_couplings, cr=signed_couplings, log_kl=st.floats(-3.0, 9.0),
+       upper=st.booleans())
+@example(length=1.0, cl=1e-8, cr=0.0, log_kl=math.log10(64.0), upper=False)
+@example(length=1.0, cl=670.0, cr=670.0, log_kl=math.log10(670.0), upper=True)
+@example(length=1.0, cl=-5e4, cr=1e-12, log_kl=5.0, upper=False)
+@example(length=1.0, cl=1e8, cr=-1e8, log_kl=8.5, upper=True)  # n past 2^27
+def test_property_offset_within_its_rounding_bound(length, cl, cr, log_kl, upper):
+    # For k in the bracket ((n - 2) pi, n pi) / L, the evaluated Phi(k) - n pi
+    # lies within _OFFSET_ROUNDING eps (k L + 2 pi) of the 40-digit offset at
+    # that float k, in the plain form for k L >= 64 and the angle form for
+    # every k L; where both apply they agree within the same bound.
+    iv = RobinInterval(length, cl, cr)
+    k = np.array([10.0**log_kl / length])
+    kl = float(k[0]) * length
+    n = np.array([math.floor(kl / math.pi) + (2 if upper else 1)])
+    offset = spectra1d._phase_offset(iv, k, n)[0]
+    angle = spectra1d._angle_offset(iv, k, n, offset)
+    bound = spectra1d._OFFSET_ROUNDING * spectra1d._EPS * (kl + 2.0 * math.pi)
+    with mpmath.workdps(40):
+        km = mpmath.mpf(float(k[0]))
+        exact = (km * mpmath.mpf(length) + mpmath.atan2(km, mpmath.mpf(cl))
+                 + mpmath.atan2(km, mpmath.mpf(cr)) - int(n[0]) * mpmath.pi)
+        assert abs(offset[0] - exact) <= bound, (offset[0], exact, bound)
+        assert abs(angle[0] - exact) <= bound, (angle[0], exact, bound)
+    assert abs(offset[0] - angle[0]) <= bound
 
 def test_stiff_interval_roots_match_brentq():
     # c = (1e5, -3e4) up to lam = 1e10: 45,015 positive roots, most of them
