@@ -25,6 +25,9 @@ from .quadrature import adaptive_quadrature
 
 _HALF_PI = 0.5 * math.pi
 _PHI_SPACING = math.pi / 16.0  # widest phi panel, whatever t is
+# Panel budget of the phi-quadratures. The mesh seeds about 2 t panels at t,
+# so i_b answers up to t of about 30,000.
+_PHI_PANELS = 60000
 _KERNEL_TOL = 1e-9  # absolute tolerance of i_b
 _INTEGRAL_TOL = 1e-7  # absolute tolerance of i_b_integral
 _RECONSTRUCT_TOL = 1e-6  # absolute tolerance of reconstruct
@@ -97,11 +100,15 @@ def _phi_mesh(b, t_max):
 
     A cluster cut whose square is not a normal float is left out: near it
     sin^2 + b^2 may round to 0. The spike at arcsin|b| below the kept cuts
-    integrates to O(|b|).
+    integrates to O(|b|). A mesh of more than _PHI_PANELS oscillation
+    panels, 2 t_max of them, raises QuadratureError before it is built.
     """
     spacing = _PHI_SPACING
     if t_max > 0.0:
         spacing = min(spacing, math.pi / (4.0 * t_max))
+    if _HALF_PI / spacing > _PHI_PANELS:
+        raise QuadratureError(f"the phi mesh at t = {t_max!r} needs {_HALF_PI / spacing:.3g} panels, "
+                              f"past the budget of {_PHI_PANELS}")
     cuts = set(np.arange(0.0, _HALF_PI, spacing).tolist())
     cuts.add(_HALF_PI)
     if abs(b) < 1.0:
@@ -132,7 +139,7 @@ def i_b(d, b, t):
     d, b, t = coeffs.check_dimension(d), coeffs.check_coupling(b), _check_t(t)
     mesh = _phi_mesh(b, t)
     res = adaptive_quadrature(_i_b_integrand(d, b, t), 0.0, _HALF_PI, abs_tol=_KERNEL_TOL,
-                              breakpoints=mesh[1:-1], max_panels=60000)
+                              breakpoints=mesh[1:-1], max_panels=_PHI_PANELS)
     return res.value
 
 
@@ -164,7 +171,7 @@ def _i_b_partial(d, b, big_t, abs_tol):
         return (0.5 * fc * np.sin(2.0 * big_t * sin_phi) + fs * np.sin(big_t * sin_phi) ** 2) / sin_phi
 
     return adaptive_quadrature(integrand, 0.0, _HALF_PI, abs_tol=abs_tol,
-                               breakpoints=mesh[1:-1], max_panels=60000)
+                               breakpoints=mesh[1:-1], max_panels=_PHI_PANELS)
 
 
 def _tail_amplitude(head, mid, full, err):

@@ -77,14 +77,18 @@ def adaptive_quadrature(f, a, b, abs_tol=1e-12, breakpoints=(), max_panels=20000
     ``breakpoints`` seeds the initial panel decomposition (interval
     splits at known kinks, oscillation periods, near-singular points).
     Panels whose error exceeds their share of the budget are bisected;
-    exceeding ``max_panels`` raises QuadratureError, and so does an error
-    estimate that is not finite (an integrand returning NaN or inf).
+    exceeding ``max_panels``, with the seeded panels or by bisection, raises
+    QuadratureError, and so does an error estimate that is not finite (an
+    integrand returning NaN or inf).
     """
     a = float(a)
     b = float(b)
     if not b > a:
         raise ValueError(f"empty integration interval [{a}, {b}]")
     inner = sorted({float(p) for p in breakpoints if a < float(p) < b})
+    if len(inner) >= max_panels:
+        raise QuadratureError(f"quadrature on [{a}, {b}]: {len(inner) + 1} seeded panels "
+                              f"exceed the budget of {max_panels}")
     cuts = np.array([a] + inner + [b])
     lo, hi = cuts[:-1], cuts[1:]
     val, err = panel_rule(f, lo, hi)

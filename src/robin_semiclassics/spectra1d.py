@@ -11,10 +11,11 @@ n-th eigenvalue is the one point where Phi - n pi turns from negative to
 positive, inside ((n - 2) pi / L, n pi / L), and each positive one is solved
 by safeguarded Newton steps on Phi. Phi - n pi is the plain sum for
 k L >= 64 and an angle below, where the sum cancels; a Newton iterate is
-accepted without a further step where a Kantorovich bound, which counts the
-offset's rounding, proves it. The negative ones, at most two, are the
-kappa where the two eigenvalue branches of the boundary form B(kappa) cross
-0 (lambda = -kappa^2), each solved by Brent's method; B(0) gives N(0+). The
+accepted without a further step where a Kantorovich bound proves it, from
+the offset's rounding and bounds on Phi' and |Phi''| past the lower end of
+the root's bracket. The negative ones, at most two, are the kappa where
+the two eigenvalue branches of the boundary form B(kappa) cross 0
+(lambda = -kappa^2), each solved by Brent's method; B(0) gives N(0+). The
 two counts fix how many roots are solved, so the spectrum is complete
 wherever every solve converges; a solve that fails raises EnumerationError.
 
@@ -51,10 +52,11 @@ _ROOT_RTOL = 4.0 * _EPS
 # accurate.
 _PLAIN_KL = 64.0
 # pi = _PI_HI + _PI_LO to 1.3e-24, _PI_HI of 26 bits: n _PI_HI is exact for
-# n < 2^27, and so is k L - n _PI_HI in the bracket ((n - 2) pi, n pi),
-# within a factor 2 of n pi once k L >= 64 (Sterbenz).
+# n < _MAX_PHASE_COUNT = 2^27, and so is k L - n _PI_HI in the bracket
+# ((n - 2) pi, n pi), within a factor 2 of n pi once k L >= 64 (Sterbenz).
 _PI_HI = 3.1415926814079285
 _PI_LO = -2.7818135228334233e-08
+_MAX_PHASE_COUNT = 2**27
 # The evaluated offset lies within this times eps (k L + 2 pi) of Phi(k) - n pi.
 _OFFSET_ROUNDING = 2.0
 # Bound on |P_3(x)| / 3! for the periodic Bernoulli function: the
@@ -271,11 +273,15 @@ def _phase_count(iv, lam):
     """floor(Phi(sqrt(lam)) / pi), the number of eigenvalues <= lam, for lam > 0.
 
     It is at least N(0+): a state the zero condition places at 0 may truly
-    lie just above it, past a cutoff that small.
+    lie just above it, past a cutoff that small. A count of _MAX_PHASE_COUNT
+    or more raises ValueError, before any root is solved.
     """
     k = math.sqrt(lam)
     phase = k * iv.length + math.atan2(k, iv.c_left) + math.atan2(k, iv.c_right)
-    return max(math.floor(phase / math.pi), _nonpositive_count(iv))
+    count = max(math.floor(phase / math.pi), _nonpositive_count(iv))
+    if count >= _MAX_PHASE_COUNT:
+        raise ValueError(f"{count:.4g} eigenvalues of {iv} lie at or below {lam!r}, past the solver's 2^27")
+    return count
 
 
 def _phase_offset(iv, k, n):
@@ -360,7 +366,7 @@ def _phase_roots(iv, n, k_max):
             dk = offset / slope
         newton = k - dk
         # A converged step may round onto k, which is now an end of the bracket.
-        converged = (np.abs(dk) <= _ROOT_RTOL * k) | _newton_certified(iv, k, offset, dk, newton)
+        converged = (np.abs(dk) <= _ROOT_RTOL * k) | _newton_certified(iv, k, offset, newton, lo)
         if converged.any():
             # On sweep spectra nearly every index leaves at its first phase
             # point, so only the rest update their brackets. They are written
@@ -394,34 +400,33 @@ def _phase_roots(iv, n, k_max):
     )
 
 
-def _newton_certified(iv, k, offset, dk, newton):
-    """Where the Newton iterate ``newton = k - dk`` is proven close to its root.
+def _newton_certified(iv, k, offset, newton, lo):
+    """Where the Newton iterate ``newton`` from k is proven close to its root.
 
-    On I = [k - 2|dk|, k + 2|dk|], cut at 0, m = L + sum_c min p bounds Phi'
-    below and M = sum_c 2 |c| k_hi / (k_lo^2 + c^2)^2 bounds |Phi''| above,
-    with p = c / (k^2 + c^2) monotone in k. The evaluated offset is within
-    rounding = _OFFSET_ROUNDING eps (k L + 2 pi) of Phi(k) - n pi, so with
-    e = (|offset| + rounding) / m at most 2|dk| and m > 0 the root lies in I
-    within e of k, and Newton's error is at most M e^2 / (2 m) (Kantorovich),
-    accepted up to _ROOT_RTOL * k. The iterate itself then lies within
-    _ROOT_RTOL * k + rounding / Phi'(k) of the root. A bound that is not
-    finite, as for tiny couplings at tiny k, compares False.
+    k and the root lie in the bracket [lo, hi], where m <= Phi' and
+    M >= |Phi''| (_bracket_bounds). The offset is within rounding =
+    _OFFSET_ROUNDING eps (k L + 2 pi) of Phi(k) - n pi, so for m > 0 the root
+    lies within e = (|offset| + rounding) / m of k, and Newton's error is at
+    most M e^2 / (2 m) (Kantorovich), accepted up to _ROOT_RTOL * k. The
+    iterate then lies within _ROOT_RTOL * k + rounding / Phi'(k) of the root.
+    A bound that is not finite compares False.
     """
-    rounding = _OFFSET_ROUNDING * _EPS * (k * iv.length + 2.0 * math.pi)
-    step = 2.0 * np.abs(dk)
-    k_lo, k_hi = np.maximum(k - step, 0.0), k + step
-    lo2, hi2 = k_lo * k_lo, k_hi * k_hi
-    slope_min, curve_max = iv.length, 0.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for c in (iv.c_left, iv.c_right):
-            if c != 0.0:
-                r_lo = lo2 + c * c
-                # min p is p(k_hi) for c > 0 and p(k_lo) for c < 0, rounded too.
-                slope_min = slope_min + c / (hi2 + c * c if c > 0.0 else r_lo)
-                curve_max = curve_max + 2.0 * abs(c) * k_hi / (r_lo * r_lo)
-        e = (np.abs(offset) + rounding) / slope_min
-        return ((slope_min > 0.0) & (e <= step)
-                & (curve_max * e * e <= 2.0 * _ROOT_RTOL * slope_min * newton))
+    slope_min, curve_max = _bracket_bounds(iv, lo)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = (np.abs(offset) + _OFFSET_ROUNDING * _EPS * (k * iv.length + 2.0 * math.pi)) / slope_min
+        return (slope_min > 0.0) & (curve_max * e * e <= 2.0 * _ROOT_RTOL * slope_min * newton)
+
+
+def _bracket_bounds(iv, lo):
+    """m <= Phi'(k) and M >= |Phi''(k)| for every k >= lo >= 0.
+
+    A coupling adds p = c / (k^2 + c^2) to Phi': p > 0 for c > 0, and
+    p >= c / (lo^2 + c^2) for c < 0. Since 2 |c| k <= k^2 + c^2,
+    |p'| <= 1 / (lo^2 + c^2). M is inf where lo^2 + c^2 underflows to 0.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        parts = [(c, 1.0 / (lo * lo + c * c)) for c in (iv.c_left, iv.c_right) if c != 0.0]
+    return sum((c * r for c, r in parts if c < 0.0), iv.length), sum(r for _, r in parts)
 
 
 def _positive_eigenvalues(iv, n_low, n_high, lam_max):

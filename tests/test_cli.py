@@ -122,10 +122,14 @@ SWEEP = ["sweep", "--regime", "fixed", "--b0", "1", "--h", "0.2,0.1,0.05,0.025"]
     (["sweep", "--regime", "fixed", "--b0", "nan"], None, 2, "facet Robin coefficients must be finite"),
     (["sweep", "--regime", "large", "--gamma", "0.25", "--b0", "1,1,inf,1"], None, 2,
      "facet Robin coefficients must be finite"),
+    # About 3e149 phase indices, refused before any array is allocated.
+    (["spectrum", "--L", "1", "--Lambda", "1e300"], None, 2, "3.183e+149 eigenvalues"),
+    # A phi mesh of 2e9 panels, refused before it is built.
+    (["model", "--b", "1", "--t", "1e9"], None, 3, "needs 2e+09 panels"),
 ], ids=["coeff-b", "model-b", "model-t-config", "model-both", "spectrum-L", "spectrum-Lambda-config",
         "sweep-regime-config", "sweep-b0", "gamma", "b0-count", "non-float", "negative-t",
         "three-h", "config-unreadable", "config-no-equals", "output-unwritable", "kroger",
-        "b0-nan", "b0-inf"])
+        "b0-nan", "b0-inf", "phase-count-cap", "phi-panel-budget"])
 def test_usage_errors_name_the_option(tmp_path, monkeypatch, capsys, args, config, code, message):
     if code == 3:
         monkeypatch.setattr(riesz, "kroger_check", lambda box, h, trace: False)

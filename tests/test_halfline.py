@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -224,6 +225,16 @@ def test_reconstruct_names_an_overflowing_integrand(b):
 def test_reconstruct_rejects_unknown_fn():
     with pytest.raises(ValueError):
         halfline.reconstruct(0.0, "gaussian", 1.0)
+
+
+def test_i_b_panel_budget_caps_t():
+    # The mesh seeds about 2 t panels: t = 3e4 fits the budget, and t = 1e9
+    # raises before a mesh of 2e9 cuts is built.
+    assert math.isfinite(halfline.i_b(2, 1.0, 3e4))
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError, match="needs 2e\\+09 panels"):
+        halfline.i_b(2, 1.0, 1e9)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_negative_t_rejected():

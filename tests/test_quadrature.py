@@ -44,6 +44,25 @@ def test_refinement_limit_raises():
                             0.0, 1.0, abs_tol=1e-14, max_panels=8)
 
 
+def test_seeded_panels_over_budget_raise_before_any_evaluation():
+    # 100 seeded panels against a budget of 50: the budget holds even where
+    # no panel would be bisected, and nothing is evaluated.
+    calls = []
+
+    def integrand(x):
+        calls.append(x.size)
+        return x
+
+    with pytest.raises(QuadratureError, match="100 seeded panels exceed the budget of 50"):
+        adaptive_quadrature(integrand, 0.0, 1.0, breakpoints=np.linspace(0.0, 1.0, 101)[1:-1],
+                            max_panels=50)
+    assert calls == []
+    # At the budget itself the seeded panels are integrated.
+    res = adaptive_quadrature(integrand, 0.0, 1.0, breakpoints=np.linspace(0.0, 1.0, 51)[1:-1],
+                              max_panels=50)
+    assert res.panels == 50 and abs(res.value - 0.5) <= 1e-15
+
+
 def test_nan_integrand_raises_at_once():
     # A NaN error estimate selects no panel to bisect; the loop once spun
     # through its round limit before it raised.

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -728,9 +728,10 @@ def test_property_kantorovich_stop_within_tolerance_of_mpmath(length, cl, cr, ra
         exact = float(exact)
     offset, slope = spectra1d._phase_offset(iv, k, np.array([n]))
     with np.errstate(divide="ignore", invalid="ignore"):
-        dk = offset / slope
-    newton = k - dk
-    certified = spectra1d._newton_certified(iv, k, offset, dk, newton)[0]
+        newton = k - offset / slope
+    # The lower end of the root's first bracket, which the solver keeps at or below k.
+    lo = np.minimum(max((n - 2) * math.pi / length, 0.0), k)
+    certified = spectra1d._newton_certified(iv, k, offset, newton, lo)[0]
     if slope[0] <= 0.0:
         assert not certified
     if certified:
@@ -766,6 +767,39 @@ def test_property_offset_within_its_rounding_bound(length, cl, cr, log_kl, upper
         assert abs(angle[0] - exact) <= bound, (angle[0], exact, bound)
     assert abs(offset[0] - angle[0]) <= bound
 
+
+bound_couplings = st.one_of(signed_couplings, st.sampled_from((1e-200, -1e-200, 1e200)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(length=lengths, cl=bound_couplings, cr=bound_couplings,
+       log_lo=st.one_of(st.floats(-13.0, 9.0), st.floats(-200.0, 150.0)), u=st.floats(0.0, 1.0))
+@example(length=1.0, cl=1e200, cr=-1.0, log_lo=0.0, u=0.0)  # c^2 overflows: that coupling adds 0
+@example(length=1.0, cl=-1e-200, cr=1e-200, log_lo=2.0, u=0.5)  # c^2 underflows
+@example(length=1.0, cl=-1e-200, cr=0.0, log_lo=-200.0, u=0.0)  # lo^2 + c^2 underflows: M = inf
+@example(length=1.0, cl=-3.0, cr=2.0, log_lo=math.log10(3.0), u=0.0)  # |p'| = 1 / (lo^2 + c^2) at k = lo = |c|
+@example(length=0.3, cl=-1e3, cr=-1e3, log_lo=1.0, u=0.3)  # m < 0
+def test_property_bracket_bounds_hold_past_lo(length, cl, cr, log_lo, u):
+    # m <= Phi'(k) and |Phi''(k)| <= M for k in [lo, 8 lo], against 30-digit
+    # values, up to the bounds' own rounding: a few eps of the terms of m,
+    # and of M.
+    try:
+        iv = RobinInterval(length, cl, cr)
+    except ValueError:  # c_l c_r L overflows
+        assume(False)
+    lo = 10.0**log_lo
+    k = lo * 8.0**u
+    slope_min, curve_max = (float(b) for b in spectra1d._bracket_bounds(iv, np.float64(lo)))
+    with mpmath.workdps(30):
+        km, lm = mpmath.mpf(k), mpmath.mpf(lo)
+        cs = [mpmath.mpf(c) for c in (cl, cr) if c != 0.0]
+        slope = length + sum(c / (km**2 + c**2) for c in cs)
+        curve = sum(-2 * c * km / (km**2 + c**2) ** 2 for c in cs)
+        scale = length + sum(abs(c) / (lm**2 + c**2) for c in cs)
+        assert slope_min <= slope + 4 * spectra1d._EPS * scale, (slope_min, slope)
+        assert float(abs(curve)) <= curve_max * (1.0 + 4.0 * spectra1d._EPS), (curve, curve_max)
+
+
 def test_stiff_interval_roots_match_brentq():
     # c = (1e5, -3e4) up to lam = 1e10: 45,015 positive roots, most of them
     # accepted by the Kantorovich stop after one phase evaluation.
@@ -777,9 +811,15 @@ def test_stiff_interval_roots_match_brentq():
     assert np.max(np.abs(got - want) / want) <= 2.0 * spectra1d._ROOT_RTOL
 
 
-def test_one_phase_evaluation_per_root(monkeypatch):
-    # A sweep-sized axis, c = 1/h at h = 2e-5 (22,508 roots): the fixed-point
-    # start and the Kantorovich stop take one phase point per root.
+@pytest.mark.parametrize("iv, lam_max, n_positive", [
+    (RobinInterval(math.sqrt(2.0), 5e4, 5e4), 2.5e9, 22_508),  # a fixed b = +1 axis at h = 2e-5
+    (RobinInterval(math.sqrt(2.0), -5e4, -5e4), 2.5e9, 22_507),  # a fixed b = -1 axis
+    (RobinInterval(1.0, -1.0, 2.0), 1e8, 3_183),
+], ids=["fixed_b_plus_1_axis", "fixed_b_minus_1_axis", "mixed_signs"])
+def test_one_phase_evaluation_per_root(monkeypatch, iv, lam_max, n_positive):
+    # Sweep-sized axes, c = +-1/h at h = 2e-5, and a mixed-sign interval: the
+    # fixed-point start and the Kantorovich stop on the bracket bounds take
+    # one phase point per root, up to 2 %.
     points = []
     phase_offset = spectra1d._phase_offset
 
@@ -788,6 +828,24 @@ def test_one_phase_evaluation_per_root(monkeypatch):
         return phase_offset(iv, k, n)
 
     monkeypatch.setattr(spectra1d, "_phase_offset", counted)
-    sp = enumerate_eigenvalues(RobinInterval(math.sqrt(2.0), 5e4, 5e4), 2.5e9)
-    assert sp.certificate.n_positive > 22_000
-    assert sum(points) <= 1.02 * sp.certificate.n_positive
+    sp = enumerate_eigenvalues(iv, lam_max)
+    assert sp.certificate.n_positive == n_positive
+    assert sum(points) <= 1.02 * n_positive
+
+
+def test_phase_count_refuses_2_27_indices(monkeypatch):
+    # n _PI_HI is exact only for n < 2^27. On the Neumann interval, where
+    # Phi(k) = k L + pi, the count is refused from 2^27 on, before any root
+    # is solved; lam = 2e17 gives N = 1.42e8.
+    iv = RobinInterval(1.0, 0.0, 0.0)
+    below = ((2**27 - 1.5) * math.pi) ** 2
+    assert spectra1d._phase_count(iv, below) == 2**27 - 1
+
+    def unsolved(*args):
+        raise AssertionError("a root was solved")
+
+    monkeypatch.setattr(spectra1d, "_phase_roots", unsolved)
+    for call in (lambda: enumerate_eigenvalues(iv, 2e17), lambda: spectra1d.band_sum(iv, 1.0, 2e17),
+                 lambda: spectra1d._phase_count(iv, ((2**27 - 0.5) * math.pi) ** 2)):
+        with pytest.raises(ValueError, match=r"e\+08 eigenvalues .* past the solver's 2\^27"):
+            call()
