@@ -1,8 +1,9 @@
 """Command-line surface: coefficient tables, model samples, spectra, sweeps.
 
 argparse owns every option: its type, choices and default. A ``--config``
-file of ``key = value`` lines becomes the command's defaults, so argparse
-converts each value with the option's type and explicit flags still win.
+file of ``key = value`` lines is read as flags placed before the command
+line's own, so argparse checks each value as it checks a flag and explicit
+flags still win. The parser is built once, at import, and never changed.
 Every run embeds all resolved options, defaults included, in the header
 (CSV ``#`` lines or the JSON ``config`` object), so a plot can be
 reproduced from the file alone. A sweep ends with its fit and a spectrum
@@ -62,15 +63,16 @@ def _as_bool(text, option):
     raise _UsageError(f"{option}: expected a boolean, got {text!r}")
 
 
-def _load_config(path, command):
-    """The ``key = value`` lines of ``path`` as defaults of the subparser ``command``.
+def _config_flags(path, command):
+    """The ``key = value`` lines of ``path`` as flags of the subparser ``command``.
 
-    Values stay strings for argparse to convert, except booleans, since a
-    store_true flag takes no type. argparse never checks a default against
-    the option's choices, so that check is made here.
+    A valued option becomes ``--option=value``, a form that keeps a value
+    such as ``-1,0,1`` from reading as a flag; a store_true switch is given
+    when its value is true. argparse then types and checks each one exactly
+    as it does a flag on the command line.
     """
     actions = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
-    values = {}
+    flags = []
     try:
         with open(path, "r", encoding="utf-8") as handle:
             for line_no, raw in enumerate(handle, 1):
@@ -84,15 +86,13 @@ def _load_config(path, command):
                 action = actions.get(key)
                 if action is None:
                     raise _UsageError(f"{where}: unknown config key {key!r}")
-                if isinstance(action.default, bool):
-                    val = _as_bool(val, f"{where}: {key}")
-                elif action.choices is not None and val not in action.choices:
-                    raise _UsageError(f"{where}: {key} must be one of "
-                                      f"{', '.join(action.choices)}, got {val!r}")
-                values[key] = val
+                if not isinstance(action.default, bool):
+                    flags.append(f"{action.option_strings[0]}={val}")
+                elif _as_bool(val, f"{where}: {key}"):
+                    flags.append(action.option_strings[0])
     except OSError as exc:
         raise _UsageError(f"cannot read config file {path}: {exc}") from None
-    return values
+    return flags
 
 
 def _write_output(path, fmt, config, columns, rows, trailer):
@@ -247,14 +247,17 @@ def _build_parser():
     return parser, commands.choices
 
 
+_PARSER, _COMMANDS = _build_parser()
+
+
 def main(argv=None):
-    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.config is not None:
-            command = commands[args.command]
-            command.set_defaults(**_load_config(args.config, command))
-            args = parser.parse_args(argv)
+            # Config flags go right after the command name, so the command line's own flags win.
+            flags = _config_flags(args.config, _COMMANDS[args.command])
+            args = _PARSER.parse_args(argv[:1] + flags + argv[1:])
         missing = [f"--{key}" for key in args.required if getattr(args, key) is None]
         if missing:
             raise _UsageError(f"{args.command} requires {' and '.join(missing)}")

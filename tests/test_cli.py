@@ -405,7 +405,7 @@ def test_byte_identical_reruns(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,text,option", [
-    (["coeff", "--b", "0"], "format = xml\n", "format"),  # argparse skips choices on defaults
+    (["coeff", "--b", "0"], "format = xml\n", "format"),  # checked against the flag's choices
     (["coeff", "--b", "0"], "d = two\n", "--d"),  # converted by the option's type
     (["sweep", "--regime", "fixed", "--b0", "1"], "timings = maybe\n", "timings"),
 ], ids=["format", "d", "timings"])
@@ -449,6 +449,42 @@ def test_config_choice_accepted_and_flag_wins(tmp_path, capsys):
     code, out, _ = run_cli(["coeff", "--config", str(cfg), "--b", "0", "--format", "csv"], capsys)
     assert code == 0
     assert out.startswith("# robin-semiclassics")
+
+
+def test_config_leaves_no_state_for_the_next_call(tmp_path, capsys):
+    # The parser is shared by every call in a process; a config file must not change it.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = json\nd = 3\n")
+    assert run_cli(["coeff", "--config", str(cfg), "--b", "0"], capsys)[0] == 0
+    code, out, _ = run_cli(["coeff", "--b", "0"], capsys)
+    assert code == 0
+    _, columns, rows = parse_csv(out)
+    assert dict(zip(columns, rows[0]))["d"] == "2"
+    sweep = ["sweep", "--regime", "fixed", "--b0", "0", "--h", "0.2,0.1,0.05,0.025"]
+    cfg.write_text("timings = yes\n")
+    code, out, _ = run_cli([*sweep, "--config", str(cfg)], capsys)
+    assert code == 0 and "seconds" in parse_csv(out)[1]
+    code, out, _ = run_cli(sweep, capsys)
+    assert code == 0 and "seconds" not in parse_csv(out)[1]
+
+
+def test_flag_before_config_still_wins(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("b = 1\n")
+    code, out, _ = run_cli(["coeff", "--b", "0", "--config", str(cfg)], capsys)
+    assert code == 0
+    _, columns, rows = parse_csv(out)
+    assert [float(dict(zip(columns, row))["b"]) for row in rows] == [0.0]
+
+
+def test_config_negative_list(tmp_path, capsys):
+    # A separate "-1,0,1" would read as a flag; the config value is passed as --b=-1,0,1.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("b = -1,0,1\n")
+    code, out, _ = run_cli(["coeff", "--config", str(cfg)], capsys)
+    assert code == 0
+    _, columns, rows = parse_csv(out)
+    assert [float(dict(zip(columns, row))["b"]) for row in rows] == [-1.0, 0.0, 1.0]
 
 
 def test_header_records_defaults(tmp_path, capsys):
