@@ -284,8 +284,18 @@ def _phase_count(iv, lam):
     return count
 
 
+def _per_coupling(iv, term):
+    """(term(c_left), term(c_right)), with term evaluated once where the couplings are equal.
+
+    Each term is an array operation over a block, and every sweep's axes
+    have c_left == c_right.
+    """
+    left = term(iv.c_left)
+    return left, (left if iv.c_right == iv.c_left else term(iv.c_right))
+
+
 def _phase_offset(iv, k, n):
-    """Phi(k) - n pi and Phi'(k) for arrays k > 0 and integers n.
+    """Phi(k) - n pi and Phi'(k) for arrays k > 0 and integer-valued n.
 
     Two forms give the offset. Where k L >= _PLAIN_KL it is the plain sum
     (k L - n pi_hi) + arccot(c_l / k) + arccot(c_r / k) - n pi_lo, pi split
@@ -299,14 +309,17 @@ def _phase_offset(iv, k, n):
     Phi' = L + sum_c 1 / (c + k^2 / c) is one expression for the whole block,
     finite for every finite c and k > 0.
     """
-    length, cl, cr = iv.length, iv.c_left, iv.c_right
-    slope = np.full_like(k, length)
+    slope = np.full_like(k, iv.length)
     with np.errstate(over="ignore"):  # k^2 / c may overflow; its term is then 0
-        for c in (cl, cr):
-            if c != 0.0:
-                slope += 1.0 / (c + k * (k / c))
-    kl = k * length
-    offset = (kl - n * _PI_HI) + np.arctan2(k, cl) + np.arctan2(k, cr) - n * _PI_LO
+        for part in _per_coupling(iv, lambda c: 1.0 / (c + k * (k / c)) if c != 0.0 else 0.0):
+            slope += part
+    kl = k * iv.length
+    arc_l, arc_r = _per_coupling(iv, lambda c: np.arctan2(k, c))
+    offset = n * _PI_HI  # the plain sum, in place and in the docstring's order
+    np.subtract(kl, offset, out=offset)
+    offset += arc_l
+    offset += arc_r
+    offset -= n * _PI_LO
     low = np.flatnonzero(kl < _PLAIN_KL)
     if low.size:
         offset[low] = _angle_offset(iv, k[low], n[low], offset[low])
@@ -333,7 +346,7 @@ def _angle_offset(iv, k, n, plain):
 
 
 def _phase_roots(iv, n, k_max):
-    """The roots k of Phi(k) = n pi for the integer array n, all solved together.
+    """The roots k of Phi(k) = n pi for the integer-valued array n, all solved together.
 
     Root n lies in ((n - 2) pi / L, n pi / L), cut to (0, k_max], and
     Phi - n pi changes sign there once, from - to +, since the count never
@@ -348,14 +361,20 @@ def _phase_roots(iv, n, k_max):
     An index leaves the active set once its step is below _ROOT_RTOL * k, or
     once _newton_certified proves its Newton iterate, which on sweep spectra
     takes one phase evaluation per root; only the indices still open after a
-    phase evaluation update their brackets. Raises EnumerationError if any
-    index is still open after _NEWTON_MAX_ITER steps.
+    phase evaluation update their brackets. The enumeration passes n as
+    floats, which spares an int-to-float cast in each product with n; the
+    roots are the same for integers. Raises EnumerationError if any index is
+    still open after _NEWTON_MAX_ITER steps.
     """
     node_step = math.pi / iv.length
     lo = np.maximum((n - 2) * node_step, 0.0)
     hi = np.minimum(n * node_step, k_max)
     middle = 0.5 * (lo + hi)
-    k = ((n - 1) * math.pi + np.arctan2(iv.c_left, middle) + np.arctan2(iv.c_right, middle)) / iv.length
+    arc_l, arc_r = _per_coupling(iv, lambda c: np.arctan2(c, middle))
+    k = (n - 1) * math.pi  # the fixed-point step, in place
+    k += arc_l
+    k += arc_r
+    k /= iv.length
     k = np.where((lo < k) & (k < hi), k, middle)
     last = before = hi - lo  # the last two step lengths
     roots = np.empty(n.size)
@@ -365,9 +384,14 @@ def _phase_roots(iv, n, k_max):
         with np.errstate(divide="ignore", invalid="ignore"):
             dk = offset / slope
         newton = k - dk
-        # A converged step may round onto k, which is now an end of the bracket.
-        converged = (np.abs(dk) <= _ROOT_RTOL * k) | _newton_certified(iv, k, offset, newton, lo)
+        # The step test only for what the certificate leaves open. A converged
+        # step may round onto k, which is now an end of the bracket.
+        converged = _newton_certified(iv, k, offset, newton, lo)
+        if not converged.all():
+            converged |= np.abs(dk) <= _ROOT_RTOL * k
         if converged.any():
+            if active.size == roots.size and converged.all():
+                return newton  # active is every index, in order
             # On sweep spectra nearly every index leaves at its first phase
             # point, so only the rest update their brackets. They are written
             # here too, and overwritten when they finish.
@@ -424,9 +448,16 @@ def _bracket_bounds(iv, lo):
     p >= c / (lo^2 + c^2) for c < 0. Since 2 |c| k <= k^2 + c^2,
     |p'| <= 1 / (lo^2 + c^2). M is inf where lo^2 + c^2 underflows to 0.
     """
+    def parts(c):  # c r where c < 0, and r = 1 / (lo^2 + c^2); both 0 for c = 0
+        if c == 0.0:
+            return 0.0, 0.0
+        r = 1.0 / (lo2 + c * c)
+        return (c * r if c < 0.0 else 0.0), r
+
     with np.errstate(divide="ignore", over="ignore"):
-        parts = [(c, 1.0 / (lo * lo + c * c)) for c in (iv.c_left, iv.c_right) if c != 0.0]
-    return sum((c * r for c, r in parts if c < 0.0), iv.length), sum(r for _, r in parts)
+        lo2 = lo * lo
+        (neg_l, r_l), (neg_r, r_r) = _per_coupling(iv, parts)
+    return iv.length + neg_l + neg_r, r_l + r_r
 
 
 def _positive_eigenvalues(iv, n_low, n_high, lam_max):
@@ -434,9 +465,10 @@ def _positive_eigenvalues(iv, n_low, n_high, lam_max):
     k_max = math.sqrt(lam_max)
     roots = np.empty(max(n_high - n_low, 0))
     for j in range(0, roots.size, _BRACKET_BLOCK):
-        n = np.arange(n_low + 1 + j, n_low + 1 + min(j + _BRACKET_BLOCK, roots.size))
+        n = np.arange(n_low + 1 + j, n_low + 1 + min(j + _BRACKET_BLOCK, roots.size), dtype=float)
         roots[j:j + n.size] = _phase_roots(iv, n, k_max)
-    return roots * roots
+    roots *= roots
+    return roots
 
 
 def enumerate_eigenvalues(iv, lam_max):
@@ -500,7 +532,7 @@ def band_sum(iv, lam_low, lam):
     n_top = _phase_count(iv, lam)
     if n_top <= n_below:
         return BandSum(0.0, 0, 0.0)
-    k_a, k_n = _phase_roots(iv, np.array([n_below + 1, n_top]), math.sqrt(lam)).tolist()
+    k_a, k_n = _phase_roots(iv, np.array([n_below + 1, n_top], dtype=float), math.sqrt(lam)).tolist()
     bound = _remainder_bound(iv, k_a, k_n)
     value, rounding = _closed_form_band(iv, k_a, k_n, lam)
     if not (bound <= _EPS * value and rounding <= _CLOSED_FORM_RTOL * value):

@@ -308,6 +308,30 @@ def test_pair_trace_is_symmetric(a, b, h):
         assert _pair_trace(a, b, h) == _pair_trace(b, a, h) == (0.0, 0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(a=spectrum_like, b=st.lists(st.floats(-300.0, 3e4), max_size=60).map(np.array),
+       h=st.floats(0.01, 0.5))
+@example(a=np.array([0.1, 2.0, 5.0]), b=np.array([3.9, -1.0, 20.0, 0.5]), h=0.5)
+def test_pair_trace_keys_in_any_order(a, b, h):
+    # Each y of the searched axis is counted on its own, so that axis may come in any order.
+    exact, exact_count, scale = exact_pair_trace(a, b, h)
+    trace, count = _pair_trace(a, b, h)
+    assert count == exact_count
+    assert abs(Fraction(trace) - exact) <= 8.0 * 2.0**-53 * float(scale) + math.ulp(float(exact))
+
+
+def test_pair_trace_of_a_shuffled_sweep_axis():
+    # A 2-D sweep's axes with the searched one shuffled: the exact count, and
+    # the trace within the row terms' rounding of the rational one.
+    h = 2e-3
+    first, second = axis_spectra(BoxDomain.uniform((1.0, SQ2), -1.0), h)
+    shuffled = np.random.default_rng(3).permutation(second)
+    exact, exact_count, scale = exact_pair_trace(first, shuffled, h)
+    trace, count = _pair_trace(first, shuffled, h)
+    assert count == exact_count == _pair_trace(first, second, h)[1]
+    assert abs(Fraction(trace) - exact) <= 8.0 * 2.0**-53 * float(scale) + math.ulp(float(exact))
+
+
 @pytest.mark.parametrize("box,h,paths", [
     # Large regime gamma = 1/4, b0 = -1: b = -h^(-1/4). Uniform axes have two
     # bound states each, each pairing with the band of the other axis.

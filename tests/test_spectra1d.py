@@ -700,19 +700,37 @@ def test_property_neumann_count(length, cl, cr):
         assert abs(count_below(eigenvalues, lam) - neumann_count(length, lam)) <= 2
 
 
+def left_and_right(couplings, key):
+    """Strategies for c_l and c_r: c_r repeats c_l's draw part of the time.
+
+    Every sweep axis has c_l == c_r, where the solver evaluates each coupling
+    term once for both ends.
+    """
+    left = st.shared(couplings, key=key)
+    return left, st.one_of(couplings, left)
+
+
 # Couplings of every scale the stop must handle: O(1), stiff, and near 1e-12,
 # where the ground state lies decades below its bracket.
 stop_couplings = st.one_of(couplings, st.floats(-3e3, 3e3), st.floats(1e-13, 1e-11),
                            st.floats(-1e-11, -1e-13))
+stop_left, stop_right = left_and_right(stop_couplings, "stop")
 
 
 @settings(max_examples=300, deadline=None)
-@given(length=lengths, cl=stop_couplings, cr=stop_couplings, rank=st.integers(1, 40),
+@given(length=lengths, cl=stop_left, cr=stop_right, rank=st.integers(1, 40),
        log_gap=st.floats(-16.0, -0.01), below=st.booleans())
 @example(length=1.0, cl=-0.3, cr=-0.3, rank=1, log_gap=-0.01, below=True)  # Phi' < 0 at k
 @example(length=1.0, cl=-0.3, cr=-0.3, rank=1, log_gap=-3.0, below=True)
 @example(length=1.0, cl=1e-12, cr=0.0, rank=1, log_gap=-9.0, below=False)  # ground state near 1e-6
 @example(length=1.4142135623730951, cl=1e5, cr=-3e4, rank=40, log_gap=-8.0, below=True)
+# Equal couplings, as on sweep axes: c = +-1/h at h = 2e-5, the 4-D box's c, and no coupling.
+@example(length=1.4142135623730951, cl=5e4, cr=5e4, rank=40, log_gap=-8.0, below=True)
+@example(length=1.4142135623730951, cl=-5e4, cr=-5e4, rank=40, log_gap=-8.0, below=False)
+@example(length=1.0, cl=670.0, cr=670.0, rank=40, log_gap=-10.0, below=True)
+@example(length=1.0, cl=-0.3, cr=-0.3, rank=2, log_gap=-6.0, below=False)
+@example(length=1.0, cl=0.0, cr=0.0, rank=3, log_gap=-12.0, below=True)
+@example(length=1.0, cl=1e-200, cr=1e-200, rank=1, log_gap=-9.0, below=False)
 def test_property_kantorovich_stop_within_tolerance_of_mpmath(length, cl, cr, rank, log_gap, below):
     # A Newton iterate the bound accepts lies within _ROOT_RTOL of the
     # 30-digit root of Phi(k) = n pi, plus the offset's rounding,
@@ -740,13 +758,22 @@ def test_property_kantorovich_stop_within_tolerance_of_mpmath(length, cl, cr, ra
 
 
 
+offset_left, offset_right = left_and_right(signed_couplings, "offset")
+
+
 @settings(max_examples=300, deadline=None)
-@given(length=lengths, cl=signed_couplings, cr=signed_couplings, log_kl=st.floats(-3.0, 9.0),
+@given(length=lengths, cl=offset_left, cr=offset_right, log_kl=st.floats(-3.0, 9.0),
        upper=st.booleans())
 @example(length=1.0, cl=1e-8, cr=0.0, log_kl=math.log10(64.0), upper=False)
 @example(length=1.0, cl=670.0, cr=670.0, log_kl=math.log10(670.0), upper=True)
 @example(length=1.0, cl=-5e4, cr=1e-12, log_kl=5.0, upper=False)
 @example(length=1.0, cl=1e8, cr=-1e8, log_kl=8.5, upper=True)  # n past 2^27
+@example(length=1.4142135623730951, cl=5e4, cr=5e4, log_kl=4.5, upper=True)  # equal couplings
+@example(length=1.4142135623730951, cl=-5e4, cr=-5e4, log_kl=4.8, upper=False)
+@example(length=1.0, cl=670.0, cr=670.0, log_kl=1.5, upper=False)  # the angle form
+@example(length=1.0, cl=-0.3, cr=-0.3, log_kl=0.5, upper=True)
+@example(length=1.0, cl=0.0, cr=0.0, log_kl=2.0, upper=False)
+@example(length=1.0, cl=1e-200, cr=1e-200, log_kl=-2.0, upper=True)
 def test_property_offset_within_its_rounding_bound(length, cl, cr, log_kl, upper):
     # For k in the bracket ((n - 2) pi, n pi) / L, the evaluated Phi(k) - n pi
     # lies within _OFFSET_ROUNDING eps (k L + 2 pi) of the 40-digit offset at
@@ -769,16 +796,23 @@ def test_property_offset_within_its_rounding_bound(length, cl, cr, log_kl, upper
 
 
 bound_couplings = st.one_of(signed_couplings, st.sampled_from((1e-200, -1e-200, 1e200)))
+bound_left, bound_right = left_and_right(bound_couplings, "bound")
 
 
 @settings(max_examples=300, deadline=None)
-@given(length=lengths, cl=bound_couplings, cr=bound_couplings,
+@given(length=lengths, cl=bound_left, cr=bound_right,
        log_lo=st.one_of(st.floats(-13.0, 9.0), st.floats(-200.0, 150.0)), u=st.floats(0.0, 1.0))
 @example(length=1.0, cl=1e200, cr=-1.0, log_lo=0.0, u=0.0)  # c^2 overflows: that coupling adds 0
 @example(length=1.0, cl=-1e-200, cr=1e-200, log_lo=2.0, u=0.5)  # c^2 underflows
 @example(length=1.0, cl=-1e-200, cr=0.0, log_lo=-200.0, u=0.0)  # lo^2 + c^2 underflows: M = inf
 @example(length=1.0, cl=-3.0, cr=2.0, log_lo=math.log10(3.0), u=0.0)  # |p'| = 1 / (lo^2 + c^2) at k = lo = |c|
 @example(length=0.3, cl=-1e3, cr=-1e3, log_lo=1.0, u=0.3)  # m < 0
+@example(length=1.4142135623730951, cl=5e4, cr=5e4, log_lo=4.0, u=0.5)  # equal couplings
+@example(length=1.4142135623730951, cl=-5e4, cr=-5e4, log_lo=4.5, u=0.0)
+@example(length=1.0, cl=670.0, cr=670.0, log_lo=math.log10(670.0), u=0.2)
+@example(length=1.0, cl=-0.3, cr=-0.3, log_lo=-1.0, u=1.0)
+@example(length=1.0, cl=0.0, cr=0.0, log_lo=0.0, u=0.5)
+@example(length=1.0, cl=1e-200, cr=1e-200, log_lo=-150.0, u=0.5)
 def test_property_bracket_bounds_hold_past_lo(length, cl, cr, log_lo, u):
     # m <= Phi'(k) and |Phi''(k)| <= M for k in [lo, 8 lo], against 30-digit
     # values, up to the bounds' own rounding: a few eps of the terms of m,
@@ -831,6 +865,22 @@ def test_one_phase_evaluation_per_root(monkeypatch, iv, lam_max, n_positive):
     sp = enumerate_eigenvalues(iv, lam_max)
     assert sp.certificate.n_positive == n_positive
     assert sum(points) <= 1.02 * n_positive
+
+
+@pytest.mark.parametrize("iv, n", [
+    # A sweep-sized block: c = 1/h at h = 2e-5, equal couplings.
+    (RobinInterval(math.sqrt(2.0), 5e4, 5e4), np.arange(10_001, 10_001 + spectra1d._BRACKET_BLOCK)),
+    (RobinInterval(math.sqrt(2.0), 5e4, -3e4), np.arange(2, 2 + spectra1d._BRACKET_BLOCK)),
+    # k L < 64, the angle form, whose turn reads n % 2, for odd and even n.
+    (RobinInterval(1.0, -0.3, -0.3), np.arange(3, 23)),
+    (RobinInterval(1.0, 670.0, 670.0), np.arange(1, 21)),
+    (RobinInterval(1.0, 1.03e-8, 0.0), np.arange(1, 21)),
+], ids=["sweep_block", "unequal_block", "angle_well", "angle_stiff", "angle_tiny"])
+def test_float_phase_indices_give_the_same_roots(iv, n):
+    # The enumeration passes float-valued indices; integer ones give the same bits.
+    k_max = n[-1] * math.pi / iv.length
+    assert np.array_equal(spectra1d._phase_roots(iv, n.astype(float), k_max),
+                          spectra1d._phase_roots(iv, n, k_max))
 
 
 def test_phase_count_refuses_2_27_indices(monkeypatch):
