@@ -8,13 +8,17 @@ scale and its exponent. A large regime with a negative b0 on some facet
 uses the exact density l2(d, b) at the realized b for every |b|, which is
 dominated by the negative part pi c_d b_-^(d+1); with every b0 >= 0 it
 uses the limits -l1(d-1)/4 (b0 > 0) and +l1(d-1)/4 (b0 = 0).
+
+This module owns the two-term law: _prediction builds the Weyl and
+boundary terms, and a sweep point subtracts them from what
+riesz.riesz_mean measures on the realized box.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,12 +76,33 @@ class TwoTermPrediction:
     weyl: float
     boundary: float
 
+    @property
+    def ratio(self):
+        """Boundary term over Weyl term."""
+        return self.boundary / self.weyl
+
 
 @dataclass(frozen=True)
-class CrossoverRecord:
-    weyl: float
-    boundary: float
-    ratio: float
+class SweepPoint:
+    """One sweep point: riesz_mean's measurement on the realized box, the
+    two-term prediction, and the remainder trace - weyl_term - boundary_term."""
+
+    h: float
+    trace: float
+    weyl_term: float
+    boundary_term: float
+    remainder: float
+    eig_count: int
+    kroger_ok: bool
+    # Wall time of the point inside its sweep; not part of the result.
+    seconds: float = field(default=0.0, compare=False)
+
+
+def _check_h(h):
+    h = float(h)
+    if not h > 0.0:
+        raise ValueError(f"need h > 0, got {h}")
+    return h
 
 
 def _facet_densities(box, regime, h, l2_values):
@@ -98,39 +123,38 @@ def _facet_densities(box, regime, h, l2_values):
             for lo, hi in box.facet_b]
 
 
-def _boundary_term(box, regime, h, l2_values):
+def _prediction(box, regime, h, l2_values):
+    """The Weyl term and the regime's boundary term at h."""
     densities = _facet_densities(box, regime, h, l2_values)
     boundary = sum(box.facet_area(i) * (lo + hi) for i, (lo, hi) in enumerate(densities))
-    return boundary * h ** (1 - box.d)
+    return TwoTermPrediction(weyl=riesz.weyl_term(box, h), boundary=boundary * h ** (1 - box.d))
 
 
 def predict(box, regime, h):
     """Two-term prediction: Weyl term and the regime's boundary term."""
-    return TwoTermPrediction(weyl=riesz.weyl_term(box, h),
-                             boundary=_boundary_term(box, regime, h, {}))
+    return _prediction(box, regime, _check_h(h), {})
 
 
 def _sweep_point(box, regime, h, l2_values):
     start = time.perf_counter()
     rep = riesz.riesz_mean(_realized_box(box, regime, h), h)
-    boundary = _boundary_term(box, regime, h, l2_values)
-    return replace(rep, boundary_term=boundary, remainder=rep.trace - rep.weyl_term - boundary,
-                   seconds=time.perf_counter() - start)
+    pred = _prediction(box, regime, h, l2_values)
+    return SweepPoint(h=rep.h, trace=rep.trace, weyl_term=pred.weyl, boundary_term=pred.boundary,
+                      remainder=rep.trace - pred.weyl - pred.boundary, eig_count=rep.eig_count,
+                      kroger_ok=rep.kroger_ok, seconds=time.perf_counter() - start)
 
 
 def run_sweep(box, regime, h_list):
-    """RieszReports over distinct h > 0, sorted by descending h, with
-    regime-filled boundary terms and remainders trace - weyl - boundary.
+    """SweepPoints over distinct h > 0, sorted by descending h: the Riesz
+    mean on the box realized at h, the regime's two-term prediction, and
+    the remainder trace - weyl_term - boundary_term.
 
     Every h is checked before the sort, so a NaN gets the same message in
-    every regime. Each report's ``seconds`` is the wall time of its own
-    point. A boundary density l2(d, b) is computed once per distinct
-    realized b in the sweep.
+    every regime. Each point's ``seconds`` is the wall time of its Riesz
+    mean and prediction. A boundary density l2(d, b) is computed once per
+    distinct realized b in the sweep.
     """
-    items = [float(h) for h in h_list]
-    for h in items:
-        if not h > 0.0:
-            raise ValueError(f"need h > 0, got {h}")
+    items = [_check_h(h) for h in h_list]
     hs = sorted(set(items), reverse=True)
     if len(hs) != len(items):
         raise ValueError("sweep h values must be distinct")
@@ -193,6 +217,4 @@ def crossover_demo(box, gamma, h):
     regime = RegimeSpec(REGIME_LARGE, gamma)
     if not _has_negative_b0(box):
         raise ValueError("crossover_demo needs a facet with negative b0")
-    pred = predict(box, regime, h)
-    return CrossoverRecord(weyl=pred.weyl, boundary=pred.boundary,
-                           ratio=pred.boundary / pred.weyl)
+    return predict(box, regime, h)

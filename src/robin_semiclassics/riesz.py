@@ -17,12 +17,16 @@ prefix-summed and the shorter one searched. The trace is of order h^-d
 while the remainder checked against the paper is O(1), so the pairing is
 compensated: the prefix carries the TwoSum errors of its steps in a low
 part, and the row terms are added by a vectorized TwoSum tree.
+
+riesz_mean reports only what it measures: the trace, the tuple count and
+the Kroger check. The two-term prediction and the remainder belong to
+asympt.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,15 +82,13 @@ class BoxDomain:
 
 @dataclass(frozen=True)
 class RieszReport:
+    """What riesz_mean measures at h: the Riesz mean Tr(H(b))_-, the number
+    of tuples below h^-2 it sums, and whether the Kroger lower bound holds."""
+
     h: float
     trace: float
-    weyl_term: float
-    boundary_term: float
-    remainder: float
     eig_count: int
     kroger_ok: bool
-    # Wall time of the sweep point, set by asympt.run_sweep; not part of the result.
-    seconds: float = field(default=0.0, compare=False)
 
 
 def weyl_term(box, h):
@@ -193,11 +195,7 @@ def _reduce_pair(a, b, cutoff):
 
 
 def riesz_mean(box, h):
-    """Riesz mean Tr(H(b))_-; returns a report with trace and eig_count.
-
-    The boundary_term slot is zero here (no regime attached); the
-    remainder is trace minus the Weyl term until a prediction fills it.
-    """
+    """Riesz mean Tr(H(b))_-; returns a report with trace, eig_count and kroger_ok."""
     h = float(h)
     if not h > 0.0:
         raise ValueError(f"need h > 0, got {h}")
@@ -235,16 +233,7 @@ def riesz_mean(box, h):
     # The longer half is prefix-summed and the shorter one searched: fewer keys.
     trace, pairs = _pair_trace(*sorted(halves, key=len, reverse=True), h)
     trace, count = math.fsum([trace, *parts]), count + pairs
-    weyl = weyl_term(box, h)
-    return RieszReport(
-        h=h,
-        trace=trace,
-        weyl_term=weyl,
-        boundary_term=0.0,
-        remainder=trace - weyl,
-        eig_count=count,
-        kroger_ok=kroger_check(box, h, trace),
-    )
+    return RieszReport(h=h, trace=trace, eig_count=count, kroger_ok=kroger_check(box, h, trace))
 
 
 def trace_bruteforce(box, h):
@@ -269,6 +258,5 @@ def kroger_check(box, h, trace):
     c_integral = sum(box.facet_area(i) * (lo + hi) / h
                      for i, (lo, hi) in enumerate(box.facet_b))
     omega = coeffs.unit_ball_volume(d).value
-    rhs = (coeffs.l1(d).value * box.volume * lam ** (1.0 + 0.5 * d)
-           - omega * (2.0 * math.pi) ** (-d) * c_integral * lam ** (0.5 * d))
+    rhs = weyl_term(box, h) * lam - omega * (2.0 * math.pi) ** (-d) * c_integral * lam ** (0.5 * d)
     return lhs >= rhs - _KROGER_RTOL * max(1.0, abs(lhs), abs(rhs))

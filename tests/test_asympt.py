@@ -5,12 +5,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robin_semiclassics import asympt, coeffs
-from robin_semiclassics.asympt import RegimeSpec, SweepFit, crossover_demo, fit_sweep, predict
-from robin_semiclassics.riesz import BoxDomain, RieszReport
+from robin_semiclassics import asympt, coeffs, riesz
+from robin_semiclassics.asympt import (
+    RegimeSpec,
+    SweepFit,
+    SweepPoint,
+    crossover_demo,
+    fit_sweep,
+    predict,
+)
+from robin_semiclassics.riesz import BoxDomain
 
 SQ2 = math.sqrt(2.0)
 HS = [0.04, 0.02, 0.01, 0.005]
+THREE_REGIMES = pytest.mark.parametrize(
+    "regime,b0", [(RegimeSpec("fixed"), 1.0), (RegimeSpec("small", 0.5), 1.0),
+                  (RegimeSpec("large", 0.25), -1.0)], ids=["fixed", "small", "large"])
 
 
 def test_regime_validation():
@@ -103,24 +113,25 @@ def test_predict_linear_in_facet_areas():
     assert abs(got - 2.0 * 1.0 * rho / h) < 1e-12 * abs(rho / h)
 
 
-def test_remainder_definition():
-    from robin_semiclassics import riesz
-
-    box = BoxDomain.uniform((1.0, SQ2), 1.0)
-    regime = RegimeSpec("fixed")
+@THREE_REGIMES
+def test_remainder_definition(regime, b0):
+    # A sweep point is riesz_mean on the realized box plus predict, bit for bit.
+    box = BoxDomain.uniform((1.0, SQ2), b0)
     h = 0.05
-    r = asympt.run_sweep(box, regime, [h])[0].remainder
-    rep = riesz.riesz_mean(box, h)
+    point = asympt.run_sweep(box, regime, [h])[0]
+    rep = riesz.riesz_mean(asympt._realized_box(box, regime, h), h)
     pred = predict(box, regime, h)
-    assert abs(r - (rep.trace - pred.weyl - pred.boundary)) < 1e-12
+    assert (point.trace, point.eig_count, point.kroger_ok) == (rep.trace, rep.eig_count, rep.kroger_ok)
+    assert (point.weyl_term, point.boundary_term) == (pred.weyl, pred.boundary)
+    assert point.remainder == point.trace - point.weyl_term - point.boundary_term
 
 
 def synthetic_reports(exponent, d=2, const=1.0):
     reports = []
     for h in HS:
         rem = const * h**exponent
-        reports.append(RieszReport(h=h, trace=0.0, weyl_term=0.0, boundary_term=0.0,
-                                   remainder=rem, eig_count=1, kroger_ok=True))
+        reports.append(SweepPoint(h=h, trace=0.0, weyl_term=0.0, boundary_term=0.0,
+                                  remainder=rem, eig_count=1, kroger_ok=True))
     return reports
 
 
@@ -172,8 +183,8 @@ def test_normalized_remainder_large_regime():
     box = BoxDomain.uniform((1.0, SQ2), -1.0)
     regime = RegimeSpec("large", 0.25)
     assert asympt._has_negative_b0(box)
-    rep = RieszReport(h=0.01, trace=0.0, weyl_term=0.0, boundary_term=0.0,
-                      remainder=2.0, eig_count=1, kroger_ok=True)
+    rep = SweepPoint(h=0.01, trace=0.0, weyl_term=0.0, boundary_term=0.0,
+                     remainder=2.0, eig_count=1, kroger_ok=True)
     theta = 0.01**-0.25
     assert abs(asympt.normalized_remainder(box, regime, rep) - 2.0 * 0.01 * theta**-3) < 1e-15
 
@@ -187,9 +198,7 @@ def test_run_sweep_deterministic_and_ordered():
     assert first == second
 
 
-@pytest.mark.parametrize("regime,b0", [(RegimeSpec("fixed"), 1.0), (RegimeSpec("small", 0.5), 1.0),
-                                       (RegimeSpec("large", 0.25), -1.0)],
-                         ids=["fixed", "small", "large"])
+@THREE_REGIMES
 @pytest.mark.parametrize("bad", [math.nan, 0.0, -0.01])
 def test_run_sweep_checks_every_h_before_the_sort(regime, b0, bad):
     # A NaN once reached the small and large regimes' realized facets first,
@@ -251,6 +260,21 @@ def test_crossover_ratio_scaling():
     r1 = crossover_demo(box, 1.0 / 3.0, 0.01)
     r2 = crossover_demo(box, 1.0 / 3.0, 0.005)
     assert abs(r2.ratio / r1.ratio - 1.0) < 0.05
+
+
+@THREE_REGIMES
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -0.01])
+def test_predict_checks_h(regime, b0, bad):
+    box = BoxDomain.uniform((1.0, SQ2), b0)
+    with pytest.raises(ValueError, match=f"need h > 0, got {bad}"):
+        predict(box, regime, bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -0.01])
+def test_crossover_demo_checks_h(bad):
+    box = BoxDomain.uniform((1.0, 1.0), -1.0)
+    with pytest.raises(ValueError, match=f"need h > 0, got {bad}"):
+        crossover_demo(box, 0.25, bad)
 
 
 def test_crossover_requires_negative_part():
