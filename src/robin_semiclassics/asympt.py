@@ -33,7 +33,7 @@ REGIME_LARGE = "large"
 class RegimeSpec:
     """Coupling regime: b = scale(h) * b0, with b0 the box's facet_b.
 
-    ``exponent`` is s > 0 for the small regime (scale h^s) and
+    ``exponent`` is a finite s > 0 for the small regime (scale h^s) and
     0 < gamma < 1 for the large regime (scale h^(-gamma)); the fixed
     regime ignores it.
     """
@@ -45,8 +45,8 @@ class RegimeSpec:
         object.__setattr__(self, "exponent", float(self.exponent))
         if self.kind not in (REGIME_FIXED, REGIME_SMALL, REGIME_LARGE):
             raise ValueError(f"unknown regime kind {self.kind!r}")
-        if self.kind == REGIME_SMALL and not self.exponent > 0.0:
-            raise ValueError(f"small regime needs exponent s > 0, got {self.exponent}")
+        if self.kind == REGIME_SMALL and not 0.0 < self.exponent < math.inf:
+            raise ValueError(f"small regime needs a finite exponent s > 0, got {self.exponent}")
         if self.kind == REGIME_LARGE and not 0.0 < self.exponent < 1.0:
             raise ValueError(
                 f"large regime needs 0 < gamma < 1 (the growth must stay o(1/h); "
@@ -98,13 +98,6 @@ class SweepPoint:
     seconds: float = field(default=0.0, compare=False)
 
 
-def _check_h(h):
-    h = float(h)
-    if not h > 0.0:
-        raise ValueError(f"need h > 0, got {h}")
-    return h
-
-
 def _facet_densities(box, regime, h, l2_values):
     """Per-facet boundary densities; l2_values maps each realized b to l2(d, b).value.
 
@@ -132,7 +125,7 @@ def _prediction(box, regime, h, l2_values):
 
 def predict(box, regime, h):
     """Two-term prediction: Weyl term and the regime's boundary term."""
-    return _prediction(box, regime, _check_h(h), {})
+    return _prediction(box, regime, riesz.check_h(h), {})
 
 
 def _sweep_point(box, regime, h, l2_values):
@@ -154,7 +147,7 @@ def run_sweep(box, regime, h_list):
     mean and prediction. A boundary density l2(d, b) is computed once per
     distinct realized b in the sweep.
     """
-    items = [_check_h(h) for h in h_list]
+    items = [riesz.check_h(h) for h in h_list]
     hs = sorted(set(items), reverse=True)
     if len(hs) != len(items):
         raise ValueError("sweep h values must be distinct")

@@ -155,9 +155,7 @@ def _cmd_spectrum(args):
     iv = spectra1d.RobinInterval(args.L, args.cl, args.cr)
     spectrum = spectra1d.enumerate_eigenvalues(iv, args.Lambda)
     rows = list(enumerate(spectrum.eigenvalues.tolist()))
-    certificate = {"n_negative": spectrum.certificate.n_negative,
-                   "n_positive": spectrum.certificate.n_positive}
-    return ("n", "lambda"), rows, {"certificate": certificate}
+    return ("n", "lambda"), rows, {"certificate": dataclasses.asdict(spectrum.certificate)}
 
 
 def _parse_facets(text, d, option):

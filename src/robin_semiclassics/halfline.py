@@ -241,9 +241,11 @@ def reconstruct(b, test_fn_id, t):
     integrated by parts to order p^-3; the terms it drops add up to at most
     2 |1 + b| (6 / t^2 + 3 |b| / t + 1 + b^2) / (t p_max^4), and p_max is the
     largest of 300 max(1, |b|), 12 / t and the point past which that, times
-    2 / pi, stays below a quarter of the tolerance. Raises ValueError where
-    the integrand's (1 + p^2)(p^2 + b^2) overflows a float on [0, p_max], as
-    it does once b * b does.
+    2 / pi, stays below a quarter of the tolerance. At b = -1, where e^(-s)
+    is proportional to the bound state, the integrand and both tails carry
+    the factor 1 + b = 0, so the result is the bound-state part exactly.
+    Raises ValueError where the integrand's (1 + p^2)(p^2 + b^2) overflows a
+    float on [0, p_max], as it does once b * b does.
     """
     if test_fn_id != "exp_decay":
         raise ValueError(f"unknown test function id {test_fn_id!r}")
@@ -259,17 +261,12 @@ def reconstruct(b, test_fn_id, t):
         raise ValueError(f"reconstruct(b={b}, t={t}): (1 + p^2)(p^2 + b^2) overflows a float "
                          f"below p_max = {p_max:.3e}")
     bound_part = psi_bound(b, t) * bound_state_overlap(b)
-    if b == -1.0:
-        # e^(-s) is proportional to the bound state; the continuum transform
-        # p(1+b)/((1+p^2) sqrt(p^2+b^2)) vanishes identically.
-        return bound_part
 
     def integrand(p):
         p2 = p * p
         return (1.0 + b) * p * (p * np.cos(t * p) + b * np.sin(t * p)) / ((1.0 + p2) * (p2 + b * b))
 
-    spacing = min(0.25 if t <= 1.0 else math.pi / (4.0 * t), 1.0)
-    spacing = max(spacing, p_max / 4000.0)
+    spacing = max(0.25 if t <= 1.0 else math.pi / (4.0 * t), p_max / 4000.0)
     breaks = np.arange(spacing, p_max, spacing)
     res = adaptive_quadrature(integrand, 0.0, p_max, abs_tol=_RECONSTRUCT_TOL / 4.0,
                               breakpoints=breaks, max_panels=80000)

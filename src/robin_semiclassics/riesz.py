@@ -91,6 +91,14 @@ class RieszReport:
     kroger_ok: bool
 
 
+def check_h(h):
+    """The semiclassical parameter as a float; it must be positive (NaN is not)."""
+    h = float(h)
+    if not h > 0.0:
+        raise ValueError(f"need h > 0, got {h}")
+    return h
+
+
 def weyl_term(box, h):
     """Leading volume term l1(d) |Omega| h^(-d)."""
     return coeffs.l1(box.d).value * box.volume * h ** (-box.d)
@@ -196,9 +204,7 @@ def _reduce_pair(a, b, cutoff):
 
 def riesz_mean(box, h):
     """Riesz mean Tr(H(b))_-; returns a report with trace, eig_count and kroger_ok."""
-    h = float(h)
-    if not h > 0.0:
-        raise ValueError(f"need h > 0, got {h}")
+    h = check_h(h)
     if h > min(box.sides) / 4.0:
         raise ValueError(
             f"h = {h} violates the h <= min(sides)/4 = {min(box.sides) / 4.0} guard"

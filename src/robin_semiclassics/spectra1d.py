@@ -175,11 +175,9 @@ def negative_eigenvalues(iv):
     for upper in (False, True)[:n_branches]:  # the lower branch first
         if upper:
             # mu_hi >= mu_lo crosses 0 first: its sign at the lower root says on
-            # which side of it the upper root lies, or that a pinched pair shares it.
+            # which side of it the upper root lies. Where it is 0, a pinched pair
+            # shares that root, the lower end of the bracket, which Brent returns.
             at = _boundary_form_branch(kappas[0], iv, True)
-            if at == 0.0:
-                kappas.append(kappas[0])
-                break
             ends = (ends[0], kappas[0]) if at > 0.0 else (kappas[0], ends[1])
         try:
             kappas.append(_brent_root(_boundary_form_branch, *ends, args=(iv, upper)))
@@ -333,9 +331,11 @@ def _angle_offset(iv, k, n, plain):
     the offset keeps its relative accuracy near a root; ``plain``, the plain
     sum, only picks the whole turn.
     """
-    cl, cr = iv.c_left, iv.c_right
-    rl, rr = np.hypot(k, cl), np.hypot(k, cr)
-    cos_l, sin_l, cos_r, sin_r = cl / rl, k / rl, cr / rr, k / rr
+    def unit(c):  # (cos, sin) of arccot(c / k)
+        r = np.hypot(k, c)
+        return c / r, k / r
+
+    (cos_l, sin_l), (cos_r, sin_r) = _per_coupling(iv, unit)
     cos_b = cos_l * cos_r - sin_l * sin_r
     sin_b = sin_l * cos_r + cos_l * sin_r
     kl = k * iv.length
@@ -358,13 +358,18 @@ def _phase_roots(iv, n, k_max):
     one is replaced by the midpoint (rtsafe, Press et al., Numerical
     Recipes), taken in log k once the bracket's lower end is positive. Below
     a ground state, where the phase goes as -c / k, Newton only doubles k.
-    An index leaves the active set once its step is below _ROOT_RTOL * k, or
-    once _newton_certified proves its Newton iterate, which on sweep spectra
-    takes one phase evaluation per root; only the indices still open after a
-    phase evaluation update their brackets. The enumeration passes n as
-    floats, which spares an int-to-float cast in each product with n; the
-    roots are the same for integers. Raises EnumerationError if any index is
-    still open after _NEWTON_MAX_ITER steps.
+    An index leaves the active set with its Newton iterate once
+    _newton_certified proves that iterate or the Newton step is below
+    _ROOT_RTOL * k, on sweep spectra at its first phase point, or once a
+    safeguarded step is below _ROOT_RTOL times where it lands. While no
+    index has left, a round in which all settle returns the Newton iterates
+    before any bracket update. In every other round the settled and the
+    open indices take the same elementwise update, which keeps a settled
+    index at its Newton iterate, and all that settled leave in one
+    compaction; so a root does not depend on its block. The enumeration
+    passes n as floats, which spares an int-to-float cast in each product
+    with n; the roots are the same for integers. Raises EnumerationError if
+    any index is still open after _NEWTON_MAX_ITER steps.
     """
     node_step = math.pi / iv.length
     lo = np.maximum((n - 2) * node_step, 0.0)
@@ -389,28 +394,18 @@ def _phase_roots(iv, n, k_max):
         converged = _newton_certified(iv, k, offset, newton, lo)
         if not converged.all():
             converged |= np.abs(dk) <= _ROOT_RTOL * k
-        if converged.any():
-            if active.size == roots.size and converged.all():
-                return newton  # active is every index, in order
-            # On sweep spectra nearly every index leaves at its first phase
-            # point, so only the rest update their brackets. They are written
-            # here too, and overwritten when they finish.
-            roots[active] = newton
-            live = np.flatnonzero(~converged)
-            if live.size == 0:
-                return roots
-            active, n, k, lo, hi, last, before, offset, dk, newton = (
-                a[live] for a in (active, n, k, lo, hi, last, before, offset, dk, newton))
+        if active.size == roots.size and converged.all():
+            return newton  # active is every index, in order
         lo = np.where(offset < 0.0, k, lo)
         hi = np.where(offset > 0.0, k, hi)
         # The initial ends are bounds, not evaluated points: a root within
         # rounding of one is reached by stepping onto it.
         inside = (lo <= newton) & (newton <= hi) & (newton > 0.0)
-        take = inside & (np.abs(dk) <= np.minimum(0.5 * before, last))
+        take = converged | (inside & (np.abs(dk) <= np.minimum(0.5 * before, last)))
         middle = np.where(lo > 0.0, np.sqrt(lo) * np.sqrt(hi), 0.5 * (lo + hi))
         new = np.where(take, newton, middle)
         last, before = np.abs(new - k), last
-        done = last <= _ROOT_RTOL * new
+        done = converged | (last <= _ROOT_RTOL * new)
         if done.any():
             roots[active[done]] = new[done]
             live = np.flatnonzero(~done)
@@ -436,7 +431,7 @@ def _newton_certified(iv, k, offset, newton, lo):
     A bound that is not finite compares False.
     """
     slope_min, curve_max = _bracket_bounds(iv, lo)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         e = (np.abs(offset) + _OFFSET_ROUNDING * _EPS * (k * iv.length + 2.0 * math.pi)) / slope_min
         return (slope_min > 0.0) & (curve_max * e * e <= 2.0 * _ROOT_RTOL * slope_min * newton)
 

@@ -30,6 +30,9 @@ def test_regime_validation():
         RegimeSpec("large", 0.0)
     with pytest.raises(ValueError):
         RegimeSpec("small", 0.0)
+    # h^inf b0 is the Neumann problem for h < 1 and overflows past it.
+    with pytest.raises(ValueError, match="small regime needs a finite exponent s > 0, got inf"):
+        RegimeSpec("small", math.inf)
     with pytest.raises(ValueError):
         RegimeSpec("banana")
 

@@ -110,6 +110,9 @@ SWEEP = ["sweep", "--regime", "fixed", "--b0", "1", "--h", "0.2,0.1,0.05,0.025"]
     (["sweep"], "b0 = 1\n", 2, "sweep requires --regime"),
     (["sweep", "--regime", "fixed"], None, 2, "sweep requires --b0"),
     (["sweep", "--regime", "large", "--b0", "-1"], None, 2, "large regime requires --gamma"),
+    # Once a Neumann sweep labelled small.
+    (["sweep", "--regime", "small", "--s", "inf", "--b0", "1"], None, 2,
+     "small regime needs a finite exponent s > 0, got inf"),
     (["sweep", "--regime", "fixed", "--b0", "1,2,3"], None, 2, "--b0 needs 1 or 4 values"),
     (["coeff", "--b", "1,one"], None, 2, "--b: could not convert"),
     (["model", "--b", "1", "--t=-1"], None, 2, "t >= 0, got -1.0"),
@@ -127,7 +130,7 @@ SWEEP = ["sweep", "--regime", "fixed", "--b0", "1", "--h", "0.2,0.1,0.05,0.025"]
     # A phi mesh of 2e9 panels, refused before it is built.
     (["model", "--b", "1", "--t", "1e9"], None, 3, "needs 2e+09 panels"),
 ], ids=["coeff-b", "model-b", "model-t-config", "model-both", "spectrum-L", "spectrum-Lambda-config",
-        "sweep-regime-config", "sweep-b0", "gamma", "b0-count", "non-float", "negative-t",
+        "sweep-regime-config", "sweep-b0", "gamma", "s-inf", "b0-count", "non-float", "negative-t",
         "three-h", "config-unreadable", "config-no-equals", "output-unwritable", "kroger",
         "b0-nan", "b0-inf", "phase-count-cap", "phi-panel-budget"])
 def test_usage_errors_name_the_option(tmp_path, monkeypatch, capsys, args, config, code, message):

@@ -222,6 +222,15 @@ def test_reconstruct_names_an_overflowing_integrand(b):
         halfline.reconstruct(b, "exp_decay", 1.0)
 
 
+def test_reconstruct_at_b_minus_1_is_the_bound_state_part():
+    # e^(-s) is proportional to the b = -1 bound state: the continuum
+    # integrand and both tails carry the factor 1 + b = 0, so nothing is
+    # added to the bound-state part, not even a rounding.
+    for t in (0.0, 1e-3, 0.5, 1.0, 2.0, 10.0, 100.0):
+        want = halfline.psi_bound(-1.0, t) * halfline.bound_state_overlap(-1.0)
+        assert halfline.reconstruct(-1.0, "exp_decay", t) == want, t
+
+
 def test_reconstruct_rejects_unknown_fn():
     with pytest.raises(ValueError):
         halfline.reconstruct(0.0, "gaussian", 1.0)

@@ -69,6 +69,19 @@ def test_deep_symmetric_pair_resolved():
         assert abs(lam + 200.0**2) < 1.0
 
 
+def test_pinched_pair_is_two_equal_floats():
+    # c = -1e3 on a unit interval: the even and odd states split by about
+    # e^-1000, so the upper branch is 0 at the lower root, and Brent returns
+    # that end of the upper bracket.
+    iv = RobinInterval(1.0, -1e3, -1e3)
+    lower = spectra1d._brent_root(spectra1d._boundary_form_branch, 1e-300,
+                                  spectra1d._kappa_upper_bound(iv), args=(iv, False))
+    assert spectra1d._boundary_form_branch(lower, iv, True) == 0.0
+    negs = negative_eigenvalues(iv)
+    assert len(negs) == 2 and negs[0] == negs[1] == -lower * lower
+    assert all(type(lam) is float for lam in negs)
+
+
 def test_zero_eigenvalue_condition():
     # c_l + c_r + c_l c_r L = 0 with (1, -0.5, L=1)
     sp = enumerate_eigenvalues(RobinInterval(1.0, 1.0, -0.5), 50.0)
@@ -681,6 +694,8 @@ def test_property_near_degenerate_pairs_all_found(length, cl, log_delta):
 @settings(max_examples=150, deadline=None)
 @given(length=lengths, cl=couplings, cr=couplings, delta=st.floats(1e-3, 5.0), side=st.booleans())
 @example(length=4.3125, cl=-3.0, cr=-0.2513466870978531, delta=1.0, side=False)  # shallow 2nd state
+# M = 1 / c_r^2 on the first brackets, so the certificate's M e^2 overflows.
+@example(length=0.5, cl=0.5, cr=1.1429459981256881e-154, delta=1.0, side=False)
 def test_property_monotone_in_couplings(length, cl, cr, delta, side):
     base = enumerate_eigenvalues(RobinInterval(length, cl, cr), LAM_MAX).eigenvalues
     raised_iv = RobinInterval(length, cl + delta, cr) if side else RobinInterval(length, cl, cr + delta)
@@ -881,6 +896,32 @@ def test_float_phase_indices_give_the_same_roots(iv, n):
     k_max = n[-1] * math.pi / iv.length
     assert np.array_equal(spectra1d._phase_roots(iv, n.astype(float), k_max),
                           spectra1d._phase_roots(iv, n, k_max))
+
+
+@pytest.mark.parametrize("iv, n", [
+    # Indices still open per phase evaluation: 40, 12, 1, 1.
+    (RobinInterval(1.0, -0.3, -0.3), np.arange(2, 42)),
+    # 1040, then 330.
+    (RobinInterval(math.sqrt(5.0), 667.0, 667.0), np.arange(1, 1041)),
+    # 30, then the ground state, far below its bracket, alone for 10 more.
+    (RobinInterval(0.13, 0.0, 1.8e-12), np.arange(1, 31)),
+], ids=["well", "stiff", "far_ground_state"])
+def test_a_root_does_not_depend_on_its_block(monkeypatch, iv, n):
+    # Indices that settle at the first phase point leave with their Newton
+    # iterate in the same rounds in which the rest update their brackets.
+    n = n.astype(float)
+    k_max = n[-1] * math.pi / iv.length
+    alone = [spectra1d._phase_roots(iv, n[i:i + 1], k_max)[0] for i in range(n.size)]
+    points = []
+    phase_offset = spectra1d._phase_offset
+
+    def counted(iv, k, n):
+        points.append(k.size)
+        return phase_offset(iv, k, n)
+
+    monkeypatch.setattr(spectra1d, "_phase_offset", counted)
+    assert np.array_equal(spectra1d._phase_roots(iv, n, k_max), alone)
+    assert 0 < points[1] < points[0] == n.size
 
 
 def test_phase_count_refuses_2_27_indices(monkeypatch):
