@@ -74,7 +74,7 @@ def _config_flags(path, command):
     actions = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
     flags = []
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             for line_no, raw in enumerate(handle, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:

@@ -96,12 +96,16 @@ def _kernel_factors(d, b, sin_phi, cos_phi):
 
 
 def _phi_mesh(b, t_max):
-    """Panel cut points on [0, pi/2]: oscillation-sized plus a cluster at arcsin|b|.
+    """Panel cuts for [0, pi/2]: oscillation-sized plus a cluster at arcsin|b|.
 
+    The cuts come unsorted and may repeat or fall outside (0, pi/2); they are
+    passed whole, and adaptive_quadrature keeps those inside (0, pi/2), once
+    each, in order. The oscillation cuts start at 0.0, which the quadrature
+    drops, because a start at the spacing rounds every later cut differently.
     A cluster cut whose square is not a normal float is left out: near it
     sin^2 + b^2 may round to 0. The spike at arcsin|b| below the kept cuts
-    integrates to O(|b|). A mesh of more than _PHI_PANELS oscillation
-    panels, 2 t_max of them, raises QuadratureError before it is built.
+    integrates to O(|b|). A mesh of more than _PHI_PANELS oscillation panels,
+    2 t_max of them, raises QuadratureError before it is built.
     """
     spacing = _PHI_SPACING
     if t_max > 0.0:
@@ -109,38 +113,43 @@ def _phi_mesh(b, t_max):
     if _HALF_PI / spacing > _PHI_PANELS:
         raise QuadratureError(f"the phi mesh at t = {t_max!r} needs {_HALF_PI / spacing:.3g} panels, "
                               f"past the budget of {_PHI_PANELS}")
-    cuts = set(np.arange(0.0, _HALF_PI, spacing).tolist())
-    cuts.add(_HALF_PI)
+    cuts = np.arange(0.0, _HALF_PI, spacing)
     if abs(b) < 1.0:
         q = math.asin(abs(b)) * 2.0 ** np.arange(-8, 9)
-        cuts.update(q[(q * q >= sys.float_info.min) & (q < _HALF_PI)].tolist())
-    return np.array(sorted(cuts))
+        cuts = np.concatenate([cuts, q[q * q >= sys.float_info.min]])
+    return cuts
 
 
-def _i_b_integrand(d, b, t):
-    """The I_b(t) integrand in phi."""
+def _phi_quadrature(d, b, t, combine, abs_tol):
+    """QuadResult of combine(sin(phi), fc, fs) over phi in [0, pi/2], fc, fs the _kernel_factors.
+
+    The one phi-quadrature of i_b and _i_b_partial: on the mesh at t, within
+    _PHI_PANELS panels, to the absolute tolerance abs_tol.
+    """
 
     def integrand(phi):
         sin_phi = np.sin(phi)
-        cos_phi = np.cos(phi)
-        fc, fs = _kernel_factors(d, b, sin_phi, cos_phi)
-        arg = 2.0 * t * sin_phi
-        return fc * np.cos(arg) + fs * np.sin(arg)
+        fc, fs = _kernel_factors(d, b, sin_phi, np.cos(phi))
+        return combine(sin_phi, fc, fs)
 
-    return integrand
+    return adaptive_quadrature(integrand, 0.0, _HALF_PI, abs_tol=abs_tol,
+                               breakpoints=_phi_mesh(b, t), max_panels=_PHI_PANELS)
 
 
 def i_b(d, b, t):
     """Kernel I_b(t): the p-integral over [0, 1] of the oscillatory model density.
 
-    Computed in the arcsin substitution with panels aligned to the
-    cos(2tp) oscillation; non-convergence raises rather than truncates.
+    Computed by _phi_quadrature, in the arcsin substitution with panels
+    aligned to the cos(2tp) oscillation; non-convergence raises rather than
+    truncates.
     """
     d, b, t = coeffs.check_dimension(d), coeffs.check_coupling(b), _check_t(t)
-    mesh = _phi_mesh(b, t)
-    res = adaptive_quadrature(_i_b_integrand(d, b, t), 0.0, _HALF_PI, abs_tol=_KERNEL_TOL,
-                              breakpoints=mesh[1:-1], max_panels=_PHI_PANELS)
-    return res.value
+
+    def combine(sin_phi, fc, fs):
+        arg = 2.0 * t * sin_phi
+        return fc * np.cos(arg) + fs * np.sin(arg)
+
+    return _phi_quadrature(d, b, t, combine, _KERNEL_TOL).value
 
 
 def _pole_tail(d, b, s):
@@ -160,18 +169,14 @@ def _i_b_partial(d, b, big_t, abs_tol):
     """int_0^T I_b(t) dt as one phi-integral, the t-integral done in closed form.
 
     int_0^T cos(2ts) dt = sin(2Ts)/(2s) and int_0^T sin(2ts) dt = sin(Ts)^2/s
-    with s = sin(phi); the mesh is the one i_b uses at t = T. Every Kronrod
-    node is interior, so s > 0.
+    with s = sin(phi). One _phi_quadrature, on the mesh i_b uses at t = T,
+    returns the QuadResult. Every Kronrod node is interior, so s > 0.
     """
-    mesh = _phi_mesh(b, big_t)
 
-    def integrand(phi):
-        sin_phi = np.sin(phi)
-        fc, fs = _kernel_factors(d, b, sin_phi, np.cos(phi))
+    def combine(sin_phi, fc, fs):
         return (0.5 * fc * np.sin(2.0 * big_t * sin_phi) + fs * np.sin(big_t * sin_phi) ** 2) / sin_phi
 
-    return adaptive_quadrature(integrand, 0.0, _HALF_PI, abs_tol=abs_tol,
-                               breakpoints=mesh[1:-1], max_panels=_PHI_PANELS)
+    return _phi_quadrature(d, b, big_t, combine, abs_tol)
 
 
 def _tail_amplitude(head, mid, full, err):

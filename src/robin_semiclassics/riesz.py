@@ -67,10 +67,7 @@ class BoxDomain:
 
     @property
     def volume(self):
-        v = 1.0
-        for s in self.sides:
-            v *= s
-        return v
+        return math.prod(self.sides)
 
     @property
     def surface_area(self):

@@ -391,6 +391,15 @@ def test_config_timings_switch(tmp_path, capsys, text, timed):
     assert ("seconds" in columns) == timed
 
 
+def test_config_with_byte_order_mark(tmp_path, capsys):
+    # A UTF-8 byte-order mark is not part of the first key.
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfregime = fixed\nb0 = 0\nh = 0.2,0.1,0.05,0.025\n")
+    code, out, err = run_cli(["sweep", "--config", str(cfg)], capsys)
+    assert code == 0, err
+    assert "# regime = fixed" in out.splitlines()
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("d = 2\nbanana = 7\n")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from robin_semiclassics import quadrature
 from robin_semiclassics.errors import QuadratureError
 from robin_semiclassics.quadrature import adaptive_quadrature, panel_rule
 
@@ -75,6 +76,51 @@ def test_nan_integrand_raises_at_once():
     with pytest.raises(QuadratureError, match="error estimate nan is not finite"):
         adaptive_quadrature(integrand, 0.0, 1.0, breakpoints=(0.25, 0.75))
     assert len(calls) == 1
+
+
+def test_jump_between_panels_stalls_at_machine_resolution():
+    # The panel holding the jump keeps an error estimate in proportion to its
+    # width, so abs_tol = 5e-17 asks for a panel narrower than bisection
+    # reaches: it stops once a half panel is below 1e-15 max(1, |mid|).
+    with pytest.raises(QuadratureError, match=r"quadrature on \[0.0, 0.1\] stalled at machine resolution; "
+                                              r"error estimate .* > tol 5.000e-17"):
+        adaptive_quadrature(lambda x: np.where(x < 1.0 / (10.0 * math.pi), 0.0, 1.0), 0.0, 0.1,
+                            abs_tol=5e-17)
+
+
+def test_round_limit_raises(monkeypatch):
+    # A rule whose error sits on the one panel holding 1/3: each round halves
+    # that panel, and on [0, 2^80] 64 halvings leave it far above the stall
+    # width. No real integrand tried gets here before convergence, the stall
+    # or the panel budget.
+    calls = []
+
+    def one_bad_panel(f, lo, hi):
+        calls.append(lo.size)
+        return np.zeros(lo.size), np.where((lo <= 1.0 / 3.0) & (1.0 / 3.0 < hi), 1.0, 0.0)
+
+    monkeypatch.setattr(quadrature, "panel_rule", one_bad_panel)
+    with pytest.raises(QuadratureError, match=r"did not converge within the round limit; "
+                                              r"error estimate 1.000e\+00 > tol 1.000e-03"):
+        adaptive_quadrature(lambda x: x, 0.0, 2.0**80, abs_tol=1e-3)
+    assert calls == [1] + [2] * 64
+
+
+def test_share_fallback_bisects_the_largest_error(monkeypatch):
+    # On [0, 3] cut at 1.5, each panel's error 0.1 * 1.5 / 3 = 0.05000000000000001
+    # is exactly its share of abs_tol = 0.1, so none exceeds it, yet the two sum
+    # above 0.1. The panels with the largest error, here both, are bisected.
+    calls = []
+
+    def share_errors(f, lo, hi):
+        calls.append((lo.tolist(), hi.tolist()))
+        err = 0.1 * (hi - lo) / 3.0 if len(calls) == 1 else np.zeros(lo.size)
+        return np.zeros(lo.size), err
+
+    monkeypatch.setattr(quadrature, "panel_rule", share_errors)
+    res = adaptive_quadrature(lambda x: x, 0.0, 3.0, abs_tol=0.1, breakpoints=(1.5,))
+    assert calls[1] == ([0.0, 1.5, 0.75, 2.25], [0.75, 2.25, 1.5, 3.0])
+    assert (res.value, res.error_estimate, res.panels) == (0.0, 0.0, 4)
 
 
 def test_empty_interval_rejected():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from robin_semiclassics import coeffs, riesz, spectra1d
@@ -98,6 +98,38 @@ def test_bruteforce_equivalence_d4_d5(box, h):
     # allowance that one half takes for the other.
     rep = riesz_mean(box, h)
     assert abs(rep.trace - trace_bruteforce(box, h)) <= 1e-10 * max(1.0, rep.trace)
+
+
+# How far below the h <= min(sides)/4 guard h is drawn, in decades, per d:
+# the oracle builds the full product of the axis spectra.
+H_DECADES = {2: 2.0, 3: 0.9, 4: 0.5}
+
+
+@st.composite
+def boxes_and_h(draw):
+    """d in {2, 3, 4}, sides in [0.5, 2], facet b in [-3, 3], h log-uniform below the guard."""
+    d = draw(st.sampled_from(sorted(H_DECADES)))
+    sides = tuple(draw(st.floats(0.5, 2.0)) for _ in range(d))
+    facet_b = tuple((draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))) for _ in range(d))
+    return BoxDomain(sides, facet_b), min(sides) / 4.0 * 10.0 ** -draw(st.floats(0.0, H_DECADES[d]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=boxes_and_h())
+@example(case=(BoxDomain((0.8, 1.7), ((-2.0, 0.5), (1.0, -0.3))), 0.1))  # certified bands in 2-D
+@example(case=(BoxDomain((0.6, 1.9, 1.2, 0.7), ((-2.5, 1.0), (0.3, -1.2), (2.0, -0.4), (-3.0, 3.0))), 0.1))
+def test_property_riesz_mean_matches_bruteforce(case):
+    box, h = case
+    spectra = axis_spectra(box, h)
+    # The oracle's product of every axis spectrum, capped to keep memory small.
+    assume(math.prod(spec.size for spec in spectra) <= 3_000_000)
+    rep = riesz_mean(box, h)
+    oracle = trace_bruteforce(box, h)
+    assert abs(rep.trace - oracle) <= 1e-10 * max(1.0, abs(oracle))
+    total = spectra[0]
+    for spec in spectra[1:]:
+        total = (total[:, None] + spec[None, :]).ravel()
+    assert rep.eig_count == np.count_nonzero(1.0 - h * h * total > 0.0)
 
 
 def test_single_mode_hand_count():
