@@ -26,15 +26,11 @@ USAGE_EXIT = 2
 CERTIFICATION_EXIT = 3
 
 
-class _UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors reach main as usage errors; --help still exits 0."""
 
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _fmt(value):
@@ -48,11 +44,11 @@ def _fmt(value):
 def _parse_floats(text, option):
     items = [s.strip() for s in text.split(",") if s.strip() != ""]
     if not items:
-        raise _UsageError(f"{option} needs a non-empty comma-separated list")
+        raise ValueError(f"{option} needs a non-empty comma-separated list")
     try:
         return [float(s) for s in items]
     except ValueError as exc:
-        raise _UsageError(f"{option}: {exc}") from None
+        raise ValueError(f"{option}: {exc}") from None
 
 
 def _as_bool(text, option):
@@ -60,7 +56,7 @@ def _as_bool(text, option):
         return True
     if text.lower() in ("0", "false", "no", "off"):
         return False
-    raise _UsageError(f"{option}: expected a boolean, got {text!r}")
+    raise ValueError(f"{option}: expected a boolean, got {text!r}")
 
 
 def _config_flags(path, command):
@@ -82,16 +78,16 @@ def _config_flags(path, command):
                 key, eq, val = (part.strip() for part in line.partition("="))
                 where = f"{path}:{line_no}"
                 if not eq:
-                    raise _UsageError(f"{where}: expected 'key = value'")
+                    raise ValueError(f"{where}: expected 'key = value'")
                 action = actions.get(key)
                 if action is None:
-                    raise _UsageError(f"{where}: unknown config key {key!r}")
+                    raise ValueError(f"{where}: unknown config key {key!r}")
                 if not isinstance(action.default, bool):
                     flags.append(f"{action.option_strings[0]}={val}")
                 elif _as_bool(val, f"{where}: {key}"):
                     flags.append(action.option_strings[0])
     except OSError as exc:
-        raise _UsageError(f"cannot read config file {path}: {exc}") from None
+        raise ValueError(f"cannot read config file {path}: {exc}") from None
     return flags
 
 
@@ -124,7 +120,7 @@ def _write_output(path, fmt, config, columns, rows, trailer):
             with open(path, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
         except OSError as exc:
-            raise _UsageError(f"cannot write output to {path}: {exc}") from None
+            raise ValueError(f"cannot write output to {path}: {exc}") from None
 
 
 def _cmd_coeff(args):
@@ -158,26 +154,26 @@ def _cmd_spectrum(args):
     return ("n", "lambda"), rows, {"certificate": dataclasses.asdict(spectrum.certificate)}
 
 
-def _parse_facets(text, d, option):
-    vals = _parse_floats(text, option)
+def _parse_facets(text, d):
+    vals = _parse_floats(text, "--b0")
     if len(vals) == 1:
         vals = vals * (2 * d)
     if len(vals) != 2 * d:
-        raise _UsageError(f"{option} needs 1 or {2 * d} values for a {d}-d box, got {len(vals)}")
+        raise ValueError(f"--b0 needs 1 or {2 * d} values for a {d}-d box, got {len(vals)}")
     return tuple((vals[2 * i], vals[2 * i + 1]) for i in range(d))
 
 
 def _cmd_sweep(args):
     sides = tuple(_parse_floats(args.sides, "--sides"))
-    facets = _parse_facets(args.b0, len(sides), "--b0")
+    facets = _parse_facets(args.b0, len(sides))
     exponent = {asympt.REGIME_SMALL: args.s, asympt.REGIME_LARGE: args.gamma}.get(args.regime, 0.0)
     if exponent is None:
-        raise _UsageError("large regime requires --gamma")
+        raise ValueError("large regime requires --gamma")
     regime = asympt.RegimeSpec(args.regime, exponent)
     box = riesz.BoxDomain(sides, facets)
     h_list = _parse_floats(args.h, "--h")
     if len(h_list) < 4:
-        raise _UsageError("sweep needs at least 4 h values for the remainder fit")
+        raise ValueError("sweep needs at least 4 h values for the remainder fit")
 
     reports = asympt.run_sweep(box, regime, h_list)
     bad = [r.h for r in reports if not r.kroger_ok]
@@ -258,7 +254,7 @@ def main(argv=None):
             args = _PARSER.parse_args(argv[:1] + flags + argv[1:])
         missing = [f"--{key}" for key in args.required if getattr(args, key) is None]
         if missing:
-            raise _UsageError(f"{args.command} requires {' and '.join(missing)}")
+            raise ValueError(f"{args.command} requires {' and '.join(missing)}")
         columns, rows, trailer = args.run(args)
         config = {key: value for key, value in vars(args).items()
                   if key not in ("run", "required", "output", "config") and value is not None}

@@ -92,7 +92,7 @@ def c_d(d):
     return CoefficientValue(4.0 * surf * (2.0 * math.pi) ** (-d) / (d * d - 1.0))
 
 
-def _l2_integral(d, b, abs_tol):
+def _l2_integral(d, b):
     """int_0^1 (1-p^2)^k * b / (b^2 + p^2) dp with k = (d+1)/2, for b != 0.
 
     The peak b / (b^2 + p^2) integrates in closed form to arctan(1/b); only
@@ -100,11 +100,11 @@ def _l2_integral(d, b, abs_tol):
     adaptive quadrature. That rest turns from ~ -k p^2 / b to ~ -k b across
     p ~ |b|, a turn one panel [|b|, 1] misses by up to ~k b^2 unseen by its
     error estimate, so the interval is split at every |b| * 16^j below 1.
-    Where k |b| <= abs_tol the rest is not integrated (at |b| <~ 1e-200 its
+    Where k |b| <= _L2_TOL the rest is not integrated (at |b| <~ 1e-200 its
     b^2 + p^2 underflows): it is reported as 0 with error k |b|.
     """
     k = 0.5 * (d + 1)
-    if k * abs(b) <= abs_tol:
+    if k * abs(b) <= _L2_TOL:
         return math.atan(1.0 / b), k * abs(b)
     b2 = b * b
 
@@ -116,7 +116,7 @@ def _l2_integral(d, b, abs_tol):
     while p < 1.0:
         breaks.append(p)
         p *= 16.0
-    res = adaptive_quadrature(rest, 0.0, 1.0, abs_tol=abs_tol, breakpoints=breaks)
+    res = adaptive_quadrature(rest, 0.0, 1.0, abs_tol=_L2_TOL, breakpoints=breaks)
     return math.atan(1.0 / b) + res.value, res.error_estimate
 
 
@@ -148,7 +148,7 @@ def l2(d, b):
     cd = c_d(d).value
     if b == 0.0:
         return CoefficientValue(cd * math.pi / 4.0)
-    integral, quad_err = _l2_integral(d, b, _L2_TOL)
+    integral, quad_err = _l2_integral(d, b)
     value = -math.pi / 4.0 + integral
     if b < 0.0:
         value += bound_state_mass(d, b)

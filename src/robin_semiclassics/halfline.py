@@ -71,11 +71,6 @@ def psi_bound(b, t):
     return math.sqrt(-2.0 * b) * math.exp(b * t)
 
 
-def psi_bound_derivative(b, t):
-    """d/dt of the bound state; equals b * psi_bound(b, t)."""
-    return b * psi_bound(b, t)
-
-
 def _kernel_factors(d, b, sin_phi, cos_phi):
     """t-independent factors of the I_b integrand in the phi = arcsin(p) variable.
 
@@ -234,7 +229,7 @@ def bound_state_overlap(b):
     return math.sqrt(-2.0 * b) / (1.0 - b)
 
 
-def reconstruct(b, test_fn_id, t):
+def reconstruct(b, t):
     """Reconstruct v(t) for v(s) = e^(-s) from the generalized eigenfunctions.
 
     Uses the closed-form transforms int e^(-s) cos(sp) ds = 1/(1+p^2) and
@@ -252,8 +247,6 @@ def reconstruct(b, test_fn_id, t):
     Raises ValueError where the integrand's (1 + p^2)(p^2 + b^2) overflows a
     float on [0, p_max], as it does once b * b does.
     """
-    if test_fn_id != "exp_decay":
-        raise ValueError(f"unknown test function id {test_fn_id!r}")
     b, t = coeffs.check_coupling(b), _check_t(t)
     # Both tails assume p_max >> |b|.
     p_max = 300.0 * max(1.0, abs(b))

@@ -12,8 +12,10 @@ closed form of every such band, the axis is cut at h^-2 and the bands are
 added. The axes split into halves 0..ceil(d/2)-1 and ceil(d/2)..d-1; each
 half folds into sorted partial sums below the cutoff (in 2-D a half is one
 axis), and the two sorted arrays are paired by the same prefix sums (meet
-in the middle), so no (d-1)-axis tuple array is built. The longer half is
-prefix-summed and the shorter one searched. The trace is of order h^-d
+in the middle), so no (d-1)-axis tuple array is built. A fold builds every
+pair sum before its cut, so one of more than _MAX_FOLD_SIZE sums raises
+ValueError before it is built. The longer half is prefix-summed and the
+shorter one searched. The trace is of order h^-d
 while the remainder checked against the paper is O(1), so the pairing is
 compensated: the prefix carries the TwoSum errors of its steps in a low
 part, and the row terms are added by a vectorized TwoSum tree.
@@ -35,6 +37,8 @@ from .spectra1d import RobinInterval, band_sum, enumerate_eigenvalues, negative_
 
 # Relative slack of kroger_check, for the rounding of trace and both bound terms.
 _KROGER_RTOL = 1e-10
+# Most sums one fold may build, 1 GiB of float64; past it _outer_sum raises ValueError.
+_MAX_FOLD_SIZE = 2**27
 
 
 @dataclass(frozen=True)
@@ -89,10 +93,13 @@ class RieszReport:
 
 
 def check_h(h):
-    """The semiclassical parameter as a float; it must be positive (NaN is not)."""
+    """The semiclassical parameter as a float; it must be positive (NaN is not),
+    and h^-2 must not overflow a float, as it does for h <= 2^-512."""
     h = float(h)
     if not h > 0.0:
         raise ValueError(f"need h > 0, got {h}")
+    if h <= 2.0**-512:
+        raise ValueError(f"h = {h} is too small: h^-2 overflows a float")
     return h
 
 
@@ -191,9 +198,17 @@ def _pair_trace(sorted_axis, other_axis, h):
     return _tree_sum(terms), int(counts.sum())
 
 
+def _outer_sum(a, b):
+    """All sums a_i + b_j, flat; raises ValueError first where there are more than _MAX_FOLD_SIZE."""
+    if a.size * b.size > _MAX_FOLD_SIZE:
+        raise ValueError(f"a fold of {a.size} x {b.size} eigenvalue sums is past the budget of "
+                         f"{_MAX_FOLD_SIZE} (2^27) sums")
+    return (a[:, None] + b[None, :]).ravel()
+
+
 def _reduce_pair(a, b, cutoff):
     """Sorted pair sums a_i + b_j not exceeding ``cutoff``."""
-    sums = (a[:, None] + b[None, :]).ravel()
+    sums = _outer_sum(a, b)
     sums = sums[sums <= cutoff]
     sums.sort()
     return sums
@@ -240,11 +255,14 @@ def riesz_mean(box, h):
 
 
 def trace_bruteforce(box, h):
-    """Naive full product-spectrum sum; the independence oracle for riesz_mean."""
+    """Naive full product-spectrum sum; the independence oracle for riesz_mean.
+
+    A product past _MAX_FOLD_SIZE tuples raises ValueError before it is built.
+    """
     spectra = axis_spectra(box, h)
     total = spectra[0]
     for spec in spectra[1:]:
-        total = (total[:, None] + spec[None, :]).ravel()
+        total = _outer_sum(total, spec)
     vals = 1.0 - h * h * total
     return math.fsum(vals[vals > 0.0].tolist())
 

@@ -187,14 +187,14 @@ def negative_eigenvalues(iv):
     return sorted(-k * k for k in kappas)
 
 
-def _brent_root(f, xa, xb, args=(), maxiter=_BRENT_MAX_ITER):
+def _brent_root(f, xa, xb, args=()):
     """A root of f(x, *args) on [xa, xb] by Brent's method (zeroin).
 
     Brent, Algorithms for Minimization without Derivatives (1973), ch. 4, in
     the form of scipy's brentq.c, step for step, so it returns the same
     floats as scipy.optimize.brentq with xtol = _BRENT_XTOL and rtol =
     _BRENT_RTOL. Raises EnumerationError if f has the same sign at both
-    ends, returns NaN, or has not converged after maxiter steps.
+    ends, returns NaN, or has not converged after _BRENT_MAX_ITER steps.
     """
 
     def value(x):
@@ -212,7 +212,7 @@ def _brent_root(f, xa, xb, args=(), maxiter=_BRENT_MAX_ITER):
         return xcur
     if (fpre < 0.0) == (fcur < 0.0):
         raise EnumerationError(f"f must have different signs at the ends, got {fpre!r} and {fcur!r}")
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAX_ITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -242,7 +242,7 @@ def _brent_root(f, xa, xb, args=(), maxiter=_BRENT_MAX_ITER):
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
-    raise EnumerationError(f"no convergence in {maxiter} steps, last iterate {xcur!r}")
+    raise EnumerationError(f"no convergence in {_BRENT_MAX_ITER} steps, last iterate {xcur!r}")
 
 
 def _zero_eigenvalue_present(iv):

@@ -273,6 +273,14 @@ def test_predict_checks_h(regime, b0, bad):
         predict(box, regime, bad)
 
 
+@THREE_REGIMES
+def test_predict_refuses_h_whose_inverse_square_overflows(regime, b0):
+    # h^-2 once raised OverflowError in riesz._axis_cutoff and here.
+    box = BoxDomain.uniform((1.0, SQ2), b0)
+    with pytest.raises(ValueError, match="h = 1e-160 is too small"):
+        predict(box, regime, 1e-160)
+
+
 @pytest.mark.parametrize("bad", [math.nan, 0.0, -0.01])
 def test_crossover_demo_checks_h(bad):
     box = BoxDomain.uniform((1.0, 1.0), -1.0)

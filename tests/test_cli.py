@@ -146,6 +146,34 @@ def test_usage_errors_name_the_option(tmp_path, monkeypatch, capsys, args, confi
     assert message in err
 
 
+def test_sweep_h_whose_inverse_square_overflows_is_a_usage_error(capsys):
+    # It once ended in an OverflowError traceback; every h is checked before any point runs.
+    code, out, err = run_cli(["sweep", "--regime", "fixed", "--b0", "0",
+                              "--h", "0.04,0.02,0.01,1e-160"], capsys)
+    assert code == 2 and out == ""
+    assert "h = 1e-160 is too small: h^-2 overflows a float" in err
+
+
+def test_six_dimensional_fold_past_the_budget_is_a_usage_error():
+    # At h = 1e-3 one half's fold would build 355762 x 780 sums, 2.07 GiB,
+    # which once ended in a numpy memory-error traceback. The child runs
+    # under a 2.5 GB address-space cap, so an unguarded fold fails there.
+    resource = pytest.importorskip("resource")
+    sides = ",".join(repr(math.sqrt(n)) for n in range(1, 7))
+    src = str(Path(cli.__file__).resolve().parents[1])
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2_500_000_000, 2_500_000_000))
+
+    run = subprocess.run([sys.executable, "-m", "robin_semiclassics", "sweep", "--sides", sides,
+                          "--regime", "fixed", "--b0", "1", "--h", "4e-3,3e-3,2e-3,1e-3"],
+                         env=dict(os.environ, PYTHONPATH=src), preexec_fn=cap,
+                         capture_output=True, text=True, check=False)
+    assert run.returncode == 2 and run.stdout == ""
+    assert "a fold of 355762 x 780 eigenvalue sums is past the budget of 134217728" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 def test_python_m_entry_point():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

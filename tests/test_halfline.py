@@ -43,7 +43,6 @@ def test_psi_for_huge_b(b):
 def test_boundary_conditions_exact():
     for b in B_GRID:
         assert abs(halfline.psi_derivative(b, 0.0) - b * halfline.psi(b, 0.0)) <= 1e-16
-        assert abs(halfline.psi_bound_derivative(b, 0.0) - b * halfline.psi_bound(b, 0.0)) <= 1e-16
 
 
 def test_ode_residuals_fd():
@@ -207,11 +206,11 @@ def test_reconstruct_cases():
     cases += [(10.0, 4e-3), (-10.0, 4e-3), (10.0, 1e-3), (0.0, 0.04), (2.0, 0.013), (300.0, 1.3e-4),
               (1e3, 4e-5)]
     for b, t in cases:
-        assert abs(halfline.reconstruct(b, "exp_decay", t) - math.exp(-t)) <= 1e-6, (b, t)
+        assert abs(halfline.reconstruct(b, t) - math.exp(-t)) <= 1e-6, (b, t)
     # At b = 1e5 (once off by 331), p_max = 3e7: the oscillation at t = 0.5
     # needs more panels than the budget, and reconstruct raises.
     with pytest.raises(QuadratureError, match="panels"):
-        halfline.reconstruct(1e5, "exp_decay", 0.5)
+        halfline.reconstruct(1e5, 0.5)
 
 
 @pytest.mark.parametrize("b", [1e200, -1e200, 1e100])
@@ -219,7 +218,7 @@ def test_reconstruct_names_an_overflowing_integrand(b):
     # (1 + p^2)(p^2 + b^2) overflows once b * b does, and before it at
     # p_max = 300 |b|; no RuntimeWarning comes first (they are errors here).
     with pytest.raises(ValueError, match="overflows"):
-        halfline.reconstruct(b, "exp_decay", 1.0)
+        halfline.reconstruct(b, 1.0)
 
 
 def test_reconstruct_at_b_minus_1_is_the_bound_state_part():
@@ -228,12 +227,7 @@ def test_reconstruct_at_b_minus_1_is_the_bound_state_part():
     # added to the bound-state part, not even a rounding.
     for t in (0.0, 1e-3, 0.5, 1.0, 2.0, 10.0, 100.0):
         want = halfline.psi_bound(-1.0, t) * halfline.bound_state_overlap(-1.0)
-        assert halfline.reconstruct(-1.0, "exp_decay", t) == want, t
-
-
-def test_reconstruct_rejects_unknown_fn():
-    with pytest.raises(ValueError):
-        halfline.reconstruct(0.0, "gaussian", 1.0)
+        assert halfline.reconstruct(-1.0, t) == want, t
 
 
 def test_i_b_panel_budget_caps_t():
@@ -255,11 +249,11 @@ def test_negative_t_rejected():
     for bad in (math.nan, math.inf, -math.inf):
         for call in (lambda: halfline.psi(1.0, bad), lambda: halfline.psi(bad, 1.0),
                      lambda: halfline.psi_derivative(bad, 1.0), lambda: halfline.psi_bound(-1.0, bad),
-                     lambda: halfline.psi_bound_derivative(bad, 1.0), lambda: halfline.i_b(2, 0.5, bad),
-                     lambda: halfline.i_b(2, bad, 1.0), lambda: halfline.i_b_integral(2, bad),
+                     lambda: halfline.i_b(2, 0.5, bad), lambda: halfline.i_b(2, bad, 1.0),
+                     lambda: halfline.i_b_integral(2, bad),
                      lambda: halfline.bound_state_overlap(bad),
-                     lambda: halfline.reconstruct(bad, "exp_decay", 1.0),
-                     lambda: halfline.reconstruct(0.5, "exp_decay", bad)):
+                     lambda: halfline.reconstruct(bad, 1.0),
+                     lambda: halfline.reconstruct(0.5, bad)):
             with pytest.raises(ValueError, match="finite"):
                 call()
 

@@ -1,5 +1,6 @@
 import bisect
 import math
+import re
 from dataclasses import fields
 from fractions import Fraction
 
@@ -208,6 +209,38 @@ def test_h_guard():
 def test_nan_h_rejected_by_the_h_guard():
     with pytest.raises(ValueError, match="need h > 0, got nan"):
         riesz_mean(BoxDomain.uniform((1.0, 1.0), 0.0), math.nan)
+
+
+def test_h_whose_inverse_square_overflows_is_rejected():
+    # h^-2 overflows exactly at h <= 2^-512; it once escaped as OverflowError.
+    box = BoxDomain.uniform((1.0, 1.0), 0.0)
+    with pytest.raises(ValueError, match="h = 1e-160 is too small: h\\^-2 overflows"):
+        riesz_mean(box, 1e-160)
+    with pytest.raises(ValueError, match="overflows"):
+        riesz.check_h(2.0**-512)
+    smallest = math.nextafter(2.0**-512, 1.0)
+    assert riesz.check_h(smallest) == smallest and math.isfinite(smallest**-2)
+
+
+def test_fold_past_the_budget_is_refused(monkeypatch):
+    # A 3-D box folds its first two axes into one half: the refusal names
+    # both sizes, and a budget of exactly their product still answers.
+    box = BoxDomain((1.0, SQ2, math.sqrt(3.0)), ((1.0, -0.5), (0.0, 2.0), (-1.0, 1.0)))
+    want = riesz_mean(box, 0.05)
+    monkeypatch.setattr(riesz, "_MAX_FOLD_SIZE", 100)
+    with pytest.raises(ValueError, match="past the budget of 100 ") as info:
+        riesz_mean(box, 0.05)
+    rows, cols = map(int, re.search(r"a fold of (\d+) x (\d+) ", str(info.value)).groups())
+    monkeypatch.setattr(riesz, "_MAX_FOLD_SIZE", rows * cols)
+    assert riesz_mean(box, 0.05) == want
+
+
+def test_trace_bruteforce_refuses_past_the_budget(monkeypatch):
+    box = BoxDomain.uniform((1.0, SQ2), -1.0)
+    sizes = [spec.size for spec in axis_spectra(box, 0.05)]
+    monkeypatch.setattr(riesz, "_MAX_FOLD_SIZE", sizes[0] * sizes[1] - 1)
+    with pytest.raises(ValueError, match=f"a fold of {sizes[0]} x {sizes[1]} eigenvalue sums"):
+        trace_bruteforce(box, 0.05)
 
 
 def test_negative_b_extends_partner_cutoff():

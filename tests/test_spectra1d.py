@@ -339,23 +339,23 @@ def test_brent_port_matches_scipy_brentq_bitwise(log_length, cl, cr, pairing):
         assert got.hex() == want.hex(), (iv, upper, a, b)
 
 
-def test_brent_root_fails_loudly():
+def test_brent_root_fails_loudly(monkeypatch):
     # The first step interpolates to 0.75, where f is NaN.
     with pytest.raises(EnumerationError, match="NaN at 0.75"):
         spectra1d._brent_root(lambda x: math.nan if 0.1 < x < 0.9 else x - 0.75, 0.0, 1.0)
+    monkeypatch.setattr(spectra1d, "_BRENT_MAX_ITER", 3)
     with pytest.raises(EnumerationError, match="no convergence in 3 steps"):
-        spectra1d._brent_root(lambda x: math.tan(x) - 1.0, 0.0, 1.5, maxiter=3)
+        spectra1d._brent_root(lambda x: math.tan(x) - 1.0, 0.0, 1.5)
 
 
 def test_bound_state_failures_name_the_branch(monkeypatch):
     # A non-converging root once escaped as scipy's RuntimeError, past the CLI's exits.
     iv = RobinInterval(1.0, -3.0, -2.0)
-    port = spectra1d._brent_root
-    monkeypatch.setattr(spectra1d, "_brent_root", lambda f, a, b, args: port(f, a, b, args, maxiter=3))
+    monkeypatch.setattr(spectra1d, "_BRENT_MAX_ITER", 3)
     with pytest.raises(EnumerationError, match=r"lower branch .* fails on \[.*\]: no convergence"):
         negative_eigenvalues(iv)
     branch = spectra1d._boundary_form_branch
-    monkeypatch.setattr(spectra1d, "_brent_root", port)
+    monkeypatch.undo()
     monkeypatch.setattr(spectra1d, "_boundary_form_branch",
                         lambda k, iv, upper: math.nan if upper and k < 1.0 else branch(k, iv, upper))
     with pytest.raises(EnumerationError, match="upper branch .* is NaN"):
