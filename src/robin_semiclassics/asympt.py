@@ -125,7 +125,7 @@ def _prediction(box, regime, h, l2_values):
 
 def predict(box, regime, h):
     """Two-term prediction: Weyl term and the regime's boundary term."""
-    return _prediction(box, regime, riesz.check_h(h), {})
+    return _prediction(box, regime, riesz.check_h(h, box.d), {})
 
 
 def _sweep_point(box, regime, h, l2_values):
@@ -147,7 +147,7 @@ def run_sweep(box, regime, h_list):
     mean and prediction. A boundary density l2(d, b) is computed once per
     distinct realized b in the sweep.
     """
-    items = [riesz.check_h(h) for h in h_list]
+    items = [riesz.check_h(h, box.d) for h in h_list]
     hs = sorted(set(items), reverse=True)
     if len(hs) != len(items):
         raise ValueError("sweep h values must be distinct")

@@ -4,19 +4,25 @@ The operator is H(b) = -h^2 Delta - 1 on a box with per-facet Robin
 coefficients b (classical coefficients c = b/h). Its Riesz mean is the
 sum of (1 - h^2 lambda)_+ over tuples of per-axis interval eigenvalues,
 evaluated by sorted prefix sums so that no O(N^2) pass is needed. It is
-assembled the same way in every dimension. Each axis's bound states give
-its floor, and each axis is enumerated once, to h^-2 less the other axes'
-floors (_axis_cutoff). In 2-D the roots of an axis above h^-2 pair only
-with the other axis's bound states; where spectra1d.band_sum certifies the
-closed form of every such band, the axis is cut at h^-2 and the bands are
-added. The axes split into halves 0..ceil(d/2)-1 and ceil(d/2)..d-1; each
-half folds into sorted partial sums below the cutoff (in 2-D a half is one
-axis), and the two sorted arrays are paired by the same prefix sums (meet
-in the middle), so no (d-1)-axis tuple array is built. A fold builds every
-pair sum before its cut, so one of more than _MAX_FOLD_SIZE sums raises
-ValueError before it is built. The longer half is prefix-summed and the
-shorter one searched. The trace is of order h^-d
-while the remainder checked against the paper is O(1), so the pairing is
+assembled by one rule in every dimension. A pattern pins each axis to one
+of its negative states or leaves it free on its nonnegative roots (a zero
+state among them), so its tuples are those of its free axes shifted by
+sigma, the sum of the pinned states. Patterns with the same free axes
+differ only in sigma, and each such set is one sum. Its free axes split
+into halves 0..ceil(f/2)-1 and the rest; each half folds into sorted
+partial sums up to h^-2 less the set's deepest sigma (a half of one axis
+is that axis, and one of none is [0]); and the two sorted arrays are
+paired by the same prefix sums (meet in the middle), the searched keys
+shifted by each sigma. The longer half is prefix-summed and the shorter
+one searched, and sets whose prefix-summed half is the same array share
+one pairing. A fold builds every pair sum before its cut, so one of more
+than _MAX_FOLD_SIZE sums raises ValueError, naming h, before it is built.
+Each axis is enumerated once, as far as the sets where it is free with
+another axis need. Its roots past that pair only in the set where it is
+the only free axis: where spectra1d.band_sum certifies the closed form of
+every such band, the bands are added, and else the axis is enumerated
+through that set's deepest sigma. The trace is of order h^-d while the
+remainder checked against the paper is O(1), so the pairing is
 compensated: the prefix carries the TwoSum errors of its steps in a low
 part, and the row terms are added by a vectorized TwoSum tree.
 
@@ -27,6 +33,7 @@ asympt.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -92,14 +99,17 @@ class RieszReport:
     kroger_ok: bool
 
 
-def check_h(h):
+def check_h(h, d=2):
     """The semiclassical parameter as a float; it must be positive (NaN is not),
-    and h^-2 must not overflow a float, as it does for h <= 2^-512."""
+    and h^-d must not overflow a float, as h^-2 does for h <= 2^-512. d is
+    the box's dimension; 2, the least a box has, is the default."""
     h = float(h)
     if not h > 0.0:
         raise ValueError(f"need h > 0, got {h}")
-    if h <= 2.0**-512:
-        raise ValueError(f"h = {h} is too small: h^-2 overflows a float")
+    try:
+        h**-d
+    except OverflowError:
+        raise ValueError(f"h = {h} is too small: h^-{d} overflows a float") from None
     return h
 
 
@@ -112,23 +122,18 @@ def _intervals(box, h):
     return [RobinInterval(side, lo / h, hi / h) for side, (lo, hi) in zip(box.sides, box.facet_b)]
 
 
-def _axis_cutoff(h, floors, i):
-    """How far axis i is enumerated: h^-2 less the other axes' floors.
-
-    A tuple below h^-2 puts at most h^-2 minus their floors on axis i. The
-    slack takes in a root that rounding in this difference or in the phase
-    count would put just past it; a root it takes in past the cut pairs
-    with nothing, since _pair_trace cuts every tuple at h^-2 exactly.
-    """
-    return (h**-2 - sum(f for j, f in enumerate(floors) if j != i)) * (1.0 + 1e-12)
-
-
 def axis_spectra(box, h):
-    """Exhaustive per-axis spectra with cutoffs raised by the partner axes'
-    negative parts, so no tuple below the total cutoff h^-2 is missed."""
+    """Exhaustive per-axis spectra, each to h^-2 less the other axes' floors.
+
+    A tuple below h^-2 puts no more than that on the axis, so none is
+    missed. Every enumeration cutoff, here and in riesz_mean, is raised by
+    a factor 1 + 1e-12. It takes in a root that rounding in the cutoff or in
+    the phase count would put just past it; a root it takes in past the cut
+    pairs with nothing, since _pair_trace cuts every tuple exactly.
+    """
     intervals = _intervals(box, h)
     floors = [min(negative_eigenvalues(iv), default=0.0) for iv in intervals]
-    return [enumerate_eigenvalues(iv, _axis_cutoff(h, floors, i)).eigenvalues
+    return [enumerate_eigenvalues(iv, (h**-2 - sum(floors[:i] + floors[i + 1:])) * (1.0 + 1e-12)).eigenvalues
             for i, iv in enumerate(intervals)]
 
 
@@ -214,43 +219,58 @@ def _reduce_pair(a, b, cutoff):
     return sums
 
 
+def _fold(spectra, h, shift):
+    """Sorted sums of one entry of each nonnegative spectrum, up to h^-2 - shift.
+
+    A lone spectrum is returned as it is, and no spectrum as [0], the sum of
+    the empty tuple. Each spectrum is cut before it is folded, since no sum
+    with a larger entry stays below the cut. A fold past _MAX_FOLD_SIZE
+    raises ValueError naming h.
+    """
+    cutoff = h**-2 - shift
+    combined = spectra[0] if spectra else np.zeros(1)
+    try:
+        for spectrum in spectra[1:]:
+            combined = _reduce_pair(combined[combined <= cutoff], spectrum[spectrum <= cutoff], cutoff)
+    except ValueError as exc:
+        raise ValueError(f"{exc} at h = {h}") from None
+    return combined
+
+
 def riesz_mean(box, h):
     """Riesz mean Tr(H(b))_-; returns a report with trace, eig_count and kroger_ok."""
-    h = check_h(h)
+    h = check_h(h, box.d)
     if h > min(box.sides) / 4.0:
-        raise ValueError(
-            f"h = {h} violates the h <= min(sides)/4 = {min(box.sides) / 4.0} guard"
-        )
+        raise ValueError(f"h = {h} violates the h <= min(sides)/4 = {min(box.sides) / 4.0} guard")
     intervals = _intervals(box, h)
     bound_states = [negative_eigenvalues(iv) for iv in intervals]
-    floors = [min(states, default=0.0) for states in bound_states]
-    spectra, parts, count = [], [], 0
+    # A pattern is a state or None (free) per axis; its shift sums the states.
+    shifts = {}  # each set of free axes -> the shifts of its patterns
+    for p in itertools.product(*[[None, *states] for states in bound_states]):
+        shifts.setdefault(tuple(i for i, y in enumerate(p) if y is None), []).append(sum(filter(None, p)))
+    spectra, sums = [], []  # sums: (trace, tuple count) of each band and each pairing
     for i, iv in enumerate(intervals):
-        lam_max = _axis_cutoff(h, floors, i)
-        if box.d == 2:
-            # A root x above h^-2 pairs only with a partner bound state y,
-            # adding h^2 (h^-2 - y - x), so the bands are summed in closed
-            # form where every one of them is certified. For d >= 3 a tuple
-            # can have two axes above h^-2, so the spectra stay exhaustive.
-            cut = _axis_cutoff(h, (), i)
-            bands = [band_sum(iv, cut, h**-2 - y) for y in bound_states[1 - i]]
-            if not any(band is None for band in bands):
-                lam_max = cut
-                parts += [h * h * band.value for band in bands]
-                count += sum(band.count for band in bands)
-        spectra.append(enumerate_eigenvalues(iv, lam_max).eigenvalues)
-    halves = []
-    for axes in (range((box.d + 1) // 2), range((box.d + 1) // 2, box.d)):
-        # Each half folds into sorted partial sums, cut at h^-2 less the
-        # floors of every axis not yet summed.
-        combined = spectra[axes[0]]
-        for i in axes[1:]:
-            allowance = sum(f for j, f in enumerate(floors) if j not in axes or j > i)
-            combined = _reduce_pair(combined, spectra[i], h**-2 - allowance)
-        halves.append(combined)
-    # The longer half is prefix-summed and the shorter one searched: fewer keys.
-    trace, pairs = _pair_trace(*sorted(halves, key=len, reverse=True), h)
-    trace, count = math.fsum([trace, *parts]), count + pairs
+        # Axis i is enumerated as far as a set where it is free with another
+        # axis needs, with axis_spectra's slack. A root x past that pairs only
+        # in the set where i is the only free axis, adding h^2 (h^-2 - sigma - x),
+        # so those bands are summed in closed form where all are certified.
+        lam_max = max(h**-2 - min(s) for axes, s in shifts.items() if i in axes and len(axes) > 1)
+        bands = [band_sum(iv, lam_max * (1.0 + 1e-12), h**-2 - y) for y in shifts.get((i,), ())]
+        if any(band is None for band in bands):
+            lam_max, bands = h**-2 - min(shifts[(i,)]), []
+        sums += [(h * h * band.value, band.count) for band in bands]
+        spectra.append(enumerate_eigenvalues(iv, lam_max * (1.0 + 1e-12)).eigenvalues[len(bound_states[i]):])
+    groups = {}  # id of a prefix-summed half -> that half and the keys searched in it
+    for axes, sigmas in shifts.items():
+        split = (len(axes) + 1) // 2
+        halves = [_fold([spectra[i] for i in part], h, min(sigmas)) for part in (axes[:split], axes[split:])]
+        # The longer half is prefix-summed and the shorter one searched, its
+        # keys shifted by each sigma (uncopied where the shift is 0).
+        longer, shorter = sorted(halves, key=len, reverse=True)
+        groups.setdefault(id(longer), (longer, []))[1].extend(shorter + s if s else shorter for s in sigmas)
+    sums += [_pair_trace(longer, keys[0] if len(keys) == 1 else np.concatenate(keys), h)
+             for longer, keys in groups.values()]
+    trace, count = math.fsum(part for part, _ in sums), sum(n for _, n in sums)
     return RieszReport(h=h, trace=trace, eig_count=count, kroger_ok=kroger_check(box, h, trace))
 
 

@@ -271,12 +271,19 @@ def _phase_count(iv, lam):
     """floor(Phi(sqrt(lam)) / pi), the number of eigenvalues <= lam, for lam > 0.
 
     It is at least N(0+): a state the zero condition places at 0 may truly
-    lie just above it, past a cutoff that small. A count of _MAX_PHASE_COUNT
-    or more raises ValueError, before any root is solved.
+    lie just above it, past a cutoff that small. Below k L = _PLAIN_KL the
+    plain sum may round up onto the multiple of pi that Phi lies just below
+    (Phi = 2 pi - 0.19 k near k = 0 on an interval of length 0.87 with one
+    state, at -144), so there the sign of _phase_offset, whose angle form
+    keeps small offsets, confirms the count. A count of _MAX_PHASE_COUNT or
+    more raises ValueError, before any root is solved.
     """
     k = math.sqrt(lam)
     phase = k * iv.length + math.atan2(k, iv.c_left) + math.atan2(k, iv.c_right)
-    count = max(math.floor(phase / math.pi), _nonpositive_count(iv))
+    nonpositive = _nonpositive_count(iv)
+    count = max(math.floor(phase / math.pi), nonpositive)
+    if count > nonpositive and k * iv.length < _PLAIN_KL:
+        count -= int(_phase_offset(iv, np.array([k]), np.array([float(count)]))[0][0] < 0.0)
     if count >= _MAX_PHASE_COUNT:
         raise ValueError(f"{count:.4g} eigenvalues of {iv} lie at or below {lam!r}, past the solver's 2^27")
     return count

@@ -281,6 +281,18 @@ def test_predict_refuses_h_whose_inverse_square_overflows(regime, b0):
         predict(box, regime, 1e-160)
 
 
+@THREE_REGIMES
+def test_predict_and_sweep_refuse_h_whose_power_of_minus_d_overflows(regime, b0):
+    # In 3-D h = 1e-110 passes the h^-2 check, but the Weyl term's
+    # h^-3 = 1e330 overflows; predict once raised OverflowError there.
+    box = BoxDomain.uniform((1.0, SQ2, math.sqrt(3.0)), b0)
+    with pytest.raises(ValueError, match=r"h = 1e-110 is too small: h\^-3 overflows"):
+        predict(box, regime, 1e-110)
+    with pytest.raises(ValueError, match=r"h = 1e-110 is too small: h\^-3 overflows"):
+        asympt.run_sweep(box, regime, [0.2, 0.1, 0.05, 1e-110])
+    assert predict(box, regime, 1e-100).weyl > 0.0
+
+
 @pytest.mark.parametrize("bad", [math.nan, 0.0, -0.01])
 def test_crossover_demo_checks_h(bad):
     box = BoxDomain.uniform((1.0, 1.0), -1.0)

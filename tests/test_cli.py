@@ -171,6 +171,7 @@ def test_six_dimensional_fold_past_the_budget_is_a_usage_error():
                          capture_output=True, text=True, check=False)
     assert run.returncode == 2 and run.stdout == ""
     assert "a fold of 355762 x 780 eigenvalue sums is past the budget of 134217728" in run.stderr
+    assert "sums at h = 0.001" in run.stderr
     assert "Traceback" not in run.stderr
 
 

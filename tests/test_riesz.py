@@ -119,6 +119,9 @@ def boxes_and_h(draw):
 @given(case=boxes_and_h())
 @example(case=(BoxDomain((0.8, 1.7), ((-2.0, 0.5), (1.0, -0.3))), 0.1))  # certified bands in 2-D
 @example(case=(BoxDomain((0.6, 1.9, 1.2, 0.7), ((-2.5, 1.0), (0.3, -1.2), (2.0, -0.4), (-3.0, 3.0))), 0.1))
+# Axis 0 has no state, so its bands are dropped and its one-free set must
+# still reach the two partner states' shift.
+@example(case=(BoxDomain((1.0, 1.0, 1.0), ((0.0, 0.0), (0.0, -1.0), (0.0, -1.0))), 0.25))
 def test_property_riesz_mean_matches_bruteforce(case):
     box, h = case
     spectra = axis_spectra(box, h)
@@ -131,6 +134,34 @@ def test_property_riesz_mean_matches_bruteforce(case):
     for spec in spectra[1:]:
         total = (total[:, None] + spec[None, :]).ravel()
     assert rep.eig_count == np.count_nonzero(1.0 - h * h * total > 0.0)
+
+
+def test_three_dimensional_large_regime_matches_bruteforce():
+    # gamma = 1/4, b0 = -1 at h = 0.02: c = -133 on every facet, so each axis
+    # has two states near -17700, seven times h^-2 deep, and every set of
+    # free axes has a pattern. The oracle's product is 6e5 tuples.
+    h = 0.02
+    box = BoxDomain.uniform((1.0, SQ2, math.sqrt(3.0)), -(h**-0.25))
+    spectra = axis_spectra(box, h)
+    assert all(spec[1] < -7.0 * h**-2 for spec in spectra)
+    rep = riesz_mean(box, h)
+    assert abs(rep.trace - trace_bruteforce(box, h)) <= 1e-10 * rep.trace
+    total = (spectra[0][:, None, None] + spectra[1][None, :, None] + spectra[2][None, None, :]).ravel()
+    assert rep.eig_count == np.count_nonzero(1.0 - h * h * total > 0.0)
+
+
+def test_three_dimensional_large_regime_answers_at_2_5e_4(monkeypatch):
+    # Folding whole axes, each enumerated past h^-2 by its partners' floors,
+    # took a 14377 x 20332 fold here, past the budget. Each set's folds are
+    # cut at its own h^-2 - sigma, and the largest (1273 x 1800) is far below
+    # 2^22 sums. Negative couplings raise the trace above Neumann's.
+    h = 2.5e-4
+    sides = (1.0, SQ2, math.sqrt(3.0))
+    monkeypatch.setattr(riesz, "_MAX_FOLD_SIZE", 2**22)
+    rep = riesz_mean(BoxDomain.uniform(sides, -(h**-0.25)), h)
+    neumann = riesz_mean(BoxDomain.uniform(sides, 0.0), h)
+    assert rep.kroger_ok and math.isfinite(rep.trace)
+    assert rep.trace > neumann.trace and rep.eig_count > neumann.eig_count
 
 
 def test_single_mode_hand_count():
@@ -227,8 +258,8 @@ def test_fold_past_the_budget_is_refused(monkeypatch):
     # both sizes, and a budget of exactly their product still answers.
     box = BoxDomain((1.0, SQ2, math.sqrt(3.0)), ((1.0, -0.5), (0.0, 2.0), (-1.0, 1.0)))
     want = riesz_mean(box, 0.05)
-    monkeypatch.setattr(riesz, "_MAX_FOLD_SIZE", 100)
-    with pytest.raises(ValueError, match="past the budget of 100 ") as info:
+    monkeypatch.setattr(riesz, "_MAX_FOLD_SIZE", 40)
+    with pytest.raises(ValueError, match="past the budget of 40 ") as info:
         riesz_mean(box, 0.05)
     rows, cols = map(int, re.search(r"a fold of (\d+) x (\d+) ", str(info.value)).groups())
     monkeypatch.setattr(riesz, "_MAX_FOLD_SIZE", rows * cols)

@@ -940,3 +940,34 @@ def test_phase_count_refuses_2_27_indices(monkeypatch):
                  lambda: spectra1d._phase_count(iv, ((2**27 - 0.5) * math.pi) ** 2)):
         with pytest.raises(ValueError, match=r"e\+08 eigenvalues .* past the solver's 2\^27"):
             call()
+
+
+# One state, at -143.897, and the first positive eigenvalue at 0.8969.
+ONE_DEEP_STATE = RobinInterval(0.8689832091001229, -11.995713818886975, -1.0285271763290529)
+
+
+@pytest.mark.parametrize("lam", [1e-300, 1e-40])
+def test_tiny_cutoff_reports_no_positive_root(lam):
+    # Phi(k) = 2 pi - 0.186 k near k = 0, and the plain sum rounds it onto
+    # 2 pi; the cutoff itself was once reported as an eigenvalue.
+    spectrum = enumerate_eigenvalues(ONE_DEEP_STATE, lam)
+    assert spectrum.eigenvalues.tolist() == negative_eigenvalues(ONE_DEEP_STATE)
+    assert spectrum.certificate.n_positive == 0
+    assert spectra1d._phase_count(ONE_DEEP_STATE, lam) == 1
+    assert enumerate_eigenvalues(ONE_DEEP_STATE, 0.9).eigenvalues[1] == pytest.approx(0.8969, abs=1e-4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(length=lengths, cl=couplings, cr=couplings, log_low=st.floats(-300.0, 3.0),
+       log_ratio=st.floats(0.0, 4.0))
+@example(length=ONE_DEEP_STATE.length, cl=ONE_DEEP_STATE.c_left, cr=ONE_DEEP_STATE.c_right,
+         log_low=-40.0, log_ratio=40.0)
+def test_property_spectrum_is_a_prefix_of_the_spectrum_at_a_larger_cutoff(length, cl, cr, log_low,
+                                                                          log_ratio):
+    # Each root is solved to a few ulps, and the top one in a bracket cut at
+    # the cutoff, so the shared roots agree to 1e-12 rather than bitwise.
+    iv = RobinInterval(length, cl, cr)
+    low = enumerate_eigenvalues(iv, 10.0**log_low).eigenvalues
+    high = enumerate_eigenvalues(iv, 10.0 ** (log_low + log_ratio)).eigenvalues
+    assert low.size <= high.size
+    np.testing.assert_allclose(low, high[:low.size], rtol=1e-12, atol=0.0)
