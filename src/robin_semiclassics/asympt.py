@@ -203,11 +203,3 @@ def fit_sweep(box, regime, reports):
         sign_flips=len(signs) > 1,
     )
 
-
-def crossover_demo(box, gamma, h):
-    """Boundary/Weyl ratio in the large regime; the ratio scales as
-    h^(1 - gamma (d+1)), so gamma = 1/(d+1) is the crossover."""
-    regime = RegimeSpec(REGIME_LARGE, gamma)
-    if not _has_negative_b0(box):
-        raise ValueError("crossover_demo needs a facet with negative b0")
-    return predict(box, regime, h)

@@ -46,6 +46,10 @@ from .spectra1d import RobinInterval, band_sum, enumerate_eigenvalues, negative_
 _KROGER_RTOL = 1e-10
 # Most sums one fold may build, 1 GiB of float64; past it _outer_sum raises ValueError.
 _MAX_FOLD_SIZE = 2**27
+# Factor on every enumeration cutoff. It takes in a root that rounding in the
+# cutoff or in the phase count would put just past it; a root it takes in past
+# the cut pairs with nothing, since _pair_trace cuts every tuple exactly.
+_CUTOFF_SLACK = 1.0 + 1e-12
 
 
 @dataclass(frozen=True)
@@ -126,14 +130,11 @@ def axis_spectra(box, h):
     """Exhaustive per-axis spectra, each to h^-2 less the other axes' floors.
 
     A tuple below h^-2 puts no more than that on the axis, so none is
-    missed. Every enumeration cutoff, here and in riesz_mean, is raised by
-    a factor 1 + 1e-12. It takes in a root that rounding in the cutoff or in
-    the phase count would put just past it; a root it takes in past the cut
-    pairs with nothing, since _pair_trace cuts every tuple exactly.
+    missed. Each cutoff is raised by _CUTOFF_SLACK.
     """
     intervals = _intervals(box, h)
     floors = [min(negative_eigenvalues(iv), default=0.0) for iv in intervals]
-    return [enumerate_eigenvalues(iv, (h**-2 - sum(floors[:i] + floors[i + 1:])) * (1.0 + 1e-12)).eigenvalues
+    return [enumerate_eigenvalues(iv, (h**-2 - sum(floors[:i] + floors[i + 1:])) * _CUTOFF_SLACK).eigenvalues
             for i, iv in enumerate(intervals)]
 
 
@@ -211,14 +212,6 @@ def _outer_sum(a, b):
     return (a[:, None] + b[None, :]).ravel()
 
 
-def _reduce_pair(a, b, cutoff):
-    """Sorted pair sums a_i + b_j not exceeding ``cutoff``."""
-    sums = _outer_sum(a, b)
-    sums = sums[sums <= cutoff]
-    sums.sort()
-    return sums
-
-
 def _fold(spectra, h, shift):
     """Sorted sums of one entry of each nonnegative spectrum, up to h^-2 - shift.
 
@@ -231,7 +224,9 @@ def _fold(spectra, h, shift):
     combined = spectra[0] if spectra else np.zeros(1)
     try:
         for spectrum in spectra[1:]:
-            combined = _reduce_pair(combined[combined <= cutoff], spectrum[spectrum <= cutoff], cutoff)
+            combined = _outer_sum(combined[combined <= cutoff], spectrum[spectrum <= cutoff])
+            combined = combined[combined <= cutoff]
+            combined.sort()
     except ValueError as exc:
         raise ValueError(f"{exc} at h = {h}") from None
     return combined
@@ -251,15 +246,15 @@ def riesz_mean(box, h):
     spectra, sums = [], []  # sums: (trace, tuple count) of each band and each pairing
     for i, iv in enumerate(intervals):
         # Axis i is enumerated as far as a set where it is free with another
-        # axis needs, with axis_spectra's slack. A root x past that pairs only
+        # axis needs, with _CUTOFF_SLACK. A root x past that pairs only
         # in the set where i is the only free axis, adding h^2 (h^-2 - sigma - x),
         # so those bands are summed in closed form where all are certified.
         lam_max = max(h**-2 - min(s) for axes, s in shifts.items() if i in axes and len(axes) > 1)
-        bands = [band_sum(iv, lam_max * (1.0 + 1e-12), h**-2 - y) for y in shifts.get((i,), ())]
+        bands = [band_sum(iv, lam_max * _CUTOFF_SLACK, h**-2 - y) for y in shifts.get((i,), ())]
         if any(band is None for band in bands):
             lam_max, bands = h**-2 - min(shifts[(i,)]), []
         sums += [(h * h * band.value, band.count) for band in bands]
-        spectra.append(enumerate_eigenvalues(iv, lam_max * (1.0 + 1e-12)).eigenvalues[len(bound_states[i]):])
+        spectra.append(enumerate_eigenvalues(iv, lam_max * _CUTOFF_SLACK).eigenvalues[len(bound_states[i]):])
     groups = {}  # id of a prefix-summed half -> that half and the keys searched in it
     for axes, sigmas in shifts.items():
         split = (len(axes) + 1) // 2

@@ -448,7 +448,8 @@ def _bracket_bounds(iv, lo):
 
     A coupling adds p = c / (k^2 + c^2) to Phi': p > 0 for c > 0, and
     p >= c / (lo^2 + c^2) for c < 0. Since 2 |c| k <= k^2 + c^2,
-    |p'| <= 1 / (lo^2 + c^2). M is inf where lo^2 + c^2 underflows to 0.
+    |p'| <= 1 / (lo^2 + c^2). M is inf where lo^2 + c^2 underflows to 0
+    or the two couplings' parts overflow in their sum.
     """
     def parts(c):  # c r where c < 0, and r = 1 / (lo^2 + c^2); both 0 for c = 0
         if c == 0.0:
@@ -459,7 +460,7 @@ def _bracket_bounds(iv, lo):
     with np.errstate(divide="ignore", over="ignore"):
         lo2 = lo * lo
         (neg_l, r_l), (neg_r, r_r) = _per_coupling(iv, parts)
-    return iv.length + neg_l + neg_r, r_l + r_r
+        return iv.length + neg_l + neg_r, r_l + r_r
 
 
 def _positive_eigenvalues(iv, n_low, n_high, lam_max):
@@ -521,8 +522,9 @@ def band_sum(iv, lam_low, lam):
     bounded analytically over the band (_remainder_bound). The sum is
     returned only when that bound is at most eps * value and its rounding
     bound at most _CLOSED_FORM_RTOL * value; its error adds the two. Otherwise
-    (short bands, a bound that is not finite or not small, huge couplings)
-    the result is None, and the caller enumerates the band.
+    (short bands, a bound that is not finite or not small, huge couplings,
+    a bound or a term past the float range) the result is None, and the
+    caller enumerates the band.
     """
     lam_low, lam = float(lam_low), float(lam)
     if not (math.isfinite(lam) and lam > 0.0):
@@ -535,8 +537,11 @@ def band_sum(iv, lam_low, lam):
     if n_top <= n_below:
         return BandSum(0.0, 0, 0.0)
     k_a, k_n = _phase_roots(iv, np.array([n_below + 1, n_top], dtype=float), math.sqrt(lam)).tolist()
-    bound = _remainder_bound(iv, k_a, k_n)
-    value, rounding = _closed_form_band(iv, k_a, k_n, lam)
+    try:  # on tiny or huge intervals, Phi'^4 or k_N^3 may leave the float range
+        bound = _remainder_bound(iv, k_a, k_n)
+        value, rounding = _closed_form_band(iv, k_a, k_n, lam)
+    except (OverflowError, ZeroDivisionError):
+        return None
     if not (bound <= _EPS * value and rounding <= _CLOSED_FORM_RTOL * value):
         return None
     return BandSum(value, n_top - n_below - (lam - k_n * k_n <= 0.0), bound + rounding)

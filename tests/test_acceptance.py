@@ -18,7 +18,7 @@ import pytest
 
 from conftest import neumann_count
 from robin_semiclassics import asympt, cli, coeffs, halfline
-from robin_semiclassics.asympt import RegimeSpec, crossover_demo, fit_sweep, run_sweep
+from robin_semiclassics.asympt import RegimeSpec, fit_sweep, predict, run_sweep
 from robin_semiclassics.riesz import BoxDomain, riesz_mean
 from robin_semiclassics.spectra1d import RobinInterval, enumerate_eigenvalues, fd_oracle
 
@@ -213,7 +213,7 @@ def test_criterion_07_large_regime(sweep_large):
     reports = list(reports) + run_sweep(box_neg, regime, H_LARGE_EXTRA)
     norms = [asympt.normalized_remainder(box_neg, regime, rep) for rep in reports]
     decreasing = all(b < a for a, b in zip(norms[:-1], norms[1:]))
-    ratios = [crossover_demo(box_neg, gamma, h).ratio for h in H_SWEEP]
+    ratios = [predict(box_neg, regime, h).ratio for h in H_SWEEP]
     target = 2.0 ** -(1.0 - 3.0 * gamma)
     halving_dev = max(abs((ratios[i + 1] / ratios[i]) / target - 1.0)
                       for i in range(len(ratios) - 1))

@@ -10,7 +10,6 @@ from robin_semiclassics.asympt import (
     RegimeSpec,
     SweepFit,
     SweepPoint,
-    crossover_demo,
     fit_sweep,
     predict,
 )
@@ -252,16 +251,16 @@ def test_neumann_box_remainder_averages_to_corner_term():
 def test_crossover_ratio_scaling():
     box = BoxDomain.uniform((1.0, 1.0), -1.0)
     # gamma < 1/(d+1): boundary/weyl ratio shrinks as h decreases
-    r1 = crossover_demo(box, 0.2, 0.01)
-    r2 = crossover_demo(box, 0.2, 0.005)
+    r1 = predict(box, RegimeSpec("large", 0.2), 0.01)
+    r2 = predict(box, RegimeSpec("large", 0.2), 0.005)
     assert r2.ratio < r1.ratio
     # gamma > 1/(d+1): ratio grows
-    r1 = crossover_demo(box, 0.5, 0.01)
-    r2 = crossover_demo(box, 0.5, 0.005)
+    r1 = predict(box, RegimeSpec("large", 0.5), 0.01)
+    r2 = predict(box, RegimeSpec("large", 0.5), 0.005)
     assert r2.ratio > r1.ratio
     # at gamma = 1/(d+1) the ratio is h-independent up to lower-order terms
-    r1 = crossover_demo(box, 1.0 / 3.0, 0.01)
-    r2 = crossover_demo(box, 1.0 / 3.0, 0.005)
+    r1 = predict(box, RegimeSpec("large", 1.0 / 3.0), 0.01)
+    r2 = predict(box, RegimeSpec("large", 1.0 / 3.0), 0.005)
     assert abs(r2.ratio / r1.ratio - 1.0) < 0.05
 
 
@@ -291,19 +290,6 @@ def test_predict_and_sweep_refuse_h_whose_power_of_minus_d_overflows(regime, b0)
     with pytest.raises(ValueError, match=r"h = 1e-110 is too small: h\^-3 overflows"):
         asympt.run_sweep(box, regime, [0.2, 0.1, 0.05, 1e-110])
     assert predict(box, regime, 1e-100).weyl > 0.0
-
-
-@pytest.mark.parametrize("bad", [math.nan, 0.0, -0.01])
-def test_crossover_demo_checks_h(bad):
-    box = BoxDomain.uniform((1.0, 1.0), -1.0)
-    with pytest.raises(ValueError, match=f"need h > 0, got {bad}"):
-        crossover_demo(box, 0.25, bad)
-
-
-def test_crossover_requires_negative_part():
-    box = BoxDomain.uniform((1.0, 1.0), 1.0)
-    with pytest.raises(ValueError):
-        crossover_demo(box, 0.25, 0.01)
 
 
 def test_neumann_sweep_remainder_decay():

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from robin_semiclassics import coeffs, riesz, spectra1d
 from robin_semiclassics.riesz import (
     BoxDomain,
+    _outer_sum,
     _pair_trace,
-    _reduce_pair,
     _tree_sum,
     axis_spectra,
     kroger_check,
@@ -95,10 +95,34 @@ def test_bruteforce_equivalence_d3():
      0.2),
 ])
 def test_bruteforce_equivalence_d4_d5(box, h):
-    # Negative floors on both halves of the axis split exercise the cutoff
-    # allowance that one half takes for the other.
+    # Negative floors on both halves of the axis split: each set of free
+    # axes folds its halves up to h^-2 less its own deepest shift.
     rep = riesz_mean(box, h)
     assert abs(rep.trace - trace_bruteforce(box, h)) <= 1e-10 * max(1.0, rep.trace)
+
+
+def test_tiny_couplings_raise_no_overflow_warning():
+    # The bracket bound's 1 / c_l^2 + 1 / c_r^2 overflows for |c| near 1e-154;
+    # it is formed where numpy's overflow warning is off.
+    iv = spectra1d.RobinInterval(1.0, 1e-154, 1e-154)
+    eigenvalues = spectra1d.enumerate_eigenvalues(iv, 100.0).eigenvalues
+    np.testing.assert_allclose(eigenvalues, [0.0, math.pi**2, 4.0 * math.pi**2, 9.0 * math.pi**2],
+                               rtol=1e-12, atol=1e-12)
+    assert riesz_mean(BoxDomain.uniform((1.0, 1.3), 1e-155), 0.1).kroger_ok
+
+
+@pytest.mark.parametrize("length", [1e-60, 1e-82, 1e-100, 1e-105, 1e-130, 1e-150])
+def test_riesz_mean_scale_invariant_on_tiny_boxes(length):
+    # Scaling the sides and h by one factor leaves the trace unchanged. On
+    # tiny boxes Phi'^4 in the band remainder bound underflows (sides below
+    # about 1e-82) and k^3 in the closed form overflows (below about 1e-103),
+    # so those bands are enumerated.
+    box = BoxDomain.uniform((length, 1.3 * length), -1.0)
+    rep = riesz_mean(box, length / 4.0)
+    unit = riesz_mean(BoxDomain.uniform((1.0, 1.3), -1.0), 0.25)
+    assert abs(rep.trace - unit.trace) <= 1e-13 * unit.trace
+    assert rep.eig_count == unit.eig_count == 8
+    assert abs(rep.trace - trace_bruteforce(box, length / 4.0)) <= 1e-10 * max(1.0, rep.trace)
 
 
 # How far below the h <= min(sides)/4 guard h is drawn, in decades, per d:
@@ -339,7 +363,9 @@ def test_pair_trace_near_exact_rational(box, h, exits_early):
     combined = spectra[0]
     for axis in range(1, box.d - 1):
         allowance = sum(min(0.0, float(spec.min())) for spec in spectra[axis + 1:])
-        combined = _reduce_pair(combined, spectra[axis], h**-2 - allowance)
+        combined = _outer_sum(combined, spectra[axis])
+        combined = combined[combined <= h**-2 - allowance]
+        combined.sort()
     # Whether the last partner eigenvalue passes the cutoff, i.e. the loop breaks.
     assert (combined[0] + spectra[-1][-1] >= h**-2) == exits_early
     trace, count = _pair_trace(combined, spectra[-1], h)

@@ -828,6 +828,7 @@ bound_left, bound_right = left_and_right(bound_couplings, "bound")
 @example(length=1.0, cl=-0.3, cr=-0.3, log_lo=-1.0, u=1.0)
 @example(length=1.0, cl=0.0, cr=0.0, log_lo=0.0, u=0.5)
 @example(length=1.0, cl=1e-200, cr=1e-200, log_lo=-150.0, u=0.5)
+@example(length=1.0, cl=1e-154, cr=1e-154, log_lo=-200.0, u=0.0)  # each 1 / c^2 is finite, their sum is not
 def test_property_bracket_bounds_hold_past_lo(length, cl, cr, log_lo, u):
     # m <= Phi'(k) and |Phi''(k)| <= M for k in [lo, 8 lo], against 30-digit
     # values, up to the bounds' own rounding: a few eps of the terms of m,
