@@ -15,13 +15,21 @@ is that axis, and one of none is [0]); and the two sorted arrays are
 paired by the same prefix sums (meet in the middle), the searched keys
 shifted by each sigma. The longer half is prefix-summed and the shorter
 one searched, and sets whose prefix-summed half is the same array share
-one pairing. A fold builds every pair sum before its cut, so one of more
-than _MAX_FOLD_SIZE sums raises ValueError, naming h, before it is built.
+one pairing. A set of at most two free axes has uncut halves; where its
+longer half is axis j, j is prefix-summed with its states below its
+roots, so the pairing also takes in the set without j (shifts sigma +
+y_j), if that set exists and is not yet taken in. Sets come in product
+order, so a set is taken in before it would run; in 2-D one pairing then
+serves every set unless neither axis enumerates a nonnegative root. A
+fold builds every pair sum before its cut, so one of more than
+_MAX_FOLD_SIZE sums raises ValueError, naming h, before it is built.
 Each axis is enumerated once, as far as the sets where it is free with
 another axis need. Its roots past that pair only in the set where it is
 the only free axis: where spectra1d.band_sum certifies the closed form of
 every such band, the bands are added, and else the axis is enumerated
-through that set's deepest sigma. The trace is of order h^-d while the
+through that set's deepest sigma. band_sum runs once per distinct shift
+of that set (a uniform axis's two states are one float), and each band is
+added once per pattern. The trace is of order h^-d while the
 remainder checked against the paper is O(1), so the pairing is
 compensated: the prefix carries the TwoSum errors of its steps in a low
 part, and the row terms are added by a vectorized TwoSum tree.
@@ -250,18 +258,36 @@ def riesz_mean(box, h):
         # in the set where i is the only free axis, adding h^2 (h^-2 - sigma - x),
         # so those bands are summed in closed form where all are certified.
         lam_max = max(h**-2 - min(s) for axes, s in shifts.items() if i in axes and len(axes) > 1)
-        bands = [band_sum(iv, lam_max * _CUTOFF_SLACK, h**-2 - y) for y in shifts.get((i,), ())]
-        if any(band is None for band in bands):
-            lam_max, bands = h**-2 - min(shifts[(i,)]), []
-        sums += [(h * h * band.value, band.count) for band in bands]
+        ys = shifts.get((i,), [])
+        # One band per distinct shift (a uniform axis's two states are one
+        # float), added once per pattern.
+        bands = {y: band_sum(iv, lam_max * _CUTOFF_SLACK, h**-2 - y) for y in dict.fromkeys(ys)}
+        if None in bands.values():
+            lam_max, ys = h**-2 - min(ys), []
+        sums += [(h * h * bands[y].value, bands[y].count) for y in ys]
         spectra.append(enumerate_eigenvalues(iv, lam_max * _CUTOFF_SLACK).eigenvalues[len(bound_states[i]):])
     groups = {}  # id of a prefix-summed half -> that half and the keys searched in it
+    # wholes: (j,) -> axis j's states and roots, built once so that its
+    # pairings share one prefix; taken: the sets another set's pairing covers.
+    wholes, taken = {}, set()
     for axes, sigmas in shifts.items():
+        if axes in taken:
+            continue
         split = (len(axes) + 1) // 2
-        halves = [_fold([spectra[i] for i in part], h, min(sigmas)) for part in (axes[:split], axes[split:])]
+        parts = (axes[:split], axes[split:])
+        halves = [_fold([spectra[i] for i in part], h, min(sigmas)) for part in parts]
         # The longer half is prefix-summed and the shorter one searched, its
         # keys shifted by each sigma (uncopied where the shift is 0).
-        longer, shorter = sorted(halves, key=len, reverse=True)
+        (longer, part), (shorter, _) = sorted(zip(halves, parts), key=lambda half: len(half[0]), reverse=True)
+        # Halves of at most two free axes are uncut. A longer half that is
+        # axis j is prefix-summed with j's states below its roots, so the
+        # pairing also covers the set without j, whose shifts are sigma + y_j.
+        rest = tuple(i for i in axes if i not in part)
+        if len(axes) <= 2 and len(part) == 1 and rest in shifts.keys() - taken:
+            taken.add(rest)
+            if part not in wholes:
+                wholes[part] = np.concatenate((bound_states[part[0]], longer))
+            longer = wholes[part]
         groups.setdefault(id(longer), (longer, []))[1].extend(shorter + s if s else shorter for s in sigmas)
     sums += [_pair_trace(longer, keys[0] if len(keys) == 1 else np.concatenate(keys), h)
              for longer, keys in groups.values()]

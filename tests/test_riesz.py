@@ -1,4 +1,5 @@
 import bisect
+import itertools
 import math
 import re
 from dataclasses import fields
@@ -457,10 +458,10 @@ def test_pair_trace_of_a_shuffled_sweep_axis():
 
 @pytest.mark.parametrize("box,h,paths", [
     # Large regime gamma = 1/4, b0 = -1: b = -h^(-1/4). Uniform axes have two
-    # bound states each, each pairing with the band of the other axis.
-    (BoxDomain.uniform((1.0, SQ2), -(1e-3 ** -0.25)), 1e-3, (False,) * 4),
-    (BoxDomain.uniform((1.0, SQ2), -(2e-4 ** -0.25)), 2e-4, (True,) * 4),
-    (BoxDomain.uniform((1.0, SQ2), -1.0), 4e-5, (True,) * 4),
+    # bound states each, the same float, so each axis takes one band.
+    (BoxDomain.uniform((1.0, SQ2), -(1e-3 ** -0.25)), 1e-3, (False,) * 2),
+    (BoxDomain.uniform((1.0, SQ2), -(2e-4 ** -0.25)), 2e-4, (True,) * 2),
+    (BoxDomain.uniform((1.0, SQ2), -1.0), 4e-5, (True,) * 2),
     # The first band holds no root; the second, 7 roots, is too short for
     # the closed form, so the second axis is enumerated.
     (BoxDomain((0.8, 1.7), ((-2.0, 0.5), (1.0, -0.3))), 0.1, (True, False)),
@@ -493,10 +494,10 @@ def test_band_sums_match_the_inflated_enumeration(monkeypatch, box, h, paths):
 
 
 def test_no_phase_index_is_solved_twice(monkeypatch):
-    # Uniform b0 = -1 at h = 1e-3: each axis has two nearly degenerate bound
-    # states, so the two bands of an axis span the same phase indices. Each
-    # band may solve its two end roots; every other index is solved once,
-    # by the one enumeration of its axis (1093 indices in all).
+    # Uniform b0 = -1 at h = 1e-3: each axis has two bound states, the same
+    # float, so each axis takes one band. Each band may solve its two end
+    # roots; every other index is solved once, by the one enumeration of its
+    # axis (1093 indices in all).
     solved, enumerated, bands = [], [], []
     phase_roots, enumerate_eigenvalues, band_sum = (
         spectra1d._phase_roots, riesz.enumerate_eigenvalues, riesz.band_sum)
@@ -518,8 +519,70 @@ def test_no_phase_index_is_solved_twice(monkeypatch):
     monkeypatch.setattr(riesz, "enumerate_eigenvalues", counted_enumeration)
     monkeypatch.setattr(riesz, "band_sum", counted_band)
     riesz_mean(BoxDomain.uniform((1.0, SQ2), -1.0), 1e-3)
-    assert len(enumerated) == 2 and len(bands) == 4
+    assert len(enumerated) == 2 and len(bands) == 2
     assert sum(solved) <= sum(enumerated) + 2 * len(bands)
+
+
+def _product_count(box, h):
+    """Tuples below h^-2 in the full product of axis_spectra."""
+    spectra = axis_spectra(box, h)
+    total = spectra[0]
+    for spec in spectra[1:]:
+        total = (total[:, None] + spec[None, :]).ravel()
+    return np.count_nonzero(1.0 - h * h * total > 0.0)
+
+
+DISTINCT_2D = BoxDomain((1.0, SQ2), ((-1.0, -1.5), (-0.7, -1.2)))
+DISTINCT_3D = BoxDomain((1.0, SQ2, 1.3), ((-1.0, -1.5), (-0.7, 0.4), (-1.1, -1.1)))
+UNIFORM_3D = BoxDomain.uniform((1.0, SQ2, 1.3), -1.0)
+
+
+@pytest.mark.parametrize("box,h", [
+    # Two distinct states per axis: four distinct shifts per one-free set.
+    *[(DISTINCT_2D, h) for h in (1e-2, 2e-3, 5e-4)],
+    # Distinct states on axis 0, one on axis 1, a pinched pair on axis 2.
+    *[(DISTINCT_3D, h) for h in (0.05, 0.02, 0.01)],
+    # Sets (0, 1) and (0, 2) both reach (0,); only the first takes it in.
+    (UNIFORM_3D, 0.02),
+])
+def test_taken_in_sets_match_bruteforce(box, h):
+    # A set of at most two free axes pairs its longer axis with that axis's
+    # states below its roots, so its pairing also covers the set without it.
+    rep = riesz_mean(box, h)
+    oracle = trace_bruteforce(box, h)
+    assert rep.eig_count == _product_count(box, h)
+    assert abs(rep.trace - oracle) <= 1e-14 * oracle
+
+
+@pytest.mark.parametrize("box,h,pairings", [
+    (BoxDomain.uniform((1.0, SQ2), -1.0), 4e-5, 1),
+    (BoxDomain.uniform((1.0, SQ2), -(1e-3 ** -0.25)), 1e-3, 1),
+    (DISTINCT_2D, 2e-3, 1),
+    (UNIFORM_3D, 0.02, 3),
+])
+def test_one_pairing_in_2d_and_one_band_per_distinct_shift(monkeypatch, box, h, pairings):
+    # In 2-D the set of both axes takes in one one-free set, and the other
+    # one-free set takes in the set of none, through the same prefix: one
+    # pairing. Each axis sums one band per distinct shift of its one-free set.
+    pairs, bands = [], []
+    pair_trace, band_sum = riesz._pair_trace, riesz.band_sum
+
+    def counted_pair(*args):
+        pairs.append(args)
+        return pair_trace(*args)
+
+    def counted_band(*args):
+        bands.append(args)
+        return band_sum(*args)
+
+    monkeypatch.setattr(riesz, "_pair_trace", counted_pair)
+    monkeypatch.setattr(riesz, "band_sum", counted_band)
+    riesz_mean(box, h)
+    states = [spectra1d.negative_eigenvalues(iv) for iv in riesz._intervals(box, h)]
+    distinct = sum(len({sum(p) for p in itertools.product(*states[:i], *states[i + 1:])})
+                   for i in range(box.d))
+    assert len(pairs) == pairings
+    assert len(bands) == len(set(bands)) == distinct
 
 
 @pytest.mark.parametrize("sides", [(1.0, SQ2), (1.0, SQ2, 1.3), (1.0, SQ2, 1.3, 0.9)])
