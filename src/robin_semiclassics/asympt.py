@@ -102,7 +102,8 @@ def _facet_densities(box, regime, h, l2_values):
     """Per-facet boundary densities; l2_values maps each realized b to l2(d, b).value.
 
     The dict lives for one sweep, so a fixed regime computes each distinct b
-    once per sweep, and every sweep pays for its own quadratures.
+    once per sweep, and every sweep computes its own l2 values (a quadrature
+    each where |b| <= 1.5, a short series beyond).
     """
     quarter = 0.25 * coeffs.l1(box.d - 1).value
     if regime.kind == REGIME_SMALL:

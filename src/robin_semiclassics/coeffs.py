@@ -1,10 +1,10 @@
 """Semiclassical constants for the two-term Robin eigenvalue-sum asymptotics.
 
 Closed forms for unit-ball volumes, sphere surfaces and the Weyl
-coefficient; adaptive quadrature for the boundary-density coefficient
-l2(d, b), which interpolates between +l1(d-1)/4 at b = 0 and
--l1(d-1)/4 as b -> +infinity and grows like pi*c_d*|b|^(d+1) as
-b -> -infinity.
+coefficient. The boundary-density coefficient l2(d, b) interpolates
+between +l1(d-1)/4 at b = 0 and -l1(d-1)/4 as b -> +infinity and grows
+like pi*c_d*|b|^(d+1) as b -> -infinity; its p-integral is an
+alternating Beta series for |b| > 1.5 and adaptive quadrature otherwise.
 """
 
 from __future__ import annotations
@@ -19,14 +19,24 @@ from .quadrature import adaptive_quadrature
 MIN_DIMENSION = 2
 MAX_DIMENSION = 8  # desk-scale guard
 _L2_TOL = 1e-13  # absolute tolerance of l2's quadrature
+_L2_SERIES_MIN = 1.5  # l2's p-integral is a series for |b| above this
+# Past |b| = 1.5 each series term is below 1/2.25 = 4/9 of the one before,
+# and the alternating sum is at least 1 - 4/9 = 5/9 of its first term, so
+# after N terms the first omitted one is below (9/5) (4/9)^N of the sum:
+# below 2^-53 of it from N = 47 on.
+_L2_SERIES_TERMS = 47
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
 class CoefficientValue:
-    """A dimensionless constant with a certified absolute error bound.
+    """A dimensionless constant and an absolute error estimate.
 
-    ``abs_error_estimate`` is 0 for closed-form values and the summed
-    quadrature error estimate otherwise.
+    ``abs_error_estimate`` is 0 for closed-form values. For l2 it is c_d times
+    the error of its p-integral alone (the quadrature's error estimate, or
+    the series' truncation and rounding bound). The rounding of the sum
+    around that integral, c_d (-pi/4 + I + pi (1 + b^2)^((d+1)/2)), is not
+    counted (see l2).
     """
 
     value: float
@@ -92,18 +102,45 @@ def c_d(d):
     return CoefficientValue(4.0 * surf * (2.0 * math.pi) ** (-d) / (d * d - 1.0))
 
 
-def _l2_integral(d, b):
-    """int_0^1 (1-p^2)^k * b / (b^2 + p^2) dp with k = (d+1)/2, for b != 0.
+def _l2_series(d, k, b):
+    """_l2_integral for |b| > 1.5 as sum_n (-1)^n b^(-2n-1) beta_n.
 
-    The peak b / (b^2 + p^2) integrates in closed form to arctan(1/b); only
-    the rest ((1-p^2)^k - 1) * b / (b^2 + p^2), bounded by k |b|, goes to
-    adaptive quadrature. That rest turns from ~ -k p^2 / b to ~ -k b across
-    p ~ |b|, a turn one panel [|b|, 1] misses by up to ~k b^2 unseen by its
-    error estimate, so the interval is split at every |b| * 16^j below 1.
-    Where k |b| <= _L2_TOL the rest is not integrated (at |b| <~ 1e-200 its
+    beta_n = int_0^1 p^(2n) (1-p^2)^k dp, with beta_0 =
+    sqrt(pi) Gamma(k+1) / (2 Gamma(k+3/2)) and beta_(n+1) = beta_n (n+1/2)
+    / (n+k+3/2). The terms alternate and shrink, so the first omitted one
+    bounds the truncation. Rounding: beta_0 takes at most 16 rounded
+    operations, each later term 5 more, and the running sum of N terms
+    N - 1 more, so (6N + 16) 2^-53 times the sum of |terms| bounds it.
+    Where b^2 overflows, 1 / b^2 is 0 and the series is its first term.
+    """
+    beta0 = math.sqrt(math.pi) * gamma_half_integer(d + 3) / (2.0 * gamma_half_integer(d + 4))
+    q = 1.0 / (b * b)
+    term = beta0 / b
+    total = abs_sum = 0.0
+    for n in range(_L2_SERIES_TERMS):
+        total += term
+        abs_sum += abs(term)
+        term *= -q * (n + 0.5) / (n + k + 1.5)
+        if abs(term) <= _UNIT_ROUNDOFF * abs(total):
+            break
+    return total, abs(term) + (6 * (n + 1) + 16) * _UNIT_ROUNDOFF * abs_sum
+
+
+def _l2_integral(d, b):
+    """int_0^1 (1-p^2)^k * b / (b^2 + p^2) dp with k = (d+1)/2, and its error, for b != 0.
+
+    For |b| > _L2_SERIES_MIN it is _l2_series. Otherwise the peak
+    b / (b^2 + p^2) integrates in closed form to arctan(1/b); only the rest
+    ((1-p^2)^k - 1) * b / (b^2 + p^2), bounded by k |b|, goes to adaptive
+    quadrature. That rest turns from ~ -k p^2 / b to ~ -k b across p ~ |b|,
+    a turn one panel [|b|, 1] misses by up to ~k b^2 unseen by its error
+    estimate, so the interval is split at every |b| * 16^j below 1. Where
+    k |b| <= _L2_TOL the rest is not integrated (at |b| <~ 1e-200 its
     b^2 + p^2 underflows): it is reported as 0 with error k |b|.
     """
     k = 0.5 * (d + 1)
+    if abs(b) > _L2_SERIES_MIN:
+        return _l2_series(d, k, b)
     if k * abs(b) <= _L2_TOL:
         return math.atan(1.0 / b), k * abs(b)
     b2 = b * b
@@ -140,25 +177,38 @@ def l2(d, b):
     b > 0:  c_d * (-pi/4 + I(b))
     b = 0:  c_d * pi/4
     b < 0:  c_d * (-pi/4 + I(b) + pi * (b^2 + 1)^((d+1)/2))
-    with I(b) the p-integral evaluated by adaptive quadrature. Where the
-    bound-state term overflows a float (below about b = -3.9e102 for d = 2,
-    -1.6e34 for d = 8), bound_state_mass raises ValueError.
+    with I(b) the p-integral: an alternating Beta series for |b| > 1.5,
+    adaptive quadrature otherwise. abs_error_estimate is c_d times the
+    integral's error alone, not a bound on l2's: it leaves out the rounding
+    of the sum above, which grows with the bound-state term (l2(8, -1e5),
+    about 2.7e39, is off by about 5.7e22 against an estimate of 1e-26).
+    Where the bound-state term overflows a float (below about
+    b = -3.9e102 for d = 2, -1.6e34 for d = 8), bound_state_mass raises
+    ValueError.
     """
     d, b = check_dimension(d), check_coupling(b)
     cd = c_d(d).value
     if b == 0.0:
         return CoefficientValue(cd * math.pi / 4.0)
-    integral, quad_err = _l2_integral(d, b)
+    integral, err = _l2_integral(d, b)
     value = -math.pi / 4.0 + integral
     if b < 0.0:
         value += bound_state_mass(d, b)
-    return CoefficientValue(cd * value, cd * quad_err)
+    return CoefficientValue(cd * value, cd * err)
 
 
 def l2_large_negative_leading(d, b):
-    """Leading large-coupling density pi * c_d * (-b)^(d+1), for b < 0."""
-    d = check_dimension(d)
-    b = float(b)
+    """Leading large-coupling density pi * c_d * (-b)^(d+1), for finite b < 0.
+
+    Raises ValueError where it overflows a float.
+    """
+    d, b = check_dimension(d), check_coupling(b)
     if not b < 0.0:
         raise ValueError(f"leading form is defined for b < 0, got {b}")
-    return CoefficientValue(math.pi * c_d(d).value * (-b) ** (d + 1))
+    try:
+        value = math.pi * c_d(d).value * (-b) ** (d + 1)
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise ValueError(f"d={d}, b={b}: the leading density pi c_d (-b)^(d+1) overflows a float")
+    return CoefficientValue(value)

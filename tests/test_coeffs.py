@@ -92,9 +92,19 @@ def test_l2_d3_closed_form(b):
 ORACLE_MAGNITUDES = (1e-12, 1e-9, 1e-8, 1e-6, 1e-3, 0.1, 0.5, 1.0, 10.0, 1e3, 1e5)
 
 
-def mpmath_l2(mpmath, d, b):
-    """30-digit l2(d, b) from the unsplit integrand, peak included."""
-    with mpmath.workdps(30):
+# Both sides of the series switch at |b| = 1.5, the realized couplings of the
+# perfbench sweep2d_large workload, and couplings whose b^2 overflows.
+SWITCH = math.nextafter(1.5, math.inf)
+ORACLE_EXTRA = (1.5, -1.5, SWITCH, -SWITCH, 2.0, -2.0,
+                -5.654, -8.470, -10.063, -11.996, 1e100, -1e100, 1e200)
+
+
+def mpmath_l2(mpmath, d, b, digits=30, exact=False):
+    """l2(d, b) from the unsplit integrand, peak included, to ``digits`` digits.
+
+    A float unless ``exact``; inf where it overflows a float.
+    """
+    with mpmath.workdps(digits):
         b = mpmath.mpf(b)
         k = mpmath.mpf(d + 1) / 2
         points = [0, abs(b), 1] if abs(b) < 1 else [0, 1]
@@ -103,7 +113,8 @@ def mpmath_l2(mpmath, d, b):
         if b < 0:
             value += mpmath.pi * (b * b + 1) ** k
         sphere = 2 * mpmath.pi ** (mpmath.mpf(d - 1) / 2) / mpmath.gamma(mpmath.mpf(d - 1) / 2)
-        return float(4 * sphere * (2 * mpmath.pi) ** (-d) / (d * d - 1) * value)
+        value = 4 * sphere * (2 * mpmath.pi) ** (-d) / (d * d - 1) * value
+        return +value if exact else float(value)
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -111,11 +122,39 @@ def test_l2_mpmath_oracle(d):
     # Covers 0 < |b| <= 1e-8, where the peak of width |b| once made the
     # quadrature raise although l2 is continuous at 0.
     mpmath = pytest.importorskip("mpmath")
-    for m in ORACLE_MAGNITUDES:
-        for b in (m, -m):
-            want = mpmath_l2(mpmath, d, b)
-            got = coeffs.l2(d, b).value
-            assert abs(got - want) <= 1e-13 * abs(want), (d, b, got, want)
+    for b in [s * m for m in ORACLE_MAGNITUDES for s in (1, -1)] + list(ORACLE_EXTRA):
+        want = mpmath_l2(mpmath, d, b)
+        if math.isinf(want):  # the bound-state mass of b = -1e100 for d >= 3
+            with pytest.raises(ValueError, match="bound-state mass .* overflows"):
+                coeffs.l2(d, b)
+            continue
+        got = coeffs.l2(d, b).value
+        assert abs(got - want) <= 1e-13 * abs(want), (d, b, got, want)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_l2_series_within_its_estimate(d):
+    # Past |b| = 1.5 the estimate bounds the series' truncation and rounding;
+    # 4 eps |value| covers the rounding of c_d (-pi/4 + I + mass) around it.
+    mpmath = pytest.importorskip("mpmath")
+    for b in (SWITCH, -SWITCH, 2.0, -2.0, -5.654, -11.996, 10.0, 1e3, -1e5, 1e100, 1e200):
+        got = coeffs.l2(d, b)
+        want = mpmath_l2(mpmath, d, b, digits=40, exact=True)
+        gap = float(abs(mpmath.mpf(got.value) - want))
+        assert gap <= got.abs_error_estimate + 4 * math.ulp(1.0) * abs(got.value), (d, b, gap, got)
+
+
+def test_l2_series_makes_no_quadrature_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature called")
+
+    monkeypatch.setattr(coeffs, "adaptive_quadrature", refuse)
+    for d in (2, 8):
+        for b in (SWITCH, -SWITCH, 2.0, -5.654, 1e5, 1e200):
+            assert math.isfinite(coeffs.l2(d, b).value), (d, b)
+        for b in (1.5, -1.5, 1.0, -0.5):
+            with pytest.raises(AssertionError, match="quadrature called"):
+                coeffs.l2(d, b)
 
 
 def test_l2_large_positive_limit():
@@ -216,3 +255,8 @@ def test_validation():
         coeffs.l2(2.5, 1.0)
     with pytest.raises(ValueError):
         coeffs.l2_large_negative_leading(2, 1.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        coeffs.l2_large_negative_leading(2, -math.inf)
+    for b in (-1e120, -1e200):  # (-b)^3 raised a bare OverflowError
+        with pytest.raises(ValueError, match="leading density .* overflows"):
+            coeffs.l2_large_negative_leading(2, b)
