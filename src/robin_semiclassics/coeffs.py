@@ -26,6 +26,11 @@ _L2_SERIES_MIN = 1.5  # l2's p-integral is a series for |b| above this
 # below 2^-53 of it from N = 47 on.
 _L2_SERIES_TERMS = 47
 _UNIT_ROUNDOFF = 2.0**-53
+# l2 rounds c_d (-pi/4 + I + mass) within this times c_d (pi/4 + |I| + mass):
+# c_d by at most 16 units (the powers of pi and 2 pi, the Gamma recursion,
+# four more operations), mass by 8 (1 + b^2 raised to (d+1)/2 <= 4.5, the
+# power and pi), I's arctan form by 6 units of pi/4, the sums and product by 3.
+_L2_ROUNDING = 33 * _UNIT_ROUNDOFF
 
 
 @dataclass(frozen=True)
@@ -33,10 +38,9 @@ class CoefficientValue:
     """A dimensionless constant and an absolute error estimate.
 
     ``abs_error_estimate`` is 0 for closed-form values. For l2 it is c_d times
-    the error of its p-integral alone (the quadrature's error estimate, or
-    the series' truncation and rounding bound). The rounding of the sum
-    around that integral, c_d (-pi/4 + I + pi (1 + b^2)^((d+1)/2)), is not
-    counted (see l2).
+    the error of its p-integral (the quadrature's error estimate, or the
+    series' truncation and rounding bound) plus the rounding of the sum
+    around it, c_d (-pi/4 + I + pi (1 + b^2)^((d+1)/2)) (see l2).
     """
 
     value: float
@@ -178,10 +182,10 @@ def l2(d, b):
     b = 0:  c_d * pi/4
     b < 0:  c_d * (-pi/4 + I(b) + pi * (b^2 + 1)^((d+1)/2))
     with I(b) the p-integral: an alternating Beta series for |b| > 1.5,
-    adaptive quadrature otherwise. abs_error_estimate is c_d times the
-    integral's error alone, not a bound on l2's: it leaves out the rounding
+    adaptive quadrature otherwise. abs_error_estimate adds c_d times the
+    integral's error and _L2_ROUNDING c_d (pi/4 + |I| + mass), the rounding
     of the sum above, which grows with the bound-state term (l2(8, -1e5),
-    about 2.7e39, is off by about 5.7e22 against an estimate of 1e-26).
+    about 2.7e39, is off by about 5.7e22, the integral's error 1e-26).
     Where the bound-state term overflows a float (below about
     b = -3.9e102 for d = 2, -1.6e34 for d = 8), bound_state_mass raises
     ValueError.
@@ -191,10 +195,9 @@ def l2(d, b):
     if b == 0.0:
         return CoefficientValue(cd * math.pi / 4.0)
     integral, err = _l2_integral(d, b)
-    value = -math.pi / 4.0 + integral
-    if b < 0.0:
-        value += bound_state_mass(d, b)
-    return CoefficientValue(cd * value, cd * err)
+    mass = bound_state_mass(d, b) if b < 0.0 else 0.0
+    rounding = _L2_ROUNDING * (math.pi / 4.0 + abs(integral) + mass)
+    return CoefficientValue(cd * (-math.pi / 4.0 + integral + mass), cd * (err + rounding))
 
 
 def l2_large_negative_leading(d, b):

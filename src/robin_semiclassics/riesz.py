@@ -111,10 +111,10 @@ class RieszReport:
     kroger_ok: bool
 
 
-def check_h(h, d=2):
+def check_h(h, d):
     """The semiclassical parameter as a float; it must be positive (NaN is not),
     and h^-d must not overflow a float, as h^-2 does for h <= 2^-512. d is
-    the box's dimension; 2, the least a box has, is the default."""
+    the box's dimension."""
     h = float(h)
     if not h > 0.0:
         raise ValueError(f"need h > 0, got {h}")

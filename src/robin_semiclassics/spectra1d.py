@@ -15,7 +15,8 @@ accepted without a further step where a Kantorovich bound proves it, from
 the offset's rounding and bounds on Phi' and |Phi''| past the lower end of
 the root's bracket. The negative ones, at most two, are the kappa where
 the two eigenvalue branches of the boundary form B(kappa) cross 0
-(lambda = -kappa^2), each solved by Brent's method; B(0) gives N(0+). The
+(lambda = -kappa^2), each solved to its float crossing by regula falsi
+with the Illinois safeguard; B(0) gives N(0+). The
 two counts fix how many roots are solved, so the spectrum is complete
 wherever every solve converges; a solve that fails raises EnumerationError.
 
@@ -41,6 +42,7 @@ _ZERO_EIG_RTOL = 1e-12
 # temporaries whatever the size of the spectrum.
 _BRACKET_BLOCK = 4096
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 # A root counts as solved once its last step is below this times k (four ulps).
 _ROOT_RTOL = 4.0 * _EPS
 # From k L = 64 on, _phase_offset takes the plain sum, whose arctan2 terms
@@ -68,14 +70,17 @@ _EM_REMAINDER = 2.0 * 1.2020569031595942 / (2.0 * math.pi) ** 3  # 2 zeta(3) / (
 # band far up the spectrum, where G(k_N) - G(k_a) cancels, or a huge positive
 # coupling c, where (lam + c^2) arctan(k / c) - c k does, exceeds it.
 _CLOSED_FORM_RTOL = 1e-12
-# Brent's method on the boundary form: a relative tolerance only, for shallow
-# states, and ~1000 steps reach 1e-300.
-_BRENT_XTOL = 1e-300
-_BRENT_RTOL = 1e-15
-_BRENT_MAX_ITER = 2000
-# Newton has needed 2-6 steps per block on sweep-sized spectra, and about a
-# dozen where a ground state lies far below its bracket (couplings near 1e-12,
-# the smallest the zero condition leaves). The cap only bounds a failure.
+# The bound-state solve halves the bracket at a midpoint at least once in
+# four rounds that keep one end. From lo >= 1e-300 to hi <= kappa_max <
+# 1.4e154 (its square is finite), log2(hi / lo) < 1510, so 11 geometric
+# midpoints bring hi <= 2 lo and 53 arithmetic ones two adjacent floats.
+# Rounds that move the two ends in turn are regula falsi's fast ones, so
+# the cap only bounds a failure.
+_CROSSING_MAX_ITER = 4 * 64
+# Newton has needed 2-6 steps per block on sweep-sized spectra, and 13-19
+# where a ground state lies far below its bracket (couplings c L from 1e-12
+# down to 1e-308, the smallest the zero condition leaves). The cap only
+# bounds a failure.
 _NEWTON_MAX_ITER = 200
 
 
@@ -164,7 +169,8 @@ def negative_eigenvalues(iv):
     -kappa^2 is one exactly where a branch of B(kappa) crosses 0. Both rise
     strictly from B(0) (see _nonpositive_count) to positive values at the
     depth bound, so N(0+) branches cross, less one for a zero state, which is
-    not reported here even if it truly lies just below 0. Raises
+    not reported here even if it truly lies just below 0. Each is the float
+    crossing of its branch (_branch_root), or a zero of it. Raises
     EnumerationError, naming the branch and its bracket, if a branch that
     must cross shows no sign change, turns NaN or does not converge.
     """
@@ -176,78 +182,71 @@ def negative_eigenvalues(iv):
         if upper:
             # mu_hi >= mu_lo crosses 0 first: its sign at the lower root says on
             # which side of it the upper root lies. Where it is 0, a pinched pair
-            # shares that root, the lower end of the bracket, which Brent returns.
+            # shares that root, the lower end of the bracket, returned at once.
             at = _boundary_form_branch(kappas[0], iv, True)
             ends = (ends[0], kappas[0]) if at > 0.0 else (kappas[0], ends[1])
         try:
-            kappas.append(_brent_root(_boundary_form_branch, *ends, args=(iv, upper)))
+            kappas.append(_branch_root(iv, upper, *ends))
         except EnumerationError as exc:
             raise EnumerationError(f"the {'upper' if upper else 'lower'} branch of the boundary "
                                    f"form of {iv} fails on {list(ends)}: {exc}") from exc
     return sorted(-k * k for k in kappas)
 
 
-def _brent_root(f, xa, xb, args=()):
-    """A root of f(x, *args) on [xa, xb] by Brent's method (zeroin).
+def _branch_root(iv, upper, lo, hi):
+    """The float crossing of the rising branch mu_hi (upper) or mu_lo of B on [lo, hi].
 
-    Brent, Algorithms for Minimization without Derivatives (1973), ch. 4, in
-    the form of scipy's brentq.c, step for step, so it returns the same
-    floats as scipy.optimize.brentq with xtol = _BRENT_XTOL and rtol =
-    _BRENT_RTOL. Raises EnumerationError if f has the same sign at both
-    ends, returns NaN, or has not converged after _BRENT_MAX_ITER steps.
+    Regula falsi with the Illinois safeguard (Dowell and Jarratt, BIT 11,
+    1971): an end kept twice in a row has its stored value halved, and after
+    three rounds that keep one end the next point is the bracket's midpoint.
+    It stops at two adjacent floats, where the branch turns from - to +, and
+    returns the one of smaller |B|; a point where the branch is 0 is returned
+    at once. Raises EnumerationError if the branch has the same sign at both
+    ends, turns NaN, or is still bracketed after _CROSSING_MAX_ITER rounds.
     """
+    def value(kappa):
+        f = _boundary_form_branch(kappa, iv, upper)
+        if math.isnan(f):
+            raise EnumerationError(f"the function is NaN at {kappa!r}")
+        return f
 
-    def value(x):
-        fx = f(x, *args)
-        if math.isnan(fx):
-            raise EnumerationError(f"the function is NaN at {x!r}")
-        return fx
-
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise EnumerationError(f"f must have different signs at the ends, got {fpre!r} and {fcur!r}")
-    for _ in range(_BRENT_MAX_ITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:  # bisect
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
+    f_lo, f_hi = value(lo), value(hi)
+    if (f_lo < 0.0) == (f_hi < 0.0) and f_lo != 0.0 and f_hi != 0.0:
+        raise EnumerationError(f"f must have different signs at the ends, got {f_lo!r} and {f_hi!r}")
+    w_lo, w_hi = f_lo, f_hi  # the stored values regula falsi interpolates
+    kept = 0  # rounds in a row that kept the same end: > 0 the lower, < 0 the upper
+    for _ in range(_CROSSING_MAX_ITER):
+        if f_lo == 0.0 or f_hi == 0.0 or math.nextafter(lo, hi) == hi:
+            return lo if abs(f_lo) <= abs(f_hi) else hi
+        x = lo + (hi - lo) * (w_lo / (w_lo - w_hi))
+        if abs(kept) >= 3 or not lo < x < hi:
+            x = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
+        fx = value(x)
+        if (fx < 0.0) == (f_lo < 0.0) and fx != 0.0:
+            lo, f_lo, w_lo = x, fx, fx
+            kept = min(kept, 0) - 1
+            if kept <= -2:
+                w_hi *= 0.5
         else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise EnumerationError(f"no convergence in {_BRENT_MAX_ITER} steps, last iterate {xcur!r}")
+            hi, f_hi, w_hi = x, fx, fx
+            kept = max(kept, 0) + 1
+            if kept >= 2:
+                w_lo *= 0.5
+    raise EnumerationError(f"no convergence in {_CROSSING_MAX_ITER} steps, bracket [{lo!r}, {hi!r}]")
 
 
 def _zero_eigenvalue_present(iv):
-    z = iv.c_left + iv.c_right + iv.c_left * iv.c_right * iv.length
-    return abs(z) <= _ZERO_EIG_RTOL * (1.0 + abs(iv.c_left * iv.c_right) * iv.length)
+    """Whether z = c_l + c_r + c_l c_r L, L det B(0), is 0 up to rounding.
+
+    It is where |z| is at most _ZERO_EIG_RTOL times the size of its terms,
+    a test the same on every scale. A state of z below tiny max(L, 1 / L)
+    is a zero one too: its lambda, about z / L, or lambda L^2, about z L,
+    lies below the normal floats, where the phase no longer sees the
+    couplings and Newton on that ground state would run past its cap.
+    """
+    cl, cr, length = iv.c_left, iv.c_right, iv.length
+    floor = max(_ZERO_EIG_RTOL * (abs(cl) + abs(cr) + abs(cl * cr) * length), _TINY * max(length, 1.0 / length))
+    return abs(cl + cr + cl * cr * length) <= floor
 
 
 def _nonpositive_count(iv):
@@ -481,8 +480,8 @@ def enumerate_eigenvalues(iv, lam_max):
     condition; for lam_max > 0 the phase indices N(0+) + 1 .. N(lam_max),
     N(lam_max) = floor(Phi(sqrt(lam_max)) / pi), give the positive ones. So
     the counts are exact by construction, and the spectrum is complete
-    wherever every root converges: a Brent solve without a sign change, a
-    NaN or a step cap, or a Newton step cap, raises EnumerationError.
+    wherever every root converges: a bound-state solve without a sign change,
+    a NaN or a step cap, or a Newton step cap, raises EnumerationError.
     """
     lam_max = float(lam_max)
     if not math.isfinite(lam_max):

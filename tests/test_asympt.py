@@ -274,7 +274,8 @@ def test_predict_checks_h(regime, b0, bad):
 
 @THREE_REGIMES
 def test_predict_refuses_h_whose_inverse_square_overflows(regime, b0):
-    # h^-2 once raised OverflowError in riesz._axis_cutoff and here.
+    # h^-2 once raised OverflowError in riesz's per-axis cutoff and here;
+    # riesz.check_h now refuses such an h in predict as in riesz_mean.
     box = BoxDomain.uniform((1.0, SQ2), b0)
     with pytest.raises(ValueError, match="h = 1e-160 is too small"):
         predict(box, regime, 1e-160)

@@ -112,18 +112,31 @@ def test_tiny_couplings_raise_no_overflow_warning():
     assert riesz_mean(BoxDomain.uniform((1.0, 1.3), 1e-155), 0.1).kroger_ok
 
 
-@pytest.mark.parametrize("length", [1e-60, 1e-82, 1e-100, 1e-105, 1e-130, 1e-150])
-def test_riesz_mean_scale_invariant_on_tiny_boxes(length):
-    # Scaling the sides and h by one factor leaves the trace unchanged. On
-    # tiny boxes Phi'^4 in the band remainder bound underflows (sides below
-    # about 1e-82) and k^3 in the closed form overflows (below about 1e-103),
-    # so those bands are enumerated.
+def assert_unit_box_trace(length):
     box = BoxDomain.uniform((length, 1.3 * length), -1.0)
     rep = riesz_mean(box, length / 4.0)
     unit = riesz_mean(BoxDomain.uniform((1.0, 1.3), -1.0), 0.25)
     assert abs(rep.trace - unit.trace) <= 1e-13 * unit.trace
     assert rep.eig_count == unit.eig_count == 8
     assert abs(rep.trace - trace_bruteforce(box, length / 4.0)) <= 1e-10 * max(1.0, rep.trace)
+
+
+@pytest.mark.parametrize("length", [1e-60, 1e-82, 1e-100, 1e-105, 1e-130, 1e-150])
+def test_riesz_mean_scale_invariant_on_tiny_boxes(length):
+    # Scaling the sides and h by one factor leaves the trace unchanged. On
+    # tiny boxes Phi'^4 in the band remainder bound underflows (sides below
+    # about 1e-82) and k^3 in the closed form overflows (below about 1e-103),
+    # so those bands are enumerated.
+    assert_unit_box_trace(length)
+
+
+@pytest.mark.parametrize("length", [1e12, 1e13, 1e14, 1e20, 1e50, 1e100])
+def test_riesz_mean_scale_invariant_on_huge_boxes(length):
+    # The couplings b / h = -4 / L make c_l + c_r + c_l c_r L = 8 / L, which
+    # the zero-state test's absolute floor 1e-12 (1 + |c_l c_r| L) once read
+    # as a zero eigenvalue from L = 1e13 on, dropping a bound state with no
+    # error. Its floor is now the size of those three terms.
+    assert_unit_box_trace(length)
 
 
 # How far below the h <= min(sides)/4 guard h is drawn, in decades, per d:
@@ -273,9 +286,9 @@ def test_h_whose_inverse_square_overflows_is_rejected():
     with pytest.raises(ValueError, match="h = 1e-160 is too small: h\\^-2 overflows"):
         riesz_mean(box, 1e-160)
     with pytest.raises(ValueError, match="overflows"):
-        riesz.check_h(2.0**-512)
+        riesz.check_h(2.0**-512, 2)
     smallest = math.nextafter(2.0**-512, 1.0)
-    assert riesz.check_h(smallest) == smallest and math.isfinite(smallest**-2)
+    assert riesz.check_h(smallest, 2) == smallest and math.isfinite(smallest**-2)
 
 
 def test_fold_past_the_budget_is_refused(monkeypatch):

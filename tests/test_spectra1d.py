@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -71,11 +72,10 @@ def test_deep_symmetric_pair_resolved():
 
 def test_pinched_pair_is_two_equal_floats():
     # c = -1e3 on a unit interval: the even and odd states split by about
-    # e^-1000, so the upper branch is 0 at the lower root, and Brent returns
-    # that end of the upper bracket.
+    # e^-1000, so the upper branch is 0 at the lower root, and the solve
+    # returns that end of the upper bracket at once.
     iv = RobinInterval(1.0, -1e3, -1e3)
-    lower = spectra1d._brent_root(spectra1d._boundary_form_branch, 1e-300,
-                                  spectra1d._kappa_upper_bound(iv), args=(iv, False))
+    lower = spectra1d._branch_root(iv, False, 1e-300, spectra1d._kappa_upper_bound(iv))
     assert spectra1d._boundary_form_branch(lower, iv, True) == 0.0
     negs = negative_eigenvalues(iv)
     assert len(negs) == 2 and negs[0] == negs[1] == -lower * lower
@@ -88,6 +88,19 @@ def test_zero_eigenvalue_condition():
     assert sp.eigenvalues[0] == 0.0
     sp = enumerate_eigenvalues(RobinInterval(1.0, 1.0, -0.5 + 1e-3), 50.0)
     assert 0.0 not in sp.eigenvalues
+
+
+@pytest.mark.parametrize("length", [1e-100, 1e-13, 1.0, 1e13, 1e100])
+def test_zero_state_test_is_scale_free(length):
+    # c_l + c_r + c_l c_r L against the size of its own terms: couplings
+    # scaled with 1 / L keep or lose their zero state together.
+    assert spectra1d._zero_eigenvalue_present(RobinInterval(length, 1.0 / length, -0.5 / length))
+    assert not spectra1d._zero_eigenvalue_present(RobinInterval(length, -4.0 / length, -4.0 / length))
+    assert not spectra1d._zero_eigenvalue_present(RobinInterval(length, 1e-9 / length, 0.0))
+    # A state whose lambda L^2 (about z L) or lambda (about z / L) lies below
+    # the normal floats is a zero one.
+    assert spectra1d._zero_eigenvalue_present(RobinInterval(length, 1e-309 / length, 0.0))
+    assert spectra1d._zero_eigenvalue_present(RobinInterval(length, 1e-309 * length, 0.0))
 
 
 def test_antisymmetric_coefficients_spectrum_at_nodes():
@@ -311,47 +324,103 @@ signed_couplings = st.one_of(
     st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from((-1.0, 1.0)), st.floats(-12.0, 8.0)))
 
 
+def is_float_crossing(f, x):
+    """f is 0 at x, or changes sign between x and an adjacent float where |f| is not smaller."""
+    fx = f(x)
+    if fx == 0.0:
+        return True
+    neighbours = (f(math.nextafter(x, 0.0)), f(math.nextafter(x, math.inf)))
+    return any((fo < 0.0) != (fx < 0.0) and fo != 0.0 and abs(fx) <= abs(fo) for fo in neighbours)
+
+
 @settings(max_examples=300, deadline=None)
 @given(log_length=st.floats(-3.0, 2.0), cl=signed_couplings, cr=signed_couplings,
        pairing=st.sampled_from(("free", "symmetric", "antisymmetric")))
 @example(log_length=0.0, cl=-3.0, cr=-2.0, pairing="free")  # two bound states
 @example(log_length=0.0, cl=-3.0, cr=-3.0, pairing="free")  # an even and an odd state
-def test_brent_port_matches_scipy_brentq_bitwise(log_length, cl, cr, pairing):
+@example(log_length=0.0, cl=-0.01, cr=0.01, pairing="free")  # a run of zeros at kappa = 0.01
+@example(log_length=math.log10(1.4330125702369627), cl=-1.539926526059492, cr=0.0, pairing="symmetric")
+def test_branch_root_is_the_float_crossing_near_brentq(log_length, cl, cr, pairing):
     # The brackets negative_eigenvalues searches: both branches on the full
-    # range, and the upper one on either side of the lower root.
+    # range, and the upper one on either side of the lower root. Each root
+    # is a float crossing of its branch, within 1e-15 kappa and 2 ulps of
+    # scipy's brentq at xtol = 1e-300 and rtol = 1e-15.
     cr = {"free": cr, "symmetric": cl, "antisymmetric": -cl}[pairing]
     iv = RobinInterval(10.0**log_length, cl, cr)
     lo, hi = 1e-300 * max(1.0, 1.0 / iv.length), spectra1d._kappa_upper_bound(iv)
     brackets = [(False, lo, hi), (True, lo, hi)]
     try:
-        k0 = brentq(spectra1d._boundary_form_branch, lo, hi, args=(iv, False), **BRENTQ)
+        k0 = spectra1d._branch_root(iv, False, lo, hi)
         brackets += [(True, lo, k0), (True, k0, hi)]
-    except ValueError:
+    except EnumerationError:
         pass
     for upper, a, b in brackets:
         try:
             want = brentq(spectra1d._boundary_form_branch, a, b, args=(iv, upper), **BRENTQ)
         except ValueError:
             with pytest.raises(EnumerationError, match="different signs"):
-                spectra1d._brent_root(spectra1d._boundary_form_branch, a, b, args=(iv, upper))
+                spectra1d._branch_root(iv, upper, a, b)
             continue
-        got = spectra1d._brent_root(spectra1d._boundary_form_branch, a, b, args=(iv, upper))
-        assert got.hex() == want.hex(), (iv, upper, a, b)
+        got = spectra1d._branch_root(iv, upper, a, b)
+        assert a <= got <= b
+        branch = functools.partial(spectra1d._boundary_form_branch, iv=iv, upper=upper)
+        assert is_float_crossing(branch, got), (iv, upper)
+        # Where the branch rounds to 0 or turns sign on a run of floats (at
+        # kappa = |c| for c_r = -c_l, or near an odd state's threshold), the
+        # two solves may stop at different crossings of it: a few eps of the
+        # branch's terms over its slope apart.
+        gap = abs(got - want) - 1e-15 * want - 2.0 * math.ulp(want)
+        if gap > 0.0:
+            slope = (branch(got * (1.0 + 1e-7)) - branch(got * (1.0 - 1e-7))) / (2e-7 * got)
+            terms = got / math.tanh(0.5 * got * iv.length) + abs(cl) + abs(cr)
+            assert gap * slope <= 8.0 * spectra1d._EPS * terms, (iv, upper, a, b, got, want)
 
 
-def test_brent_root_fails_loudly(monkeypatch):
-    # The first step interpolates to 0.75, where f is NaN.
+@pytest.mark.parametrize("length,cl,cr", [
+    (1.0, 0.0, -5.5e-188),  # once a ZeroDivisionError in the brentq port's extrapolation
+    (1.0, -6.2e-166, 0.0),  # likewise, with the scale-invariant zero-state test
+    (4.436e142, -1.319e124, -2.254e-143),  # once no convergence in 2000 Brent steps
+])
+def test_bound_states_at_extreme_scales_match_mpmath(length, cl, cr):
+    # Each interval binds one state (c_l + c_r + c_l c_r L < 0, the trace of
+    # B(0) negative): a float crossing of the lower branch, within 1e-15 of
+    # the 50-digit root of the unfactorized secular function.
+    iv = RobinInterval(length, cl, cr)
+    negs = negative_eigenvalues(iv)
+    assert len(negs) == spectra1d._nonpositive_count(iv) == 1
+    kappa = spectra1d._branch_root(iv, False, 1e-300 * max(1.0, 1.0 / length), spectra1d._kappa_upper_bound(iv))
+    assert negs == [-kappa * kappa]
+    assert is_float_crossing(lambda k: spectra1d._boundary_form_branch(k, iv, False), kappa)
+    with mpmath.workdps(50):
+        L, a, b = mpmath.mpf(length), mpmath.mpf(cl), mpmath.mpf(cr)
+
+        def f(k):
+            return (k * k + a * b) * mpmath.tanh(k * L) + k * (a + b)
+
+        exact = mpmath.findroot(f, (kappa * (1 - mpmath.mpf(1e-12)), kappa * (1 + mpmath.mpf(1e-12))))
+        assert abs(negs[0] + exact**2) <= 1e-15 * exact**2, (negs, exact)
+
+
+def test_branch_root_fails_loudly(monkeypatch):
+    iv = RobinInterval(1.0, 0.0, 0.0)
+    # The first step interpolates to 0.75, where the branch is NaN.
+    monkeypatch.setattr(spectra1d, "_boundary_form_branch",
+                        lambda k, iv, upper: math.nan if 0.6 < k < 0.9 else k - 0.75)
     with pytest.raises(EnumerationError, match="NaN at 0.75"):
-        spectra1d._brent_root(lambda x: math.nan if 0.1 < x < 0.9 else x - 0.75, 0.0, 1.0)
-    monkeypatch.setattr(spectra1d, "_BRENT_MAX_ITER", 3)
+        spectra1d._branch_root(iv, False, 0.5, 1.0)
+    monkeypatch.setattr(spectra1d, "_boundary_form_branch", lambda k, iv, upper: k - 2.0)
+    with pytest.raises(EnumerationError, match="different signs"):
+        spectra1d._branch_root(iv, False, 0.5, 1.0)
+    monkeypatch.setattr(spectra1d, "_boundary_form_branch", lambda k, iv, upper: math.tan(k) - 1.0)
+    monkeypatch.setattr(spectra1d, "_CROSSING_MAX_ITER", 3)
     with pytest.raises(EnumerationError, match="no convergence in 3 steps"):
-        spectra1d._brent_root(lambda x: math.tan(x) - 1.0, 0.0, 1.5)
+        spectra1d._branch_root(iv, False, 0.1, 1.5)
 
 
 def test_bound_state_failures_name_the_branch(monkeypatch):
     # A non-converging root once escaped as scipy's RuntimeError, past the CLI's exits.
     iv = RobinInterval(1.0, -3.0, -2.0)
-    monkeypatch.setattr(spectra1d, "_BRENT_MAX_ITER", 3)
+    monkeypatch.setattr(spectra1d, "_CROSSING_MAX_ITER", 3)
     with pytest.raises(EnumerationError, match=r"lower branch .* fails on \[.*\]: no convergence"):
         negative_eigenvalues(iv)
     branch = spectra1d._boundary_form_branch
@@ -746,6 +815,7 @@ stop_left, stop_right = left_and_right(stop_couplings, "stop")
 @example(length=1.0, cl=-0.3, cr=-0.3, rank=2, log_gap=-6.0, below=False)
 @example(length=1.0, cl=0.0, cr=0.0, rank=3, log_gap=-12.0, below=True)
 @example(length=1.0, cl=1e-200, cr=1e-200, rank=1, log_gap=-9.0, below=False)
+@example(length=0.5, cl=5e-324, cr=5e-324, rank=1, log_gap=-1.0, below=False)  # a zero state
 def test_property_kantorovich_stop_within_tolerance_of_mpmath(length, cl, cr, rank, log_gap, below):
     # A Newton iterate the bound accepts lies within _ROOT_RTOL of the
     # 30-digit root of Phi(k) = n pi, plus the offset's rounding,
