@@ -16,16 +16,17 @@ paired by the same prefix sums (meet in the middle), the searched keys
 shifted by each sigma. The longer half is prefix-summed and the shorter
 one searched, and sets whose prefix-summed half is the same array share
 one pairing. A set of at most two free axes has uncut halves; where its
-longer half is axis j, j is prefix-summed with its states below its
-roots, so the pairing also takes in the set without j (shifts sigma +
-y_j), if that set exists and is not yet taken in. Sets come in product
-order, so a set is taken in before it would run; in 2-D one pairing then
-serves every set unless neither axis enumerates a nonnegative root. A
-fold builds every pair sum before its cut, so one of more than
-_MAX_FOLD_SIZE sums raises ValueError, naming h, before it is built.
-Each axis is enumerated once, as far as the sets where it is free with
-another axis need. Its roots past that pair only in the set where it is
-the only free axis: where spectra1d.band_sum certifies the closed form of
+longer half is axis j, the pairing prefix-sums j's enumeration itself,
+its states below its roots (j's nonnegative roots are a view past the
+states), so it also takes in the set without j (shifts sigma + y_j), if
+that set exists and is not yet taken in. Sets come in product order, so
+a set is taken in before it would run; in 2-D one pairing then serves
+every set unless neither axis enumerates a nonnegative root. A fold
+builds every pair sum before its cut, so one of more than _MAX_FOLD_SIZE
+sums raises ValueError, naming h, before it is built. Each axis is
+enumerated once, into one array, as far as the sets where it is free
+with another axis need. Its roots past that pair only in the set where
+it is the only free axis: where spectra1d.band_sum certifies the closed form of
 every such band, the bands are added, and else the axis is enumerated
 through that set's deepest sigma. band_sum runs once per distinct shift
 of that set (a uniform axis's two states are one float), and each band is
@@ -251,7 +252,9 @@ def riesz_mean(box, h):
     shifts = {}  # each set of free axes -> the shifts of its patterns
     for p in itertools.product(*[[None, *states] for states in bound_states]):
         shifts.setdefault(tuple(i for i, y in enumerate(p) if y is None), []).append(sum(filter(None, p)))
-    spectra, sums = [], []  # sums: (trace, tuple count) of each band and each pairing
+    # wholes[i]: axis i's enumeration, its states below its roots; spectra[i]:
+    # a view of its roots. sums: (trace, tuple count) of each band and each pairing.
+    wholes, spectra, sums = [], [], []
     for i, iv in enumerate(intervals):
         # Axis i is enumerated as far as a set where it is free with another
         # axis needs, with _CUTOFF_SLACK. A root x past that pairs only
@@ -265,11 +268,10 @@ def riesz_mean(box, h):
         if None in bands.values():
             lam_max, ys = h**-2 - min(ys), []
         sums += [(h * h * bands[y].value, bands[y].count) for y in ys]
-        spectra.append(enumerate_eigenvalues(iv, lam_max * _CUTOFF_SLACK).eigenvalues[len(bound_states[i]):])
+        wholes.append(enumerate_eigenvalues(iv, lam_max * _CUTOFF_SLACK).eigenvalues)
+        spectra.append(wholes[i][len(bound_states[i]):])
     groups = {}  # id of a prefix-summed half -> that half and the keys searched in it
-    # wholes: (j,) -> axis j's states and roots, built once so that its
-    # pairings share one prefix; taken: the sets another set's pairing covers.
-    wholes, taken = {}, set()
+    taken = set()  # the sets another set's pairing covers
     for axes, sigmas in shifts.items():
         if axes in taken:
             continue
@@ -280,14 +282,12 @@ def riesz_mean(box, h):
         # keys shifted by each sigma (uncopied where the shift is 0).
         (longer, part), (shorter, _) = sorted(zip(halves, parts), key=lambda half: len(half[0]), reverse=True)
         # Halves of at most two free axes are uncut. A longer half that is
-        # axis j is prefix-summed with j's states below its roots, so the
-        # pairing also covers the set without j, whose shifts are sigma + y_j.
+        # axis j is prefix-summed as wholes[j], j's states below its roots, so
+        # the pairing also covers the set without j, whose shifts are sigma + y_j.
         rest = tuple(i for i in axes if i not in part)
         if len(axes) <= 2 and len(part) == 1 and rest in shifts.keys() - taken:
             taken.add(rest)
-            if part not in wholes:
-                wholes[part] = np.concatenate((bound_states[part[0]], longer))
-            longer = wholes[part]
+            longer = wholes[part[0]]
         groups.setdefault(id(longer), (longer, []))[1].extend(shorter + s if s else shorter for s in sigmas)
     sums += [_pair_trace(longer, keys[0] if len(keys) == 1 else np.concatenate(keys), h)
              for longer, keys in groups.values()]

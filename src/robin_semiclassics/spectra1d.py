@@ -139,9 +139,12 @@ def _boundary_form_branch(kappa, iv, upper):
     B(kappa) = kappa [[coth kL, -csch kL], [-csch kL, coth kL]] + diag(c_l, c_r) is
     the Dirichlet-to-Neumann map of -u'' + kappa^2 u plus the couplings. The branch
     of larger magnitude is mean -+ spread, the other det B over it, with det B =
-    (kappa coth(kL/2) + c_l)(kappa tanh(kL/2) + c_r) + (c_l - c_r) kappa csch kL for
-    kL <= 1 (the odd and even equations' product if c_l = c_r), and else
-    (kappa + c_l)(kappa + c_r) + (c_l + c_r) kappa (coth kL - 1).
+    (kappa + c_l)(kappa + c_r) + (c_l + c_r) kappa (coth kL - 1), whose last factor
+    is kappa coth(kL/2) (1 - t)^2 / 2, t = tanh(kL/2), for kL <= 1. There couplings
+    of one sign take (kappa coth(kL/2) + c_l)(kappa t + c_r) + (c_l - c_r) kappa csch kL
+    instead, the odd and even equations' product if c_l = c_r. For mixed signs that
+    form cancels near a root (3803 ulps off at (L, c_l, c_r) = (1, -1e-4, 1e-4)) and
+    the first does not.
     """
     cl, cr = iv.c_left, iv.c_right
     kl = kappa * iv.length
@@ -149,7 +152,10 @@ def _boundary_form_branch(kappa, iv, upper):
         t = math.tanh(0.5 * kl)
         odd = kappa / t  # kappa coth(kL/2)
         cross = 0.5 * odd * (1.0 - t * t)  # kappa csch kL
-        det = (odd + cl) * (kappa * t + cr) + (cl - cr) * cross
+        if min(cl, cr) < 0.0 < max(cl, cr):
+            det = (kappa + cl) * (kappa + cr) + (cl + cr) * (0.5 * odd * (1.0 - t) ** 2)
+        else:
+            det = (odd + cl) * (kappa * t + cr) + (cl - cr) * cross
         mean = 0.5 * odd * (1.0 + t * t) + 0.5 * (cl + cr)
     else:
         decay = math.exp(-kl)
@@ -462,17 +468,6 @@ def _bracket_bounds(iv, lo):
         return iv.length + neg_l + neg_r, r_l + r_r
 
 
-def _positive_eigenvalues(iv, n_low, n_high, lam_max):
-    """Eigenvalues k_n^2 of the phase indices n_low < n <= n_high, in order."""
-    k_max = math.sqrt(lam_max)
-    roots = np.empty(max(n_high - n_low, 0))
-    for j in range(0, roots.size, _BRACKET_BLOCK):
-        n = np.arange(n_low + 1 + j, n_low + 1 + min(j + _BRACKET_BLOCK, roots.size), dtype=float)
-        roots[j:j + n.size] = _phase_roots(iv, n, k_max)
-    roots *= roots
-    return roots
-
-
 def enumerate_eigenvalues(iv, lam_max):
     """All eigenvalues <= lam_max, ascending, with their counts.
 
@@ -482,18 +477,24 @@ def enumerate_eigenvalues(iv, lam_max):
     the counts are exact by construction, and the spectrum is complete
     wherever every root converges: a bound-state solve without a sign change,
     a NaN or a step cap, or a Newton step cap, raises EnumerationError.
+    The states and the roots share one array: the states fill its front, and
+    the roots are solved and squared into the rest, a block at a time.
     """
     lam_max = float(lam_max)
     if not math.isfinite(lam_max):
         raise ValueError("cutoff must be finite")
     negatives = negative_eigenvalues(iv)
     nonpositive = negatives + ([0.0] if _zero_eigenvalue_present(iv) else [])
-    positives = np.empty(0)
-    if lam_max > 0.0:
-        positives = _positive_eigenvalues(iv, len(nonpositive), _phase_count(iv, lam_max), lam_max)
-    eigenvalues = np.concatenate(([lam for lam in nonpositive if lam <= lam_max], positives))
+    states = [lam for lam in nonpositive if lam <= lam_max]
+    n_positive = _phase_count(iv, lam_max) - len(nonpositive) if lam_max > 0.0 else 0
+    eigenvalues = np.empty(len(states) + n_positive)
+    eigenvalues[:len(states)] = states
+    positives = eigenvalues[len(states):]
+    for j in range(0, n_positive, _BRACKET_BLOCK):
+        n = np.arange(j, min(j + _BRACKET_BLOCK, n_positive), dtype=float) + (len(nonpositive) + 1)
+        np.square(_phase_roots(iv, n, math.sqrt(lam_max)), out=positives[j:j + n.size])
     eigenvalues.flags.writeable = False
-    cert = SpectrumCertificate(sum(lam <= lam_max for lam in negatives), positives.size)
+    cert = SpectrumCertificate(sum(lam <= lam_max for lam in negatives), n_positive)
     return Spectrum1D(eigenvalues, cert)
 
 

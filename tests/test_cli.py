@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -39,6 +40,18 @@ def test_readme_cli_examples_run(capsys):
     for line in examples:
         code, _, err = run_cli(shlex.split(line)[1:], capsys)
         assert code == 0, (line, err)
+
+
+def test_workflow_run_steps_are_single_yaml_values():
+    # A plain (unquoted) YAML scalar may not hold ": ", which reads as a
+    # mapping key, and " #" ends it, starting a comment. The first makes the
+    # workflow fail to load, so no CI job runs; the second cuts the command.
+    # Such a step is written as a block scalar, "run: |".
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+    for number, line in enumerate(workflow.read_text().splitlines(), start=1):
+        step = re.match(r"\s*(?:- )?run: (.*)", line)
+        if step and not step.group(1).startswith(("|", ">", "'", '"')):
+            assert ": " not in step.group(1) and " #" not in step.group(1), f"tier1.yml:{number}: {line.strip()}"
 
 
 def test_coeff_row_values(capsys):

@@ -598,6 +598,30 @@ def test_one_pairing_in_2d_and_one_band_per_distinct_shift(monkeypatch, box, h, 
     assert len(bands) == len(set(bands)) == distinct
 
 
+@pytest.mark.parametrize("box,h", [(BoxDomain.uniform((1.0, SQ2), -1.0), 4e-5), (DISTINCT_2D, 2e-3)])
+def test_pairing_prefix_sums_the_enumeration_array(monkeypatch, box, h):
+    # The axis a 2-D pairing prefix-sums, its states below its roots, is
+    # the array enumerate_eigenvalues returned, not a copy of it.
+    report = riesz_mean(box, h)
+    enumerated, paired = [], []
+    enumerate_eigenvalues, pair_trace = riesz.enumerate_eigenvalues, riesz._pair_trace
+
+    def kept_enumeration(*args):
+        spectrum = enumerate_eigenvalues(*args)
+        enumerated.append(spectrum.eigenvalues)
+        return spectrum
+
+    def kept_pair(sorted_axis, *args):
+        paired.append(sorted_axis)
+        return pair_trace(sorted_axis, *args)
+
+    monkeypatch.setattr(riesz, "enumerate_eigenvalues", kept_enumeration)
+    monkeypatch.setattr(riesz, "_pair_trace", kept_pair)
+    assert riesz_mean(box, h) == report
+    assert len(paired) == 1 and paired[0][0] < 0.0
+    assert any(paired[0] is whole for whole in enumerated)
+
+
 @pytest.mark.parametrize("sides", [(1.0, SQ2), (1.0, SQ2, 1.3), (1.0, SQ2, 1.3, 0.9)])
 def test_each_axis_solved_once_at_the_top_level(monkeypatch, sides):
     # The benchmark's span counts rest on this: riesz_mean asks for each

@@ -338,13 +338,15 @@ def is_float_crossing(f, x):
        pairing=st.sampled_from(("free", "symmetric", "antisymmetric")))
 @example(log_length=0.0, cl=-3.0, cr=-2.0, pairing="free")  # two bound states
 @example(log_length=0.0, cl=-3.0, cr=-3.0, pairing="free")  # an even and an odd state
-@example(log_length=0.0, cl=-0.01, cr=0.01, pairing="free")  # a run of zeros at kappa = 0.01
+@example(log_length=0.0, cl=-0.01, cr=0.01, pairing="free")  # the branch is 0 at kappa = 0.01
 @example(log_length=math.log10(1.4330125702369627), cl=-1.539926526059492, cr=0.0, pairing="symmetric")
 def test_branch_root_is_the_float_crossing_near_brentq(log_length, cl, cr, pairing):
     # The brackets negative_eigenvalues searches: both branches on the full
     # range, and the upper one on either side of the lower root. Each root
     # is a float crossing of its branch, within 1e-15 kappa and 2 ulps of
-    # scipy's brentq at xtol = 1e-300 and rtol = 1e-15.
+    # scipy's brentq at xtol = 1e-300 and rtol = 1e-15. Both solve the same
+    # rounded branch, so this checks the solve, not the branch; the tests of
+    # bound states against mpmath check the branch.
     cr = {"free": cr, "symmetric": cl, "antisymmetric": -cl}[pairing]
     iv = RobinInterval(10.0**log_length, cl, cr)
     lo, hi = 1e-300 * max(1.0, 1.0 / iv.length), spectra1d._kappa_upper_bound(iv)
@@ -365,9 +367,10 @@ def test_branch_root_is_the_float_crossing_near_brentq(log_length, cl, cr, pairi
         assert a <= got <= b
         branch = functools.partial(spectra1d._boundary_form_branch, iv=iv, upper=upper)
         assert is_float_crossing(branch, got), (iv, upper)
-        # Where the branch rounds to 0 or turns sign on a run of floats (at
-        # kappa = |c| for c_r = -c_l, or near an odd state's threshold), the
-        # two solves may stop at different crossings of it: a few eps of the
+        # Where the branch rounds to 0 or turns sign on a run of floats (its
+        # terms cancel: near an odd state's threshold, or at a shallow state
+        # between couplings of very different sizes and signs), the two
+        # solves may stop at different crossings of it: a few eps of the
         # branch's terms over its slope apart.
         gap = abs(got - want) - 1e-15 * want - 2.0 * math.ulp(want)
         if gap > 0.0:
@@ -399,6 +402,57 @@ def test_bound_states_at_extreme_scales_match_mpmath(length, cl, cr):
 
         exact = mpmath.findroot(f, (kappa * (1 - mpmath.mpf(1e-12)), kappa * (1 + mpmath.mpf(1e-12))))
         assert abs(negs[0] + exact**2) <= 1e-15 * exact**2, (negs, exact)
+
+
+@pytest.mark.parametrize("c", [1e-4, 0.01, 0.1])
+def test_antisymmetric_bound_state_is_minus_c_squared(c):
+    # For c_r = -c_l = c, det B = kappa^2 - c^2, so kappa = c exactly, where
+    # the mixed-sign form of the branch is 0: the state is -c^2 rounded once.
+    # The odd/even product cancels there; with it these states were 3803, 67
+    # and 20 ulps off.
+    assert negative_eigenvalues(RobinInterval(1.0, -c, c)) == [-(c * c)]
+
+
+@st.composite
+def mixed_sign_intervals(draw):
+    """An interval with c_l c_r < 0: near c_r = -c_l half the time, else of independent sizes."""
+    cl = draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-12.0, 8.0))
+    if draw(st.booleans()):
+        cr = -cl * (1.0 + draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-16.0, 0.0)))
+    else:
+        cr = -math.copysign(10.0 ** draw(st.floats(-12.0, 8.0)), cl)
+    assume(min(cl, cr) < 0.0 < max(cl, cr))
+    return RobinInterval(10.0 ** draw(st.floats(-3.0, 2.0)), cl, cr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(iv=mixed_sign_intervals())
+@example(iv=RobinInterval(0.40594172673617146, 6.78773710673495e-12, -6.787737106734951e-12))
+@example(iv=RobinInterval(1.2419298710414055, 0.00024156325443127567, -0.00024149568153722828))
+@example(iv=RobinInterval(1.0, 23695887.575827207, -1.0))
+def test_property_mixed_sign_bound_states_match_mpmath(iv):
+    # Each state within 4.5 + 2 cond ulps of the 60-digit root of the
+    # unfactorized secular function. The 4.5 ulps are kappa being a float:
+    # an ulp of kappa is at most 4 ulps of lambda = -kappa^2, which is
+    # rounded once more. cond = 2 T / (kappa |det B'(kappa)|), with
+    # T = kappa^2 + |c_l + c_r| kappa coth kL + |c_l c_r| the size of det B's
+    # terms, is lambda's relative condition number in those terms: an eps
+    # on each moves lambda by cond eps, at most 2 cond ulps. cond is 2 for
+    # c_r = -c_l; it is large only where the terms themselves cancel, as for
+    # the shallow state between couplings 2.4e7 and -1 (cond 4.7e7), which
+    # stays millions of ulps off. The first two examples were 1.3e12 and
+    # 10155 ulps off with the odd/even product (cond 2 and 30); now 0.2 and 16.
+    cl, cr = iv.c_left, iv.c_right
+    for lam in negative_eigenvalues(iv):
+        kappa = math.sqrt(-lam)
+        with mpmath.workdps(60):
+            L, a, b = mpmath.mpf(iv.length), mpmath.mpf(cl), mpmath.mpf(cr)
+            exact = mpmath.findroot(lambda k: (k * k + a * b) * mpmath.tanh(k * L) + k * (a + b),
+                                    (mpmath.mpf(kappa) / 2, 2 * mpmath.mpf(kappa)), solver="anderson")
+            slope = 2 * exact + (a + b) * (mpmath.coth(exact * L) - exact * L / mpmath.sinh(exact * L) ** 2)
+            cond = 2 * (exact**2 + abs(a + b) * exact * mpmath.coth(exact * L) + abs(a * b)) / (exact * abs(slope))
+            error = abs(mpmath.mpf(lam) + exact**2) / mpmath.mpf(math.ulp(lam))
+        assert error <= 4.5 + 2 * cond, (iv, lam, float(error), float(cond))
 
 
 def test_branch_root_fails_loudly(monkeypatch):
@@ -597,7 +651,7 @@ def test_band_sum_closed_form_within_its_bound_of_mpmath(length, h):
     n_below = len(enumerate_eigenvalues(iv, cut).eigenvalues)
     n_top = spectra1d._phase_count(iv, lam)
     assert 3000 <= band.count == n_top - n_below
-    roots = np.sqrt(spectra1d._positive_eigenvalues(iv, n_below, n_top, lam))
+    roots = spectra1d._phase_roots(iv, np.arange(n_below + 1, n_top + 1, dtype=float), math.sqrt(lam))
     with mpmath.workdps(30):
         L, cm, pi = mpmath.mpf(length), mpmath.mpf(c), mpmath.pi
         total = mpmath.mpf(0)
