@@ -124,13 +124,11 @@ class Spectrum1D:
 
 def _kappa_upper_bound(iv):
     # Variational bound: lambda_0 >= -(G/L + G^2) with G the total negative
-    # coupling, so every root satisfies kappa <= sqrt(G/L + G^2). The
-    # 2*max(c-)+1 rule alone fails on short intervals. The slack is relative
-    # too, since a bare + 1 rounds away once the square root passes 1e16.
-    gl = max(-iv.c_left, 0.0)
-    gr = max(-iv.c_right, 0.0)
-    g = gl + gr
-    return max(2.0 * max(gl, gr) + 1.0, math.sqrt(g / iv.length + g * g) * (1.0 + 1e-8) + 1.0)
+    # coupling (the Rayleigh quotient), so every root satisfies
+    # kappa <= sqrt(G/L + G^2). The slack is relative too, since a bare + 1
+    # rounds away once the square root passes 1e16.
+    g = max(-iv.c_left, 0.0) + max(-iv.c_right, 0.0)
+    return math.sqrt(g / iv.length + g * g) * (1.0 + 1e-8) + 1.0
 
 
 def _boundary_form_branch(kappa, iv, upper):
@@ -139,27 +137,25 @@ def _boundary_form_branch(kappa, iv, upper):
     B(kappa) = kappa [[coth kL, -csch kL], [-csch kL, coth kL]] + diag(c_l, c_r) is
     the Dirichlet-to-Neumann map of -u'' + kappa^2 u plus the couplings. The branch
     of larger magnitude is mean -+ spread, the other det B over it, with det B =
-    (kappa + c_l)(kappa + c_r) + (c_l + c_r) kappa (coth kL - 1), whose last factor
-    is kappa coth(kL/2) (1 - t)^2 / 2, t = tanh(kL/2), for kL <= 1. There couplings
-    of one sign take (kappa coth(kL/2) + c_l)(kappa t + c_r) + (c_l - c_r) kappa csch kL
-    instead, the odd and even equations' product if c_l = c_r. For mixed signs that
-    form cancels near a root (3803 ulps off at (L, c_l, c_r) = (1, -1e-4, 1e-4)) and
-    the first does not.
+    (kappa + c_l)(kappa + c_r) + (c_l + c_r) kappa (coth kL - 1), its last factor
+    kappa csch kL e^-kL, whose csch is formed by expm1 without a subtraction at
+    any kL. Only couplings of one sign at kL <= 1 take the odd and even
+    equations' product (kappa coth(kL/2) + c_l)(kappa t + c_r) + (c_l - c_r)
+    kappa csch kL, t = tanh(kL/2), instead: it is exact for c_l = c_r and more
+    accurate for one sign. For mixed signs it cancels near a root (3803 ulps
+    off at (L, c_l, c_r) = (1, -1e-4, 1e-4)) and the first form does not.
     """
     cl, cr = iv.c_left, iv.c_right
     kl = kappa * iv.length
-    if kl <= 1.0:
+    if kl <= 1.0 and not min(cl, cr) < 0.0 < max(cl, cr):
         t = math.tanh(0.5 * kl)
         odd = kappa / t  # kappa coth(kL/2)
         cross = 0.5 * odd * (1.0 - t * t)  # kappa csch kL
-        if min(cl, cr) < 0.0 < max(cl, cr):
-            det = (kappa + cl) * (kappa + cr) + (cl + cr) * (0.5 * odd * (1.0 - t) ** 2)
-        else:
-            det = (odd + cl) * (kappa * t + cr) + (cl - cr) * cross
+        det = (odd + cl) * (kappa * t + cr) + (cl - cr) * cross
         mean = 0.5 * odd * (1.0 + t * t) + 0.5 * (cl + cr)
     else:
         decay = math.exp(-kl)
-        cross = 2.0 * kappa * decay / (1.0 - decay * decay)
+        cross = 2.0 * kappa * decay / -math.expm1(-2.0 * kl)  # kappa csch kL
         excess = cross * decay  # kappa (coth kL - 1)
         det = (kappa + cl) * (kappa + cr) + (cl + cr) * excess
         mean = (kappa + 0.5 * (cl + cr)) + excess

@@ -407,52 +407,99 @@ def test_bound_states_at_extreme_scales_match_mpmath(length, cl, cr):
 @pytest.mark.parametrize("c", [1e-4, 0.01, 0.1])
 def test_antisymmetric_bound_state_is_minus_c_squared(c):
     # For c_r = -c_l = c, det B = kappa^2 - c^2, so kappa = c exactly, where
-    # the mixed-sign form of the branch is 0: the state is -c^2 rounded once.
+    # the general form of the branch is 0: the state is -c^2 rounded once.
     # The odd/even product cancels there; with it these states were 3803, 67
     # and 20 ulps off.
     assert negative_eigenvalues(RobinInterval(1.0, -c, c)) == [-(c * c)]
 
 
 @st.composite
-def mixed_sign_intervals(draw):
-    """An interval with c_l c_r < 0: near c_r = -c_l half the time, else of independent sizes."""
-    cl = draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-12.0, 8.0))
-    if draw(st.booleans()):
+def sign_pattern_intervals(draw):
+    """An interval of one sign pattern: symmetric, same-sign, mixed, near-antisymmetric or tiny-L."""
+    def size(lo=-12.0, hi=8.0):
+        return 10.0 ** draw(st.floats(lo, hi))
+
+    length = 10.0 ** draw(st.floats(-3.0, 2.0))
+    pattern = draw(st.sampled_from(("symmetric", "same-sign", "mixed", "near-antisymmetric", "tiny-L")))
+    if pattern == "symmetric":
+        cl = cr = -size()
+    elif pattern == "same-sign":
+        cl, cr = -size(), draw(st.sampled_from((-1.0, 0.0))) * size()
+    elif pattern == "mixed":
+        cl = draw(st.sampled_from((-1.0, 1.0))) * size()
+        cr = -math.copysign(size(), cl)
+    elif pattern == "near-antisymmetric":
+        cl = draw(st.sampled_from((-1.0, 1.0))) * size()
         cr = -cl * (1.0 + draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-16.0, 0.0)))
-    else:
-        cr = -math.copysign(10.0 ** draw(st.floats(-12.0, 8.0)), cl)
-    assume(min(cl, cr) < 0.0 < max(cl, cr))
-    return RobinInterval(10.0 ** draw(st.floats(-3.0, 2.0)), cl, cr)
+    else:  # couplings of any signs on a short interval, sized against 1 / L
+        length = 10.0 ** draw(st.floats(-8.0, -3.0))
+        cl, cr = (draw(st.sampled_from((-1.0, 0.0, 1.0))) * size(-4.0, 4.0) / length for _ in range(2))
+    return RobinInterval(length, cl, cr)
 
 
-@settings(max_examples=200, deadline=None)
-@given(iv=mixed_sign_intervals())
+@settings(max_examples=300, deadline=None)
+@given(iv=sign_pattern_intervals())
 @example(iv=RobinInterval(0.40594172673617146, 6.78773710673495e-12, -6.787737106734951e-12))
 @example(iv=RobinInterval(1.2419298710414055, 0.00024156325443127567, -0.00024149568153722828))
 @example(iv=RobinInterval(1.0, 23695887.575827207, -1.0))
-def test_property_mixed_sign_bound_states_match_mpmath(iv):
-    # Each state within 4.5 + 2 cond ulps of the 60-digit root of the
-    # unfactorized secular function. The 4.5 ulps are kappa being a float:
-    # an ulp of kappa is at most 4 ulps of lambda = -kappa^2, which is
-    # rounded once more. cond = 2 T / (kappa |det B'(kappa)|), with
-    # T = kappa^2 + |c_l + c_r| kappa coth kL + |c_l c_r| the size of det B's
-    # terms, is lambda's relative condition number in those terms: an eps
-    # on each moves lambda by cond eps, at most 2 cond ulps. cond is 2 for
-    # c_r = -c_l; it is large only where the terms themselves cancel, as for
-    # the shallow state between couplings 2.4e7 and -1 (cond 4.7e7), which
-    # stays millions of ulps off. The first two examples were 1.3e12 and
-    # 10155 ulps off with the odd/even product (cond 2 and 30); now 0.2 and 16.
+def test_property_bound_states_match_mpmath(iv):
+    # Each state within 4.5 + 2 cond ulps of the 60-digit root of its own
+    # branch of B, the lower one for the deeper state: the branches keep a
+    # pinched pair's two roots apart, which the secular function does not.
+    # The 4.5 ulps are kappa being a float: an ulp of kappa is at most 4 ulps
+    # of lambda = -kappa^2, which is rounded once more. cond = 2 T / (kappa
+    # |det B'(kappa)|), with T = kappa^2 + |c_l + c_r| kappa coth kL +
+    # |c_l c_r| the size of det B's terms, is lambda's relative condition
+    # number in those terms: an eps on each moves lambda by cond eps, at
+    # most 2 cond ulps. cond is 2 for c_r = -c_l; it is large only where the
+    # terms themselves cancel, as for the shallow state between couplings
+    # 2.4e7 and -1 (cond 4.7e7), which stays millions of ulps off, and at a
+    # pair pinched past 60 digits, where det B' is 0 at the root and cond
+    # infinite (the even and odd equations hold symmetric pairs to a few
+    # ulps in test_symmetric_wells_match_even_and_odd_equations). The first
+    # two examples were 1.3e12 and 10155 ulps off with the odd/even product
+    # (cond 2 and 30); now 0.2 and 7.
     cl, cr = iv.c_left, iv.c_right
-    for lam in negative_eigenvalues(iv):
+    for upper, lam in enumerate(negative_eigenvalues(iv)):
         kappa = math.sqrt(-lam)
         with mpmath.workdps(60):
             L, a, b = mpmath.mpf(iv.length), mpmath.mpf(cl), mpmath.mpf(cr)
-            exact = mpmath.findroot(lambda k: (k * k + a * b) * mpmath.tanh(k * L) + k * (a + b),
-                                    (mpmath.mpf(kappa) / 2, 2 * mpmath.mpf(kappa)), solver="anderson")
+
+            def branch(k):
+                spread = mpmath.hypot((a - b) / 2, k / mpmath.sinh(k * L))
+                return k * mpmath.coth(k * L) + (a + b) / 2 + (spread if upper else -spread)
+
+            exact = mpmath.findroot(branch, (mpmath.mpf(kappa) / 2, 2 * mpmath.mpf(kappa)), solver="anderson")
             slope = 2 * exact + (a + b) * (mpmath.coth(exact * L) - exact * L / mpmath.sinh(exact * L) ** 2)
-            cond = 2 * (exact**2 + abs(a + b) * exact * mpmath.coth(exact * L) + abs(a * b)) / (exact * abs(slope))
+            terms = exact**2 + abs(a + b) * exact * mpmath.coth(exact * L) + abs(a * b)
+            cond = 2 * terms / (exact * abs(slope)) if slope else mpmath.inf
             error = abs(mpmath.mpf(lam) + exact**2) / mpmath.mpf(math.ulp(lam))
         assert error <= 4.5 + 2 * cond, (iv, lam, float(error), float(cond))
+
+
+@settings(max_examples=300, deadline=None)
+@given(iv=sign_pattern_intervals())
+def test_property_depth_bound_bounds_every_state(iv):
+    # Every state's kappa lies below the variational depth bound, and both
+    # branches of B are positive there, so it brackets every crossing.
+    kappa_max = spectra1d._kappa_upper_bound(iv)
+    assert all(math.sqrt(-lam) < kappa_max for lam in negative_eigenvalues(iv))
+    assert spectra1d._boundary_form_branch(kappa_max, iv, False) > 0.0
+    assert spectra1d._boundary_form_branch(kappa_max, iv, True) > 0.0
+
+
+def test_depth_bound_squares_to_the_float_range():
+    # The depth bound sqrt(G/L + G^2) (1 + 1e-8) + 1 squares to a finite
+    # float for G = 1e154, and not for G = 1.8e154. The state is -c^2, and a
+    # coupling that large is a Dirichlet end to the next eigenvalue, (pi / 2)^2
+    # with the Neumann end.
+    iv = RobinInterval(1.0, -1e154, 0.0)
+    assert negative_eigenvalues(iv) == [-1e308]
+    first = enumerate_eigenvalues(iv, 10.0).eigenvalues[1]
+    assert abs(first - (math.pi / 2) ** 2) <= 4 * math.ulp(first)
+    with pytest.raises(ValueError, match=r"^the bound-state depth bound overflows for RobinInterval\(length=1.0, "
+                                         r"c_left=-9e\+153, c_right=-9e\+153\)$"):
+        RobinInterval(1.0, -9e153, -9e153)
 
 
 def test_branch_root_fails_loudly(monkeypatch):
