@@ -62,8 +62,11 @@ class RegimeSpec:
 
 
 def _realized_box(box, regime, h):
-    """The box with b = scale(h) * b0 on every facet."""
+    """The box with b = scale(h) * b0 on every facet; a b that overflows a float is refused, naming b0 and h."""
     s = regime.scale(h)
+    overflow = next((b0 for pair in box.facet_b for b0 in pair if math.isinf(s * b0)), None)
+    if overflow is not None:
+        raise ValueError(f"b = scale(h) * b0 overflows a float for facet b0 = {overflow!r} at h = {h!r}")
     return replace(box, facet_b=tuple((s * lo, s * hi) for lo, hi in box.facet_b))
 
 

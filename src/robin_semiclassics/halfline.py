@@ -45,49 +45,53 @@ def _check_t(t):
     return t
 
 
-def _psi_norm(b):
-    """sqrt(1 + b^2); where b * b overflows, |b|, the same float."""
-    b2 = b * b
-    return abs(b) if math.isinf(b2) else math.sqrt(1.0 + b2)
-
-
 def psi(b, t):
-    """Generalized eigenfunction (cos t + b sin t) / sqrt(1 + b^2)."""
+    """Generalized eigenfunction (cos t + b sin t) / sqrt(1 + b^2).
+
+    The norm is math.hypot(1, b), a float for every finite b.
+    """
     b, t = coeffs.check_coupling(b), _check_t(t)
-    return (math.cos(t) + b * math.sin(t)) / _psi_norm(b)
+    return (math.cos(t) + b * math.sin(t)) / math.hypot(1.0, b)
 
 
 def psi_derivative(b, t):
     """d/dt of psi; psi'(0) = b * psi(0) holds exactly."""
     b, t = coeffs.check_coupling(b), _check_t(t)
-    return (-math.sin(t) + b * math.cos(t)) / _psi_norm(b)
+    return (-math.sin(t) + b * math.cos(t)) / math.hypot(1.0, b)
 
 
 def psi_bound(b, t):
-    """Bound state sqrt(-2b) e^(bt) for b < 0, identically 0 for b >= 0."""
+    """Bound state sqrt(-2b) e^(bt) for b < 0, identically 0 for b >= 0.
+
+    sqrt(-2b) is 2^m sqrt(-2b / 4^m), with 2^(2m) near |b|: the scaled -2b is
+    a normal float for every finite b, and both scalings are exact, so the
+    root is correctly rounded where -2b overflows too.
+    """
     b, t = coeffs.check_coupling(b), _check_t(t)
     if b >= 0.0:
         return 0.0
-    return math.sqrt(-2.0 * b) * math.exp(b * t)
+    m = math.frexp(b)[1] // 2
+    return math.ldexp(math.sqrt(math.ldexp(-b, 1 - 2 * m)), m) * math.exp(b * t)
 
 
 def _kernel_factors(d, b, sin_phi, cos_phi):
     """t-independent factors of the I_b integrand in the phi = arcsin(p) variable.
 
     The substitution p = sin(phi) absorbs the (1 - p^2)^((d+1)/2) endpoint
-    singularity into an analytic cos^(d+2) weight.
+    singularity into an analytic cos^(d+2) weight. The factors
+    (s^2 - b^2) / (s^2 + b^2) and 2 b s / (s^2 + b^2), s = sin(phi), are
+    ratios of homogeneous forms, so s and b are first scaled by 2^-k with
+    |b| 2^-k < 2: b^2 is then a float for every finite b. The scaling is
+    exact, and an s^2 it pushes below the normal floats is one that s^2 + b^2
+    drops, so for 0 < |b| < 1.3e154 every factor that is a normal float keeps
+    the bits of the unscaled form.
     """
     weight = cos_phi ** (d + 2)
-    if b == 0.0:
-        return weight, np.zeros_like(weight)
-    if math.isinf(b * b):
-        # The same factors over b^2, in r = sin(phi) / b.
-        r = sin_phi / b
-        denom = r * r + 1.0
-        return weight * (r * r - 1.0) / denom, weight * (2.0 * r) / denom
-    s2 = sin_phi * sin_phi
+    scale = math.ldexp(1.0, -max(math.frexp(b)[1] - 1, 0))
+    s, b = sin_phi * scale, b * scale
+    s2 = s * s
     denom = s2 + b * b
-    return weight * (s2 - b * b) / denom, weight * (2.0 * b * sin_phi) / denom
+    return weight * (s2 - b * b) / denom, weight * (2.0 * b * s) / denom
 
 
 def _phi_mesh(b, t_max):
@@ -223,10 +227,7 @@ def i_b_integral(d, b):
 
 def bound_state_overlap(b):
     """<Psi_b, e^(-s)> = sqrt(-2b)/(1 - b) for b < 0; 0 otherwise."""
-    b = coeffs.check_coupling(b)
-    if b >= 0.0:
-        return 0.0
-    return math.sqrt(-2.0 * b) / (1.0 - b)
+    return psi_bound(b, 0.0) / (1.0 + abs(b))
 
 
 def reconstruct(b, t):

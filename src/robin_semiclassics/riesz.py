@@ -132,6 +132,10 @@ def weyl_term(box, h):
 
 
 def _intervals(box, h):
+    """Each axis's RobinInterval, with c = b/h; a c that overflows a float is refused, naming b and h."""
+    overflow = next((b for pair in box.facet_b for b in pair if math.isinf(b / h)), None)
+    if overflow is not None:
+        raise ValueError(f"c = b/h overflows a float for facet b = {overflow!r} at h = {h!r}")
     return [RobinInterval(side, lo / h, hi / h) for side, (lo, hi) in zip(box.sides, box.facet_b)]
 
 
@@ -213,11 +217,11 @@ def _pair_trace(sorted_axis, other_axis, h):
     return _tree_sum(terms), int(counts.sum())
 
 
-def _outer_sum(a, b):
-    """All sums a_i + b_j, flat; raises ValueError first where there are more than _MAX_FOLD_SIZE."""
+def _outer_sum(a, b, h):
+    """All sums a_i + b_j, flat; first raises ValueError naming h where there are more than _MAX_FOLD_SIZE."""
     if a.size * b.size > _MAX_FOLD_SIZE:
         raise ValueError(f"a fold of {a.size} x {b.size} eigenvalue sums is past the budget of "
-                         f"{_MAX_FOLD_SIZE} (2^27) sums")
+                         f"{_MAX_FOLD_SIZE} (2^27) sums at h = {h}")
     return (a[:, None] + b[None, :]).ravel()
 
 
@@ -227,17 +231,14 @@ def _fold(spectra, h, shift):
     A lone spectrum is returned as it is, and no spectrum as [0], the sum of
     the empty tuple. Each spectrum is cut before it is folded, since no sum
     with a larger entry stays below the cut. A fold past _MAX_FOLD_SIZE
-    raises ValueError naming h.
+    raises ValueError naming h (_outer_sum).
     """
     cutoff = h**-2 - shift
     combined = spectra[0] if spectra else np.zeros(1)
-    try:
-        for spectrum in spectra[1:]:
-            combined = _outer_sum(combined[combined <= cutoff], spectrum[spectrum <= cutoff])
-            combined = combined[combined <= cutoff]
-            combined.sort()
-    except ValueError as exc:
-        raise ValueError(f"{exc} at h = {h}") from None
+    for spectrum in spectra[1:]:
+        combined = _outer_sum(combined[combined <= cutoff], spectrum[spectrum <= cutoff], h)
+        combined = combined[combined <= cutoff]
+        combined.sort()
     return combined
 
 
@@ -298,12 +299,12 @@ def riesz_mean(box, h):
 def trace_bruteforce(box, h):
     """Naive full product-spectrum sum; the independence oracle for riesz_mean.
 
-    A product past _MAX_FOLD_SIZE tuples raises ValueError before it is built.
+    A product past _MAX_FOLD_SIZE tuples raises ValueError naming h before it is built.
     """
     spectra = axis_spectra(box, h)
     total = spectra[0]
     for spec in spectra[1:]:
-        total = _outer_sum(total, spec)
+        total = _outer_sum(total, spec, h)
     vals = 1.0 - h * h * total
     return math.fsum(vals[vals > 0.0].tolist())
 

@@ -138,6 +138,12 @@ SWEEP = ["sweep", "--regime", "fixed", "--b0", "1", "--h", "0.2,0.1,0.05,0.025"]
     (["sweep", "--regime", "fixed", "--b0", "nan"], None, 2, "facet Robin coefficients must be finite"),
     (["sweep", "--regime", "large", "--gamma", "0.25", "--b0", "1,1,inf,1"], None, 2,
      "facet Robin coefficients must be finite"),
+    # A finite b0 whose realized coupling overflows is refused naming it and h:
+    # c = b/h in the fixed regime, scale(h) * b0 in the large one.
+    (["sweep", "--regime", "fixed", "--b0=1e308", "--h", "0.1,0.05,0.02,0.01"], None, 2,
+     "c = b/h overflows a float for facet b = 1e+308 at h = 0.1"),
+    (["sweep", "--regime", "large", "--gamma", "0.9", "--b0=1e306", "--h", "1e-3,5e-4,2e-4,1e-4"], None, 2,
+     "b = scale(h) * b0 overflows a float for facet b0 = 1e+306 at h = 0.001"),
     # About 3e149 phase indices, refused before any array is allocated.
     (["spectrum", "--L", "1", "--Lambda", "1e300"], None, 2, "3.183e+149 eigenvalues"),
     # A phi mesh of 2e9 panels, refused before it is built.
@@ -145,7 +151,7 @@ SWEEP = ["sweep", "--regime", "fixed", "--b0", "1", "--h", "0.2,0.1,0.05,0.025"]
 ], ids=["coeff-b", "model-b", "model-t-config", "model-both", "spectrum-L", "spectrum-Lambda-config",
         "sweep-regime-config", "sweep-b0", "gamma", "s-inf", "b0-count", "non-float", "negative-t",
         "three-h", "config-unreadable", "config-no-equals", "output-unwritable", "kroger",
-        "b0-nan", "b0-inf", "phase-count-cap", "phi-panel-budget"])
+        "b0-nan", "b0-inf", "c-overflow", "realized-b-overflow", "phase-count-cap", "phi-panel-budget"])
 def test_usage_errors_name_the_option(tmp_path, monkeypatch, capsys, args, config, code, message):
     if code == 3:
         monkeypatch.setattr(riesz, "kroger_check", lambda box, h, trace: False)

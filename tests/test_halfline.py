@@ -1,8 +1,11 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from robin_semiclassics import coeffs, halfline
 from robin_semiclassics.errors import QuadratureError
@@ -192,6 +195,60 @@ def test_bound_state_overlap():
     assert halfline.bound_state_overlap(0.3) == 0.0
 
 
+# b = +-10^u from the least subnormal to near the largest float, and the largest float itself.
+COUPLINGS = st.one_of(
+    st.builds(lambda sign, u: sign * 10.0**u, st.sampled_from((-1.0, 1.0)), st.floats(-323.3, 308.25)),
+    st.sampled_from((-1.7976931348623157e308, 1.7976931348623157e308)))
+TINY = 2.0**-1074  # the least subnormal
+
+
+@settings(max_examples=300, deadline=None)
+@given(b=COUPLINGS, t=st.one_of(st.just(0.0), st.floats(-310.0, 2.0).map(lambda v: 10.0**v)))
+@example(b=-1e308, t=0.0)  # -2b overflowed, so psi_bound was inf, then nan at t = 1e-300
+@example(b=-1e308, t=1e-300)
+@example(b=0.0, t=1.0)
+def test_property_model_functions_match_mpmath(b, t):
+    # Against 40 digits, within a few ulps of the terms' magnitudes. psi and
+    # psi' add two terms that may cancel, so their bound is in ulps of the
+    # terms' size; psi_bound's exp(b t) moves by |b t| ulps for the one
+    # rounding of b t; a product or quotient that leaves the normal floats
+    # rounds to a multiple of the least subnormal.
+    eps = 2.0**-52
+    with mpmath.workdps(40):
+        B, T = mpmath.mpf(b), mpmath.mpf(t)
+        norm, cos, sin = mpmath.sqrt(1 + B * B), mpmath.cos(T), mpmath.sin(T)
+        bound = mpmath.sqrt(-2 * B) if b < 0.0 else mpmath.mpf(0)
+        checks = [
+            ("psi", halfline.psi(b, t), (cos + B * sin) / norm,
+             4 * eps * (abs(cos) + abs(B * sin)) / norm + 2 * eps * abs(cos + B * sin) / norm + 4 * TINY),
+            ("psi_derivative", halfline.psi_derivative(b, t), (-sin + B * cos) / norm,
+             4 * eps * (abs(sin) + abs(B * cos)) / norm + 2 * eps * abs(-sin + B * cos) / norm + 4 * TINY),
+            ("psi_bound", halfline.psi_bound(b, t), bound * mpmath.exp(B * T),
+             (2 + abs(B * T)) * eps * bound * mpmath.exp(B * T) + (bound + 1) * TINY),
+            ("bound_state_overlap", halfline.bound_state_overlap(b), bound / (1 + abs(B)),
+             2 * eps * bound / (1 + abs(B))),
+        ]
+        for name, got, exact, tol in checks:
+            assert math.isfinite(got) and abs(got - exact) <= tol, (name, b, t, got, float(exact))
+
+
+@settings(max_examples=300, deadline=None)
+@given(b=st.one_of(COUPLINGS, st.just(0.0)), d=st.integers(2, 8))
+def test_property_kernel_factors_are_finite_and_keep_their_bits(b, d):
+    # Finite for every finite b; for 0 < |b| < 1.3e154, where b * b is a
+    # float, bit-equal to the unscaled (s^2 - b^2) / (s^2 + b^2) and
+    # 2 b s / (s^2 + b^2). The nodes reach 2^-59 pi/2 and within 1e-6 of pi/2.
+    phi = np.concatenate([np.linspace(1e-6, 0.5 * math.pi - 1e-6, 64), 0.5 * math.pi * 2.0 ** -np.arange(1, 60)])
+    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
+    fc, fs = halfline._kernel_factors(d, b, sin_phi, cos_phi)
+    assert np.isfinite(fc).all() and np.isfinite(fs).all()
+    if 0.0 < abs(b) < 1.3e154:
+        weight, s2 = cos_phi ** (d + 2), sin_phi * sin_phi
+        denom = s2 + b * b
+        assert np.array_equal(fc, weight * (s2 - b * b) / denom)
+        assert np.array_equal(fs, weight * (2.0 * b * sin_phi) / denom)
+
+
 def test_reconstruct_cases():
     # (-0.4, 1) mixes the bound state and the continuum. |b| >= 10 once
     # returned values off by 2.4e-7 (b = 10) to 0.04 (b = 1e3): the tail
@@ -324,7 +381,7 @@ def test_i_b_integral_for_tiny_b(b):
 
 @pytest.mark.parametrize("b", [1e200, -1e200, 1.4e154, -1e160, 1.7e308])
 def test_i_b_for_huge_b_is_minus_i_b_at_zero(b):
-    # b * b overflows past |b| ~ 1.3e154; the kernel then scales by sin(phi) / b.
+    # b * b overflows past |b| ~ 1.3e154; the kernel scales sin(phi) and b by a power of two first.
     for d in (2, 8):
         for t in (0.0, 1.0, 200.0):
             assert abs(halfline.i_b(d, b, t) + halfline.i_b(d, 0.0, t)) <= 1e-12, (d, t)

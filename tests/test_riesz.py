@@ -299,6 +299,7 @@ def test_fold_past_the_budget_is_refused(monkeypatch):
     monkeypatch.setattr(riesz, "_MAX_FOLD_SIZE", 40)
     with pytest.raises(ValueError, match="past the budget of 40 ") as info:
         riesz_mean(box, 0.05)
+    assert str(info.value).endswith(" at h = 0.05")
     rows, cols = map(int, re.search(r"a fold of (\d+) x (\d+) ", str(info.value)).groups())
     monkeypatch.setattr(riesz, "_MAX_FOLD_SIZE", rows * cols)
     assert riesz_mean(box, 0.05) == want
@@ -308,7 +309,7 @@ def test_trace_bruteforce_refuses_past_the_budget(monkeypatch):
     box = BoxDomain.uniform((1.0, SQ2), -1.0)
     sizes = [spec.size for spec in axis_spectra(box, 0.05)]
     monkeypatch.setattr(riesz, "_MAX_FOLD_SIZE", sizes[0] * sizes[1] - 1)
-    with pytest.raises(ValueError, match=f"a fold of {sizes[0]} x {sizes[1]} eigenvalue sums"):
+    with pytest.raises(ValueError, match=f"a fold of {sizes[0]} x {sizes[1]} eigenvalue sums .* at h = 0.05$"):
         trace_bruteforce(box, 0.05)
 
 
@@ -377,7 +378,7 @@ def test_pair_trace_near_exact_rational(box, h, exits_early):
     combined = spectra[0]
     for axis in range(1, box.d - 1):
         allowance = sum(min(0.0, float(spec.min())) for spec in spectra[axis + 1:])
-        combined = _outer_sum(combined, spectra[axis])
+        combined = _outer_sum(combined, spectra[axis], h)
         combined = combined[combined <= h**-2 - allowance]
         combined.sort()
     # Whether the last partner eigenvalue passes the cutoff, i.e. the loop breaks.

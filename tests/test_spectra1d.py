@@ -557,6 +557,25 @@ def test_symmetric_wells_match_even_and_odd_equations(length, gamma):
             assert abs(lam - exact) <= bound * abs(exact), (lam, exact, bound)
 
 
+@pytest.mark.parametrize("length, c", [(1.0, -30.0), (1.0, -1000.0), (2.0, -50.0), (0.5, -400.0)])
+def test_pinched_symmetric_pairs_match_even_and_odd_equations(length, c):
+    # A deep symmetric pair splits by about 4 |c| e^(c L) in kappa, so the
+    # condition number in det B's terms that bounds the property test is huge
+    # here (2.1e13 at (1, -30)) or infinite (det B' is 0 at 60 digits at
+    # (1, -1000)), and that bound says nothing. Each state is held to 2 ulps of
+    # the 80-digit root of its own equation instead: the even one
+    # kappa tanh(kappa L / 2) = -c for the deeper state, the odd one
+    # kappa coth(kappa L / 2) = -c for the other.
+    negs = negative_eigenvalues(RobinInterval(length, c, c))
+    assert len(negs) == 2
+    with mpmath.workdps(80):
+        L, g = mpmath.mpf(length), -mpmath.mpf(c)
+        equations = (lambda k: k * mpmath.tanh(k * L / 2) - g, lambda k: k * mpmath.coth(k * L / 2) - g)
+        for lam, f in zip(negs, equations):
+            error = abs(mpmath.mpf(lam) + mpmath.findroot(f, g) ** 2) / mpmath.mpf(math.ulp(lam))
+            assert error <= 2, (lam, float(error))
+
+
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 3.0, 1e3])
 def test_tiny_symmetric_wells_match_even_equation(gamma):
     # On L = 1e-10 ... 1e-300 the even state kappa tanh(kappa L / 2) = gamma sits
